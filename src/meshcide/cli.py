@@ -33,10 +33,10 @@ from .shading import shadeable_pairs, shadeable_singles, ssl_closure, trace_to_j
 from .coincidence import (
     classify_family,
     decide_coincidence,
+    default_partition_depth,
     load_partition_cache,
+    partition_lines,
     partition_meshes,
-    partition_records,
-    partition_summary,
     write_partition_cache,
 )
 
@@ -237,7 +237,7 @@ def _cmd_partition(args) -> int:
     p = parse_perm(args.perm)
     n_max = args.max_n
     if n_max is None:
-        n_max = 7 if len(p) <= 2 else 6
+        n_max = default_partition_depth(len(p))
     if args.out:
         cached = load_partition_cache(args.out, p, n_max, use_gamma=not args.no_gamma)
         if cached is not None:
@@ -247,12 +247,11 @@ def _cmd_partition(args) -> int:
     result = partition_meshes(
         p, n_max, use_gamma=not args.no_gamma, threads=args.threads
     )
-    records = partition_records(result)
-    summary = {"summary": partition_summary(result)}
-    for obj in records + [summary]:
-        print(json.dumps(obj))
+    lines = partition_lines(result)
+    for line in lines:
+        print(line)
     if args.out:
-        write_partition_cache(args.out, result)
+        write_partition_cache(args.out, lines)
     return 0
 
 

@@ -26,6 +26,7 @@ from .perm import (
     is_sum_decomposable,
     lex_unrank,
     make_perm,
+    perm_text,
 )
 from .mesh import (
     Fingerprint,
@@ -33,6 +34,7 @@ from .mesh import (
     contains,
     default_depth,
     fingerprints_many,
+    full_grid_mask,
     host_region_masks,
     mask_to_squares,
     mesh_pattern_to_json,
@@ -43,12 +45,14 @@ from .diagonals import (
     apply_symmetry_mask,
     apply_symmetry_mesh,
     diagonal_to_json,
-    enc_square_sets,
+    enc_core_mask,
     enc_witness,
     enclosed_diagonals,
-    graph_points,
+    map_mask,
+    pointless_mask,
     same_enc,
     sorted_diagonals,
+    symmetry_tables,
 )
 from .shading import (
     Assignment,
@@ -70,51 +74,73 @@ class FamilyTags:
     sparse: bool
 
 
+@lru_cache(maxsize=64)
+def _family_masks(p: Perm) -> tuple:
+    """Masks the family predicates test, per pattern: each column, each row,
+    the squares that are not pointless, and for every square the union of
+    the two columns and two rows adjacent to it."""
+    k = len(p)
+    width = k + 1
+    columns = tuple(sum(square_bit(k, a, b) for b in range(width)) for a in range(width))
+    rows = tuple(sum(square_bit(k, a, b) for a in range(width)) for b in range(width))
+
+    def line(masks: tuple[int, ...], index: int) -> int:
+        return masks[index] if 0 <= index <= k else 0
+
+    adjacent = tuple(
+        line(columns, a - 1) | line(columns, a + 1) | line(rows, b - 1) | line(rows, b + 1)
+        for a in range(width)
+        for b in range(width)
+    )
+    return columns, rows, full_grid_mask(k) & ~pointless_mask(p), adjacent
+
+
 def classify_family(pi: MeshPattern) -> FamilyTags:
-    """Evaluate the mesh-shape predicates literally.
+    """Evaluate the mesh-shape predicates on the mask.
 
     vincular: union of complete columns; bivincular: union of complete rows
     and columns; isolating: no shaded square sits in a row or column adjacent
     to a non-pointless shaded square; sparse: at most one shaded square per
     row and per column.
     """
-    k = pi.k
-    squares = pi.squares
-    full_cols = {
-        c for c in range(k + 1) if all(pi.has_square(c, y) for y in range(k + 1))
-    }
-    full_rows = {
-        r for r in range(k + 1) if all(pi.has_square(x, r) for x in range(k + 1))
-    }
-    vincular = all(a in full_cols for a, b in squares)
-    bivincular = all(a in full_cols or b in full_rows for a, b in squares)
-
-    points = graph_points(pi.perm)
-
-    def pointless(a: int, b: int) -> bool:
-        return not ({(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)} & points)
-
+    mask = pi.mask
+    columns, rows, pointed, adjacent = _family_masks(pi.perm)
+    full_columns = 0
+    sparse = True
+    for line in columns:
+        shaded = mask & line
+        if shaded == line:
+            full_columns |= line
+        sparse = sparse and shaded & (shaded - 1) == 0
+    full_rows = 0
+    for line in rows:
+        shaded = mask & line
+        if shaded == line:
+            full_rows |= line
+        sparse = sparse and shaded & (shaded - 1) == 0
+    vincular = mask & ~full_columns == 0
+    bivincular = mask & ~(full_columns | full_rows) == 0
     isolating = True
-    for a, b in squares:
-        if pointless(a, b):
-            continue
-        if any(
-            a2 in (a - 1, a + 1) or b2 in (b - 1, b + 1) for a2, b2 in squares
-        ):
+    rest = mask & pointed
+    while rest:
+        low = rest & -rest
+        if mask & adjacent[low.bit_length() - 1]:
             isolating = False
             break
-
-    col_counts = [0] * (k + 1)
-    row_counts = [0] * (k + 1)
-    for a, b in squares:
-        col_counts[a] += 1
-        row_counts[b] += 1
-    sparse = all(c <= 1 for c in col_counts) and all(r <= 1 for r in row_counts)
+        rest ^= low
     return FamilyTags(vincular, bivincular, isolating, sparse)
 
 
 GAMMA_1 = MeshPattern((1, 2), squares_to_mask(2, ((0, 1), (0, 2), (1, 1), (1, 2), (2, 0))))
 GAMMA_2 = MeshPattern((1, 2), squares_to_mask(2, ((0, 2), (1, 0), (1, 1), (2, 0), (2, 1))))
+
+
+@lru_cache(maxsize=1)
+def _gamma_orientations() -> tuple[tuple[str, MeshPattern, MeshPattern], ...]:
+    return tuple(
+        (sym, apply_symmetry_mesh(sym, GAMMA_1), apply_symmetry_mesh(sym, GAMMA_2))
+        for sym in SYMMETRIES
+    )
 
 
 def contains_gamma_oracle(w: Perm) -> bool:
@@ -151,13 +177,6 @@ def vincular_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
             f"distinct column-union meshes with equal diagonals at k={pi.k}"
         )
     return [TraceStep("VINCULAR", pi.perm, pi.mask, pi2.mask)]
-
-
-def _enc_core_mask(pi: MeshPattern) -> int:
-    core = 0
-    for d in enclosed_diagonals(pi):
-        core |= squares_to_mask(pi.k, d.squares)
-    return core
 
 
 def _single_shading_chain(
@@ -199,7 +218,7 @@ def isolating_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
         return None
     if not same_enc(pi, pi2):
         return None
-    core = _enc_core_mask(pi)
+    core = enc_core_mask(pi)
     chain1 = _single_shading_chain(pi.perm, core, pi.mask)
     chain2 = _single_shading_chain(pi.perm, core, pi2.mask)
     if chain1 is None or chain2 is None:
@@ -212,9 +231,7 @@ def gamma_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     """The one length-2 coincidence beyond shading: the pair of meshes whose
     containment means sum-decomposability, in any symmetric orientation."""
     want = {(pi.perm, pi.mask), (pi2.perm, pi2.mask)}
-    for sym in SYMMETRIES:
-        g1 = apply_symmetry_mesh(sym, GAMMA_1)
-        g2 = apply_symmetry_mesh(sym, GAMMA_2)
+    for sym, g1, g2 in _gamma_orientations():
         if want == {(g1.perm, g1.mask), (g2.perm, g2.mask)}:
             return [TraceStep("GAMMA", pi.perm, pi.mask, pi2.mask, (sym,))]
     return None
@@ -241,7 +258,7 @@ def verify_trace(trace: ProofTrace) -> bool:
     for step in trace.steps:
         k = len(step.perm)
         pattern = MeshPattern(step.perm, step.before)
-        if step.rule in ("SL", "DSL", "SSL"):
+        if step.rule in ("SL", "SSL"):
             added = step.after & ~step.before
             union = 0
             points = set()
@@ -552,7 +569,9 @@ def partition_meshes(
     for mesh in range(total):
         uf.find(mesh)
     stabilizer = [
-        s for s in SYMMETRIES if s != "id" and apply_symmetry_perm(s, p) == p
+        symmetry_tables(s, k)
+        for s in SYMMETRIES
+        if s != "id" and apply_symmetry_perm(s, p) == p
     ]
     pending: list[tuple[int, int]] = []
     seen_edges: set[tuple[int, int]] = set()
@@ -560,6 +579,11 @@ def partition_meshes(
     def push(a: int, b: int) -> None:
         if a == b:
             return
+        if sigs[a] != sigs[b]:
+            raise AssertionError(
+                f"proof edge joins meshes {a} and {b} over {perm_text(p)}, "
+                f"whose truncated signatures differ"
+            )
         edge = (a, b) if a < b else (b, a)
         if edge not in seen_edges:
             seen_edges.add(edge)
@@ -572,43 +596,32 @@ def partition_meshes(
             a, b = pending[i]
             i += 1
             uf.union(a, b)
-            for s in stabilizer:
-                push(
-                    apply_symmetry_mask(s, k, a),
-                    apply_symmetry_mask(s, k, b),
-                )
+            for tables in stabilizer:
+                push(map_mask(tables, a), map_mask(tables, b))
         pending.clear()
 
-    # shading edges over the whole mesh space
+    # Shading edges over the whole mesh space, and the mesh-shape rules
+    # between members of one truncation group with equal enclosed diagonals.
+    buckets: dict[tuple, list[int]] = {}
     for mesh in range(total):
-        for move in ssl_moves(MeshPattern(p, mesh)):
+        pattern = MeshPattern(p, mesh)
+        for move in ssl_moves(pattern):
             push(mesh, mesh | move.added)
-
-    # mesh-shape rules inside each truncation group
-    for members in groups.values():
-        encless: list[int] = []
-        vinc_by_enc: dict = {}
-        iso_by_enc: dict = {}
-        for mesh in members:
-            pattern = MeshPattern(p, mesh)
-            enc = enc_square_sets(pattern)
-            if not enc:
-                encless.append(mesh)
-            tags = classify_family(pattern)
-            if tags.vincular:
-                vinc_by_enc.setdefault(enc, []).append(mesh)
-            if tags.isolating and _single_shading_chain(
-                p, _enc_core_mask(pattern), mesh
-            ) is not None:
-                iso_by_enc.setdefault(enc, []).append(mesh)
-        for bucket in ([encless] + list(vinc_by_enc.values()) + list(iso_by_enc.values())):
-            for a, b in zip(bucket, bucket[1:]):
-                push(a, b)
+        sig = sigs[mesh]
+        core = enc_core_mask(pattern)
+        if not core:
+            buckets.setdefault(("classical", sig), []).append(mesh)
+        tags = classify_family(pattern)
+        if tags.vincular:
+            buckets.setdefault(("vincular", sig, core), []).append(mesh)
+        if tags.isolating and _single_shading_chain(p, core, mesh) is not None:
+            buckets.setdefault(("isolating", sig, core), []).append(mesh)
+    for bucket in buckets.values():
+        for a, b in zip(bucket, bucket[1:]):
+            push(a, b)
 
     if use_gamma:
-        for sym in SYMMETRIES:
-            g1 = apply_symmetry_mesh(sym, GAMMA_1)
-            g2 = apply_symmetry_mesh(sym, GAMMA_2)
+        for _, g1, g2 in _gamma_orientations():
             if g1.perm == p:
                 push(g1.mask, g2.mask)
 
@@ -708,9 +721,16 @@ def partition_summary(result: PartitionResult) -> dict:
     }
 
 
-def write_partition_cache(path: str | Path, result: PartitionResult) -> None:
+def partition_lines(result: PartitionResult) -> list[str]:
+    """The partition report as JSON lines: one record per class, then the
+    summary footer."""
     lines = [json.dumps(rec) for rec in partition_records(result)]
     lines.append(json.dumps({"summary": partition_summary(result)}))
+    return lines
+
+
+def write_partition_cache(path: str | Path, lines: list[str]) -> None:
+    """Write report lines built by :func:`partition_lines` as a cache file."""
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -14,14 +14,15 @@ classical pattern exactly when it has none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .perm import Perm, apply_symmetry_perm, symmetry_word
 from .mesh import (
     MeshPattern,
     Square,
     contains,
-    mask_to_squares,
     square_bit,
+    squares_to_mask,
 )
 
 
@@ -40,38 +41,62 @@ def graph_points(p: Perm) -> frozenset[tuple[int, int]]:
     return frozenset((i, v) for i, v in enumerate(p, start=1))
 
 
-def enclosed_diagonals(pi: MeshPattern) -> frozenset[EnclosedDiagonal]:
-    """All enclosed diagonals of the pattern.
+@lru_cache(maxsize=64)
+def _diagonal_candidates(
+    p: Perm,
+) -> tuple[tuple[int, EnclosedDiagonal, frozenset[Square]], ...]:
+    """Every diagonal a mesh over ``p`` could enclose, with its square mask.
 
     Proper runs are found by walking each maximal diagonal run of graph
-    points once, so maximality needs no separate filter; a run is enclosed
-    iff its full square set is shaded.  No square can sit in two returned
-    diagonals: distinct runs claim disjoint squares and a pointless square
-    has no graph corner at all.
+    points once, so maximality needs no separate filter.  No square can sit
+    in two candidates: distinct runs claim disjoint squares and a pointless
+    square has no graph corner at all.
     """
-    p = pi.perm
+    k = len(p)
     points = graph_points(p)
-    out = set()
-    for a, b in pi.squares:
-        corners = {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)}
-        if not corners & points:
-            out.add(EnclosedDiagonal("PT", (a, b), 1, ((a, b),)))
+    found = []
+    for a in range(k + 1):
+        for b in range(k + 1):
+            corners = {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)}
+            if not corners & points:
+                found.append(EnclosedDiagonal("PT", (a, b), 1, ((a, b),)))
     for x, y in sorted(points):
         if (x - 1, y - 1) not in points:  # (x, y) starts a rising run
             c = 1
             while (x + c, y + c) in points:
                 c += 1
             squares = tuple((x - 1 + i, y - 1 + i) for i in range(c + 1))
-            if all(pi.has_square(a, b) for a, b in squares):
-                out.add(EnclosedDiagonal("NE", squares[0], c + 1, squares))
+            found.append(EnclosedDiagonal("NE", squares[0], c + 1, squares))
         if (x - 1, y + 1) not in points:  # (x, y) starts a falling run
             c = 1
             while (x + c, y - c) in points:
                 c += 1
             squares = tuple((x - 1 + i, y - i) for i in range(c + 1))
-            if all(pi.has_square(a, b) for a, b in squares):
-                out.add(EnclosedDiagonal("SE", squares[0], c + 1, squares))
-    return frozenset(out)
+            found.append(EnclosedDiagonal("SE", squares[0], c + 1, squares))
+    return tuple((squares_to_mask(k, d.squares), d, d.square_set()) for d in found)
+
+
+def pointless_mask(p: Perm) -> int:
+    """The squares of ``p``'s grid with no corner on the graph of ``p``."""
+    return sum(m for m, d, _ in _diagonal_candidates(p) if d.orientation == "PT")
+
+
+def enclosed_diagonals(pi: MeshPattern) -> frozenset[EnclosedDiagonal]:
+    """All enclosed diagonals of the pattern: the candidate runs and
+    pointless squares whose squares are all shaded."""
+    mask = pi.mask
+    return frozenset(d for m, d, _ in _diagonal_candidates(pi.perm) if mask & m == m)
+
+
+def enc_core_mask(pi: MeshPattern) -> int:
+    """Union of the squares of all enclosed diagonals, as a mask.  Candidates
+    are square-disjoint, so this determines the diagonal set."""
+    mask = pi.mask
+    core = 0
+    for m, _, _ in _diagonal_candidates(pi.perm):
+        if mask & m == m:
+            core |= m
+    return core
 
 
 def sorted_diagonals(pi: MeshPattern) -> list[EnclosedDiagonal]:
@@ -82,7 +107,8 @@ def enc_square_sets(pi: MeshPattern) -> frozenset[frozenset[Square]]:
     """Comparison form of the diagonal set.  Orientation is dropped: a
     pointless square carries both labels, and a proper run's square set
     already determines its direction."""
-    return frozenset(d.square_set() for d in enclosed_diagonals(pi))
+    mask = pi.mask
+    return frozenset(s for m, _, s in _diagonal_candidates(pi.perm) if mask & m == m)
 
 
 def same_enc(pi: MeshPattern, pi2: MeshPattern) -> bool:
@@ -125,12 +151,51 @@ def apply_symmetry_square(name: str, k: int, square: Square) -> Square:
     return (a, b)
 
 
-def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
+@lru_cache(maxsize=256)
+def _symmetry_tables(word: str, k: int) -> tuple[tuple[int, ...], ...]:
+    width = k + 1
+    nbits = width * width
+    tables = []
+    for lo in range(0, nbits, 8):
+        table = [0]
+        for bit in range(lo, lo + 8):
+            image = 0
+            if bit < nbits:
+                a, b = apply_symmetry_square(word, k, divmod(bit, width))
+                image = square_bit(k, a, b)
+            table += [t | image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def symmetry_tables(name: str, k: int) -> tuple[tuple[int, ...], ...]:
+    """The action of a symmetry on masks over the (k+1) x (k+1) grid, as
+    byte tables: table j maps the byte of mask bits 8j..8j+7 to the union of
+    their images.  Built square by square from :func:`apply_symmetry_square`
+    and cached per generator word and grid size."""
+    return _symmetry_tables(symmetry_word(name), k)
+
+
+def map_mask(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
+    """Image of a mask under the symmetry whose byte tables are given."""
     out = 0
-    for a, b in mask_to_squares(k, mask):
-        a2, b2 = apply_symmetry_square(name, k, (a, b))
-        out |= square_bit(k, a2, b2)
+    for table in tables:
+        out |= table[mask & 0xFF]
+        mask >>= 8
     return out
+
+
+def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
+    """Image of a mesh mask under a symmetry.
+
+    >>> from meshcide.mesh import mask_to_squares
+    >>> mesh = squares_to_mask(2, [(0, 1), (2, 2)])
+    >>> mask_to_squares(2, apply_symmetry_mask("r", 2, mesh))
+    ((0, 2), (2, 1))
+    >>> mask_to_squares(2, apply_symmetry_mask("ir", 2, mesh))  # any word
+    ((0, 2), (1, 0))
+    """
+    return map_mask(symmetry_tables(name, k), mask)
 
 
 def apply_symmetry_mesh(name: str, pi: MeshPattern) -> MeshPattern:

@@ -42,13 +42,28 @@ def squares_to_mask(k: int, squares: Iterable[Square]) -> int:
     return mask
 
 
+@lru_cache(maxsize=16)
+def _square_tables(k: int) -> tuple[tuple[tuple[Square, ...], ...], ...]:
+    """Table j maps the byte of mask bits 8j..8j+7 to its squares."""
+    width = k + 1
+    nbits = width * width
+    tables = []
+    for lo in range(0, nbits, 8):
+        table: list[tuple[Square, ...]] = [()]
+        for bit in range(lo, lo + 8):
+            square = (divmod(bit, width),) if bit < nbits else ()
+            table += [t + square for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def mask_to_squares(k: int, mask: int) -> tuple[Square, ...]:
-    return tuple(
-        (a, b)
-        for a in range(k + 1)
-        for b in range(k + 1)
-        if mask & square_bit(k, a, b)
-    )
+    """The squares of a mask in bit order: by column, then by row."""
+    squares: tuple[Square, ...] = ()
+    for table in _square_tables(k):
+        squares += table[mask & 0xFF]
+        mask >>= 8
+    return squares
 
 
 def full_grid_mask(k: int) -> int:

@@ -16,11 +16,13 @@ import itertools
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .perm import (
     Occurrence,
     Perm,
+    apply_symmetry_perm,
     apply_symmetry_point,
     inverse_symmetry,
     is_occurrence,
@@ -30,9 +32,10 @@ from .mesh import (
     MeshPattern,
     Square,
     occurrence_region_mask,
+    square_bit,
     squares_to_mask,
 )
-from .diagonals import apply_symmetry_mesh
+from .diagonals import map_mask, symmetry_tables
 
 SINGLE_DIRECTIONS = ("NE", "NW", "SE", "SW")
 PAIR_DIRECTIONS = ("E", "N", "W", "S")
@@ -64,75 +67,6 @@ def pair_candidate(point: tuple[int, int], direction: str) -> tuple[Square, Squa
     }[direction]
 
 
-def _ne_single_ok(pi: MeshPattern, i: int) -> bool:
-    """Northeast single-square conditions at the graph point (i, p(i))."""
-    k = pi.k
-    v = pi.perm[i - 1]
-    has = pi.has_square
-    if has(i, v) or has(i - 1, v - 1):
-        return False
-    if has(i, v - 1) and has(i - 1, v):
-        return False
-    for x in range(k + 1):
-        if x not in (i - 1, i) and has(x, v - 1) and not has(x, v):
-            return False
-    for y in range(k + 1):
-        if y not in (v - 1, v) and has(i - 1, y) and not has(i, y):
-            return False
-    return True
-
-
-def _e_pair_ok(pi: MeshPattern, i: int) -> bool:
-    """East pair conditions at the graph point (i, p(i))."""
-    k = pi.k
-    v = pi.perm[i - 1]
-    has = pi.has_square
-    if has(i, v) or has(i - 1, v) or has(i, v - 1) or has(i - 1, v - 1):
-        return False
-    for x in range(k + 1):
-        if has(x, v - 1) != has(x, v):
-            return False
-    for y in range(k + 1):
-        if has(i - 1, y) and not has(i, y):
-            return False
-    return True
-
-
-def shadeable_singles(pi: MeshPattern) -> list[tuple[tuple[int, int], Square, str]]:
-    """(point, square, direction) for every single square addable to the mesh
-    without changing the avoidance set."""
-    out = []
-    k = pi.k
-    for direction in SINGLE_DIRECTIONS:
-        sym = _SINGLE_TO_NE[direction]
-        image = apply_symmetry_mesh(sym, pi)
-        back = inverse_symmetry(sym)
-        for j in range(1, k + 1):
-            if _ne_single_ok(image, j):
-                point = apply_symmetry_point(back, k, (j, image.perm[j - 1]))
-                out.append((point, single_candidate(point, direction), direction))
-    out.sort(key=lambda t: (t[0], SINGLE_DIRECTIONS.index(t[2])))
-    return out
-
-
-def shadeable_pairs(
-    pi: MeshPattern,
-) -> list[tuple[tuple[int, int], tuple[Square, Square], str]]:
-    """(point, square pair, direction) for every addable adjacent pair."""
-    out = []
-    k = pi.k
-    for direction in PAIR_DIRECTIONS:
-        sym = _PAIR_TO_E[direction]
-        image = apply_symmetry_mesh(sym, pi)
-        back = inverse_symmetry(sym)
-        for j in range(1, k + 1):
-            if _e_pair_ok(image, j):
-                point = apply_symmetry_point(back, k, (j, image.perm[j - 1]))
-                out.append((point, pair_candidate(point, direction), direction))
-    out.sort(key=lambda t: (t[0], PAIR_DIRECTIONS.index(t[2])))
-    return out
-
-
 @dataclass(frozen=True)
 class Assignment:
     """One chosen shadeable square or pair at one graph point."""
@@ -156,6 +90,128 @@ class ShadeMove:
         return mask_to_squares(k, self.added)
 
 
+@lru_cache(maxsize=None)
+def _ne_single_masks(k: int, i: int, v: int) -> tuple[int, int, int, int]:
+    """The northeast conditions at the point (i, v) as masks: the candidate
+    and the square opposite it, the two flanking squares, the squares of row
+    v-1 outside columns i-1 and i, and the squares of column i-1 outside rows
+    v-1 and v."""
+    bit = lambda a, b: square_bit(k, a, b)
+    blocked = bit(i, v) | bit(i - 1, v - 1)
+    flanks = bit(i, v - 1) | bit(i - 1, v)
+    row = sum(bit(x, v - 1) for x in range(k + 1) if x not in (i - 1, i))
+    column = sum(bit(i - 1, y) for y in range(k + 1) if y not in (v - 1, v))
+    return blocked, flanks, row, column
+
+
+def _ne_single_ok(q: Perm, mask: int, i: int) -> bool:
+    """Northeast single-square conditions at the graph point (i, q(i)) of the
+    mesh ``mask`` over ``q``.
+
+    Neither the candidate nor the square opposite it is shaded, the two
+    flanks are not both shaded, a shaded square of row v-1 has its upper
+    neighbour shaded, and a shaded square of column i-1 has its right
+    neighbour shaded (outside the four squares around the point).  Square
+    (a, b) sits at bit a(k+1) + b, so the upper neighbour of every square is
+    one bit up and the right neighbour k+1 bits up.
+    """
+    k = len(q)
+    blocked, flanks, row, column = _ne_single_masks(k, i, q[i - 1])
+    return not (
+        mask & blocked
+        or mask & flanks == flanks
+        or mask & row & ~(mask >> 1)
+        or mask & column & ~(mask >> (k + 1))
+    )
+
+
+@lru_cache(maxsize=None)
+def _e_pair_masks(k: int, i: int, v: int) -> tuple[int, int, int]:
+    """The east pair conditions at the point (i, v) as masks: the four
+    squares around the point, row v-1, and column i-1."""
+    bit = lambda a, b: square_bit(k, a, b)
+    around = bit(i, v) | bit(i - 1, v) | bit(i, v - 1) | bit(i - 1, v - 1)
+    row = sum(bit(x, v - 1) for x in range(k + 1))
+    column = sum(bit(i - 1, y) for y in range(k + 1))
+    return around, row, column
+
+
+def _e_pair_ok(q: Perm, mask: int, i: int) -> bool:
+    """East pair conditions at the graph point (i, q(i)) of the mesh ``mask``
+    over ``q``: no square around the point is shaded, rows v-1 and v agree,
+    and a shaded square of column i-1 has its right neighbour shaded."""
+    k = len(q)
+    around, row, column = _e_pair_masks(k, i, q[i - 1])
+    return not (
+        mask & around
+        or (mask ^ (mask >> 1)) & row
+        or mask & column & ~(mask >> (k + 1))
+    )
+
+
+@lru_cache(maxsize=64)
+def _probe_table(p: Perm, pairs: bool) -> tuple[tuple, tuple]:
+    """Everything about ``p`` that the shading conditions need, computed once.
+
+    For each direction: the byte tables and the image of ``p`` under the
+    symmetry conjugating it onto the spelled-out direction.  Then, in output
+    order (by graph point, then direction), one probe per direction and
+    graph point: the direction's index, the point's index in the image, and
+    the assignment the probe licenses together with its mask.
+    """
+    k = len(p)
+    if pairs:
+        directions, to_spelled, kind = PAIR_DIRECTIONS, _PAIR_TO_E, "pair"
+    else:
+        directions, to_spelled, kind = SINGLE_DIRECTIONS, _SINGLE_TO_NE, "single"
+    images = []
+    probes = []
+    for d, direction in enumerate(directions):
+        sym = to_spelled[direction]
+        q = apply_symmetry_perm(sym, p)
+        images.append((symmetry_tables(sym, k), q))
+        back = inverse_symmetry(sym)
+        for j in range(1, k + 1):
+            point = apply_symmetry_point(back, k, (j, q[j - 1]))
+            if pairs:
+                squares = pair_candidate(point, direction)
+            else:
+                squares = (single_candidate(point, direction),)
+            assignment = Assignment(point, kind, direction, squares)
+            probes.append((point, d, j, assignment, squares_to_mask(k, squares)))
+    probes.sort(key=lambda t: t[:2])
+    return tuple(images), tuple(t[1:] for t in probes)
+
+
+def _shadeable(p: Perm, mask: int, pairs: bool) -> list[tuple[Assignment, int]]:
+    """Assignments (with their masks) addable to the mesh ``mask`` over ``p``
+    without changing the avoidance set: every direction is checked against
+    the spelled-out conditions in the image of its conjugating symmetry."""
+    images, probes = _probe_table(p, pairs)
+    ok = _e_pair_ok if pairs else _ne_single_ok
+    meshes = [(q, map_mask(tables, mask)) for tables, q in images]
+    return [(a, bits) for d, j, a, bits in probes if ok(*meshes[d], j)]
+
+
+def shadeable_singles(pi: MeshPattern) -> list[tuple[tuple[int, int], Square, str]]:
+    """(point, square, direction) for every single square addable to the mesh
+    without changing the avoidance set."""
+    return [
+        (a.point, a.squares[0], a.direction)
+        for a, _ in _shadeable(pi.perm, pi.mask, False)
+    ]
+
+
+def shadeable_pairs(
+    pi: MeshPattern,
+) -> list[tuple[tuple[int, int], tuple[Square, Square], str]]:
+    """(point, square pair, direction) for every addable adjacent pair."""
+    return [
+        (a.point, a.squares, a.direction)
+        for a, _ in _shadeable(pi.perm, pi.mask, True)
+    ]
+
+
 def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
     """Every simultaneous-shading move of the pattern.
 
@@ -163,23 +219,21 @@ def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
     singles or pairs; distinct choices adding the same square set collapse
     to one move, since only the union matters downstream.
     """
-    k = pi.k
-    options: dict[int, list[Assignment | None]] = {i: [None] for i in range(1, k + 1)}
-    for point, sq, direction in shadeable_singles(pi):
-        options[point[0]].append(Assignment(point, "single", direction, (sq,)))
-    for point, pair, direction in shadeable_pairs(pi):
-        options[point[0]].append(Assignment(point, "pair", direction, pair))
+    options: list[list] = [[None] for _ in pi.perm]
+    for pairs in (False, True):
+        for a, bits in _shadeable(pi.perm, pi.mask, pairs):
+            options[a.point[0] - 1].append((a, bits))
     seen: dict[int, ShadeMove] = {}
-    for combo in itertools.product(*(options[i] for i in range(1, k + 1))):
-        chosen = tuple(a for a in combo if a is not None)
+    for combo in itertools.product(*options):
+        chosen = [c for c in combo if c is not None]
         if not chosen:
             continue
         added = 0
-        for a in chosen:
-            added |= squares_to_mask(k, a.squares)
+        for _, bits in chosen:
+            added |= bits
         if added not in seen:
             assert added & pi.mask == 0
-            seen[added] = ShadeMove(chosen, added)
+            seen[added] = ShadeMove(tuple(a for a, _ in chosen), added)
     return sorted(seen.values(), key=lambda m: (m.added.bit_count(), m.added))
 
 
@@ -283,7 +337,7 @@ class TraceStep:
     """One re-checkable inference.  ``before``/``after`` are mesh masks over
     ``perm``'s grid; the pair is asserted coincident by ``rule``."""
 
-    rule: str  # SL | DSL | SSL | CLOSURE | GAMMA | SYMMETRY | VINCULAR | ISOLATING | CLASSICAL
+    rule: str  # SL | SSL | CLOSURE | GAMMA | SYMMETRY | VINCULAR | ISOLATING | CLASSICAL
     perm: Perm
     before: int
     after: int
@@ -304,7 +358,7 @@ def trace_step_to_json(step: TraceStep) -> dict:
     k = len(step.perm)
     sq = lambda mask: [[a, b] for a, b in mask_to_squares(k, mask)]
     obj: dict = {"rule": step.rule}
-    if step.rule in ("SL", "DSL", "SSL"):
+    if step.rule in ("SL", "SSL"):
         obj["from"] = mesh_pattern_to_json(MeshPattern(step.perm, step.before))
         obj["added"] = sq(step.after & ~step.before)
         obj["assignments"] = [

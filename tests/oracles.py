@@ -8,6 +8,9 @@ occurrence values.  Tests compare the fast paths against these.
 
 import itertools
 
+from meshcide.diagonals import apply_symmetry_square
+from meshcide.perm import apply_symmetry_perm, apply_symmetry_point, inverse_symmetry
+
 
 def occurrences_brute(p, w):
     k, n = len(p), len(w)
@@ -69,3 +72,161 @@ def first_distinguisher_brute(p, squares1, squares2, n_max):
             ):
                 return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# Square-by-square mesh definitions, for the library's mask-native kernels.
+# A mesh is a mask in the library's layout: square (a, b) of a length-k
+# pattern is bit a * (k + 1) + b.  The symmetry action on one square, and on
+# permutations and points, is the library's own definition.
+
+
+def _bit(k, a, b):
+    return 1 << (a * (k + 1) + b)
+
+
+def _has(k, mask, a, b):
+    return bool(mask & _bit(k, a, b))
+
+
+def _squares(k, mask):
+    return [(a, b) for a in range(k + 1) for b in range(k + 1) if _has(k, mask, a, b)]
+
+
+def symmetry_mask_brute(name, k, mask):
+    """Image of a mesh under a symmetry, one square at a time."""
+    out = 0
+    for square in _squares(k, mask):
+        out |= _bit(k, *apply_symmetry_square(name, k, square))
+    return out
+
+
+def ne_single_ok_brute(p, mask, i):
+    """Northeast single-square conditions at the graph point (i, p(i))."""
+    k = len(p)
+    v = p[i - 1]
+    has = lambda a, b: _has(k, mask, a, b)
+    if has(i, v) or has(i - 1, v - 1):
+        return False
+    if has(i, v - 1) and has(i - 1, v):
+        return False
+    for x in range(k + 1):
+        if x not in (i - 1, i) and has(x, v - 1) and not has(x, v):
+            return False
+    for y in range(k + 1):
+        if y not in (v - 1, v) and has(i - 1, y) and not has(i, y):
+            return False
+    return True
+
+
+def e_pair_ok_brute(p, mask, i):
+    """East pair conditions at the graph point (i, p(i))."""
+    k = len(p)
+    v = p[i - 1]
+    has = lambda a, b: _has(k, mask, a, b)
+    if has(i, v) or has(i - 1, v) or has(i, v - 1) or has(i - 1, v - 1):
+        return False
+    for x in range(k + 1):
+        if has(x, v - 1) != has(x, v):
+            return False
+    for y in range(k + 1):
+        if has(i - 1, y) and not has(i, y):
+            return False
+    return True
+
+
+_SINGLE_TO_NE = {"NE": "id", "NW": "r", "SE": "c", "SW": "rc"}
+_PAIR_TO_E = {"E": "id", "N": "i", "W": "r", "S": "ci"}
+
+
+def _conjugated(p, mask, to_spelled, ok, candidate):
+    k = len(p)
+    out = []
+    for direction, sym in to_spelled.items():
+        q = apply_symmetry_perm(sym, p)
+        image = symmetry_mask_brute(sym, k, mask)
+        for j in range(1, k + 1):
+            if ok(q, image, j):
+                point = apply_symmetry_point(inverse_symmetry(sym), k, (j, q[j - 1]))
+                out.append((point, candidate(point, direction), direction))
+    order = list(to_spelled)
+    return sorted(out, key=lambda t: (t[0], order.index(t[2])))
+
+
+def shadeable_singles_brute(p, mask):
+    """(point, square, direction) for every shadeable single square: each
+    corner is conjugated onto the northeast one by a symmetry."""
+
+    def candidate(point, direction):
+        i, v = point
+        return {"NE": (i, v), "NW": (i - 1, v), "SE": (i, v - 1), "SW": (i - 1, v - 1)}[
+            direction
+        ]
+
+    return _conjugated(p, mask, _SINGLE_TO_NE, ne_single_ok_brute, candidate)
+
+
+def shadeable_pairs_brute(p, mask):
+    """(point, square pair, direction) for every shadeable adjacent pair."""
+
+    def candidate(point, direction):
+        i, v = point
+        return {
+            "E": ((i, v), (i, v - 1)),
+            "W": ((i - 1, v), (i - 1, v - 1)),
+            "N": ((i - 1, v), (i, v)),
+            "S": ((i - 1, v - 1), (i, v - 1)),
+        }[direction]
+
+    return _conjugated(p, mask, _PAIR_TO_E, e_pair_ok_brute, candidate)
+
+
+def _pointless(p, a, b):
+    points = set(enumerate(p, start=1))
+    return not {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)} & points
+
+
+def enclosed_diagonals_brute(p, mask):
+    """Enclosed diagonals as (orientation, anchor, length, squares): shaded
+    pointless squares, and maximal runs of graph points walked corner to
+    corner whose squares are all shaded."""
+    k = len(p)
+    points = set(enumerate(p, start=1))
+    out = set()
+    for a, b in _squares(k, mask):
+        if _pointless(p, a, b):
+            out.add(("PT", (a, b), 1, ((a, b),)))
+    for x, y in sorted(points):
+        for orientation, dy in (("NE", 1), ("SE", -1)):
+            if (x - 1, y - dy) in points:
+                continue  # not the start of a maximal run
+            c = 1
+            while (x + c, y + dy * c) in points:
+                c += 1
+            if dy == 1:
+                squares = tuple((x - 1 + i, y - 1 + i) for i in range(c + 1))
+            else:
+                squares = tuple((x - 1 + i, y - i) for i in range(c + 1))
+            if all(_has(k, mask, a, b) for a, b in squares):
+                out.add((orientation, squares[0], c + 1, squares))
+    return out
+
+
+def classify_family_brute(p, mask):
+    """(vincular, bivincular, isolating, sparse), read off square by square."""
+    k = len(p)
+    squares = _squares(k, mask)
+    full_cols = {c for c in range(k + 1) if all(_has(k, mask, c, y) for y in range(k + 1))}
+    full_rows = {r for r in range(k + 1) if all(_has(k, mask, x, r) for x in range(k + 1))}
+    vincular = all(a in full_cols for a, b in squares)
+    bivincular = all(a in full_cols or b in full_rows for a, b in squares)
+    isolating = not any(
+        a2 in (a - 1, a + 1) or b2 in (b - 1, b + 1)
+        for a, b in squares
+        if not _pointless(p, a, b)
+        for a2, b2 in squares
+    )
+    sparse = all(sum(1 for a, _ in squares if a == c) <= 1 for c in range(k + 1)) and all(
+        sum(1 for _, b in squares if b == r) <= 1 for r in range(k + 1)
+    )
+    return vincular, bivincular, isolating, sparse

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from meshcide.cli import main, render
+from meshcide.coincidence import default_partition_depth
 from meshcide.mesh import MeshPattern, mesh_pattern_from_json, parse_mesh_pattern
 
 
@@ -164,6 +165,12 @@ class TestPartition:
         lines = [json.loads(l) for l in out.splitlines()]
         assert "summary" in lines[-1]
         assert lines[-1]["summary"]["classes"] == len(lines) - 1
+
+    def test_default_depth(self, capsys):
+        code, out, _ = run(capsys, "partition", "1", "--threads", "1")
+        assert code == 0
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        assert summary["n_max"] == default_partition_depth(1)
 
     def test_cache_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "p1.jsonl"

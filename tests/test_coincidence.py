@@ -9,10 +9,11 @@ from meshcide.mesh import (
     contains,
     fingerprints_many,
     mask_to_squares,
+    square_bit,
     squares_to_mask,
 )
 from meshcide.diagonals import apply_symmetry_mesh, enc_square_sets, same_enc
-from meshcide.shading import ProofTrace, TraceStep
+from meshcide.shading import Assignment, ProofTrace, ShadeMove, TraceStep, shadeable_pairs
 from meshcide.coincidence import (
     GAMMA_1,
     GAMMA_2,
@@ -24,6 +25,7 @@ from meshcide.coincidence import (
     gamma_rule,
     isolating_rule,
     load_partition_cache,
+    partition_lines,
     partition_meshes,
     partition_records,
     partition_summary,
@@ -282,6 +284,16 @@ class TestVerifyTrace:
         step = TraceStep("CLASSICAL", (1, 2), a, 0)
         assert not verify_trace(ProofTrace((1, 2), a, 0, (step,)))
 
+    def test_rejects_dsl_rule_name(self):
+        # a valid pair shading verifies as SSL; no rule is called DSL
+        pi = MeshPattern.of("12", [(2, 0)])
+        point, pair, direction = shadeable_pairs(pi)[0]
+        grown = pi.mask | msk(2, pair)
+        detail = (Assignment(point, "pair", direction, pair),)
+        for rule, valid in (("SSL", True), ("DSL", False)):
+            step = TraceStep(rule, pi.perm, pi.mask, grown, detail)
+            assert verify_trace(ProofTrace(pi.perm, pi.mask, grown, (step,))) is valid
+
 
 class TestSignatures:
     def test_signature_matches_fingerprints(self):
@@ -338,6 +350,20 @@ class TestPartition:
         assert GAMMA_2.mask in cls.meshes
         assert cls.status == "PROVEN"
 
+    def test_edge_across_signatures_is_a_hard_error(self, monkeypatch):
+        import meshcide.coincidence as coincidence
+
+        real = coincidence.ssl_moves
+        # (2,0) is pointless over 12, so shading it changes the diagonals
+        bogus = ShadeMove((), square_bit(2, 2, 0))
+
+        def with_bogus_move(pi):
+            return real(pi) + ([bogus] if pi.mask == 0 else [])
+
+        monkeypatch.setattr(coincidence, "ssl_moves", with_bogus_move)
+        with pytest.raises(AssertionError, match="truncated signatures differ"):
+            partition_meshes((1, 2), 4)
+
     def test_rejects_long_patterns(self):
         with pytest.raises(ValueError):
             partition_meshes((1, 2, 3, 4), 5)
@@ -348,7 +374,7 @@ class TestPartition:
         assert len(records) == len(result.classes)
         assert {r["status"] for r in records} == {"PROVEN"}
         out = tmp_path / "part.jsonl"
-        write_partition_cache(out, result)
+        write_partition_cache(out, partition_lines(result))
         loaded = load_partition_cache(out, (1,), 5)
         assert loaded is not None
         assert loaded[-1]["summary"]["classes"] == len(result.classes)
@@ -360,7 +386,7 @@ class TestPartition:
 
         result = partition_meshes((1,), 5)
         out = tmp_path / "part.jsonl"
-        write_partition_cache(out, result)
+        write_partition_cache(out, partition_lines(result))
         lines = out.read_text().splitlines()
         first = json.loads(lines[0])
         first["fingerprint"][0] = "0xdead"
@@ -371,7 +397,7 @@ class TestPartition:
     def test_cache_checks_gamma_flag(self, tmp_path):
         result = partition_meshes((1,), 5, use_gamma=False)
         out = tmp_path / "part.jsonl"
-        write_partition_cache(out, result)
+        write_partition_cache(out, partition_lines(result))
         assert load_partition_cache(out, (1,), 5, use_gamma=True) is None
         assert load_partition_cache(out, (1,), 5, use_gamma=False) is not None
 
