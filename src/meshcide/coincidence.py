@@ -31,6 +31,7 @@ from .perm import (
 from .mesh import (
     Fingerprint,
     MeshPattern,
+    check_depth,
     contains,
     default_depth,
     fingerprints_many,
@@ -380,10 +381,12 @@ def decide_coincidence(
     enclosed diagonals (constructive short witness); a truncated avoidance
     sweep to ``n_max`` (lexicographically least separating permutation);
     then the proof rules over all eight symmetric orientations.  Anything
-    left is honestly UNDECIDED at the reported depth.
+    left is honestly UNDECIDED at the reported depth.  A depth outside
+    ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
     if n_max is None:
         n_max = default_depth(max(pi.k, pi2.k))
+    check_depth(n_max)
     if pi.perm == pi2.perm and pi.mask == pi2.mask:
         return CoincidenceVerdict("PROVEN_EQUAL", n_max)
     if pi.perm != pi2.perm:
@@ -551,6 +554,7 @@ def partition_meshes(
     (shading moves, sandwiching, the mesh-shape rules, the gamma pair, and
     symmetry transfer through the stabilizer of ``p``) connects all of its
     members, and CONJECTURED otherwise, with its proven sub-blocks reported.
+    A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
     p = make_perm(p)
     k = len(p)
@@ -558,6 +562,7 @@ def partition_meshes(
         raise ValueError(f"partition supports patterns up to length {max_k}")
     if n_max is None:
         n_max = default_partition_depth(k)
+    check_depth(n_max)
     sigs = containment_signatures_parallel(p, n_max, threads)
     total = len(sigs)
 
@@ -737,9 +742,10 @@ def write_partition_cache(path: str | Path, lines: list[str]) -> None:
 def load_partition_cache(
     path: str | Path, p: Perm, n_max: int, use_gamma: bool = True
 ) -> list[dict] | None:
-    """Reload a cached report; one representative fingerprint per class is
-    recomputed to confirm the cache still matches this build.  Returns None
-    if the file does not fit the request or fails verification."""
+    """Reload a cached report; the representative fingerprints of all classes
+    are recomputed in one shared sweep to confirm the cache still matches
+    this build.  Returns None if the file does not fit the request or fails
+    verification."""
     p = make_perm(p)
     target = Path(path)
     if not target.exists():
@@ -763,12 +769,13 @@ def load_partition_cache(
         return None
     if summary.get("classes") != len(records):
         return None
+    masks = []
     for rec in records:
         rep = rec.get("representative", {})
         if rep.get("perm") != list(p):
             return None
-        mask = squares_to_mask(len(p), [tuple(sq) for sq in rep.get("mesh", ())])
-        fp = fingerprints_many(p, (mask,), n_max)[0]
-        if fp.hex_rows() != rec.get("fingerprint"):
-            return None
+        masks.append(squares_to_mask(len(p), [tuple(sq) for sq in rep.get("mesh", ())]))
+    fps = fingerprints_many(p, masks, n_max)
+    if any(fp.hex_rows() != rec.get("fingerprint") for fp, rec in zip(fps, records)):
+        return None
     return records + [{"summary": summary}]

@@ -12,6 +12,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .perm import (
@@ -251,40 +253,123 @@ def host_region_masks(p: Perm, w: Perm) -> tuple[int, ...]:
     return tuple(minimal)
 
 
-def mask_passes(region_masks: Sequence[int], mesh_mask: int) -> bool:
-    return any(m & mesh_mask == 0 for m in region_masks)
+MAX_DEPTH = 9
+"""Deepest fingerprint sweep.  The S_9 host sets take 81 ints of 362,880 bits
+(3.7 MB); at S_10 they would take 45 MB, and one row 450 KB."""
+
+# Per-pattern occurrence tables are cached up to this size of host.  At S_7
+# a table holds at most 35 x 26 ints of 5,040 bits (0.6 MB), so the cache
+# stays below 40 MB; deeper tables are rebuilt on each call.
+_CACHED_TABLE_DEPTH = 7
 
 
-_TABLE_DEPTH_LIMIT = 7
+def check_depth(n_max: int) -> None:
+    """Reject a fingerprint depth outside ``1..MAX_DEPTH``."""
+    if not 1 <= n_max <= MAX_DEPTH:
+        raise ValueError(
+            f"fingerprint depth {n_max} is outside 1..{MAX_DEPTH} (MAX_DEPTH)"
+        )
 
 
-@lru_cache(maxsize=64)
-def _host_mask_table(p: Perm, n: int) -> tuple[tuple[int, ...], ...]:
-    """Cached per-host region masks for all of S_n (kept small: n <= 7)."""
-    return tuple(host_region_masks(p, w) for w in all_perms(n))
+@lru_cache(maxsize=MAX_DEPTH)
+def _less_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """``less[x][y]``: the set of hosts w in S_n with w[x] < w[y] (0-based
+    positions), as a bitset whose bit j is the j-th host in lex order."""
+    # at[y][v]: hosts with value v at position y.  Block f of S_n (in lex
+    # order) is the letter f followed by S_{n-1} relabelled above f, so each
+    # set is a shifted copy of a set of S_{n-1} in every block.
+    at = [[1]]
+    for size in range(2, n + 1):
+        m = factorial(size - 1)
+        nxt = [[((1 << m) - 1) << (v * m) for v in range(size)]]
+        for prev in at:  # the blocks are disjoint, so the sum is their union
+            nxt.append([
+                sum(prev[v - (v > f)] << (f * m) for f in range(size) if f != v)
+                for v in range(size)
+            ])
+        at = nxt
+    less = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            s = above = 0
+            for v in range(n - 1, -1, -1):
+                s |= at[x][v] & above
+                above |= at[y][v]
+            row.append(s)
+        less.append(tuple(row))
+    return tuple(less)
+
+
+def _occurrence_tables(p: Perm, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """One entry per position set t that is an occurrence of ``p`` in some
+    host of S_n: ``(occ, cells)``, where ``occ`` holds the hosts with an
+    occurrence at t and ``cells[a * (k + 1) + b]``, read inside ``occ``, the
+    hosts with another point in square (a, b) of that occurrence.  Sets are
+    bitsets over S_n in lex order."""
+    k = len(p)
+    less = _less_sets(n)
+    everything = (1 << factorial(n)) - 1
+    by_value = sorted(range(k), key=p.__getitem__)
+    tables = []
+    for t in combinations(range(n), k):
+        # q[b]: the position of the (b+1)-th smallest occurrence value
+        q = [t[i] for i in by_value]
+        occ = everything
+        for lo, hi in zip(q, q[1:]):
+            occ &= less[lo][hi]
+        if not occ:
+            continue
+        cells = [0] * (k + 1) ** 2
+        bounds = (-1, *t, n)
+        for a in range(k + 1):
+            base = a * (k + 1)
+            for x in range(bounds[a] + 1, bounds[a + 1]):
+                below = [less[x][y] for y in q]
+                cells[base] |= below[0]
+                for b in range(1, k):
+                    cells[base + b] |= less[q[b - 1]][x] & below[b]
+                cells[base + k] |= less[q[-1]][x]
+        tables.append((occ, tuple(cells)))
+    return tuple(tables)
+
+
+_cached_occurrence_tables = lru_cache(maxsize=64)(_occurrence_tables)
 
 
 def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerprint]:
     """Fingerprints of several meshes over one shared sweep of the hosts.
 
-    The occurrence search runs once per host permutation; each mesh is then
-    a cheap bitmask test against the host's region masks.
+    All of S_n is handled at once: a set of hosts is a bitset, and a host
+    contains a mesh iff some occurrence ``t`` of ``p`` in it has no other
+    point in a shaded square, so row n is the union over t of ``occ_t``
+    minus the union of the shaded ``cells_t``.
+
+    >>> fingerprints_many((1, 2), (0,), 3)[0].per_n == (0, 1, 31)
+    True
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    rows = [[0] * n_max for _ in masks]
-    for n in range(1, n_max + 1):
-        if n <= _TABLE_DEPTH_LIMIT:
-            table: Iterable[tuple[int, ...]] = _host_mask_table(p, n)
-        else:
-            table = (host_region_masks(p, w) for w in all_perms(n))
-        for j, host in enumerate(table):
-            for t, mesh in enumerate(masks):
-                for m in host:
-                    if m & mesh == 0:
-                        rows[t][n - 1] |= 1 << j
-                        break
-    return [Fingerprint(n_max, tuple(r)) for r in rows]
+    check_depth(n_max)
+    p = tuple(p)
+    nbits = (len(p) + 1) ** 2
+    tables = [
+        _cached_occurrence_tables(p, n) if n <= _CACHED_TABLE_DEPTH
+        else _occurrence_tables(p, n)
+        for n in range(1, n_max + 1)
+    ]
+    fingerprints = []
+    for mesh in masks:
+        squares = [c for c in range(nbits) if mesh >> c & 1]
+        rows = []
+        for table in tables:
+            hit = 0
+            for occ, cells in table:
+                blocked = 0
+                for c in squares:
+                    blocked |= cells[c]
+                hit |= occ & ~blocked
+            rows.append(hit)
+        fingerprints.append(Fingerprint(n_max, tuple(rows)))
+    return fingerprints
 
 
 def fingerprint(pi: MeshPattern, n_max: int | None = None) -> Fingerprint:

@@ -9,7 +9,12 @@ occurrence values.  Tests compare the fast paths against these.
 import itertools
 
 from meshcide.diagonals import apply_symmetry_square
-from meshcide.perm import apply_symmetry_perm, apply_symmetry_point, inverse_symmetry
+from meshcide.perm import (
+    all_perms,
+    apply_symmetry_perm,
+    apply_symmetry_point,
+    inverse_symmetry,
+)
 
 
 def occurrences_brute(p, w):
@@ -230,3 +235,37 @@ def classify_family_brute(p, mask):
         sum(1 for _, b in squares if b == r) <= 1 for r in range(k + 1)
     )
     return vincular, bivincular, isolating, sparse
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint rows: bit j of row n says whether the j-th permutation of S_n in
+# lexicographic order contains the mesh.
+
+
+def fingerprints_brute(p, masks, n_max):
+    """Fingerprint rows of several meshes over ``all_perms``, by the test of
+    :func:`mesh_contains_brute` with its loops turned inside out: each host's
+    occurrences and closed rectangles are worked out once, and a mesh is
+    contained iff some occurrence has no host point inside a shaded square.
+    ``test_fingerprints_brute_is_mesh_contains_brute`` checks the two agree."""
+    k = len(p)
+    rows = [[0] * n_max for _ in masks]
+    for n in range(1, n_max + 1):
+        for j, w in enumerate(all_perms(n)):
+            blocked = set()
+            for occ in occurrences_brute(p, w):
+                # the rectangle of square (a, b) spans the columns of (a, a)
+                # and the rows of (b, b)
+                boxes = [region_brute(p, w, occ, (a, a)) for a in range(k + 1)]
+                hit = 0
+                for x in range(1, n + 1):
+                    for a, ((x_lo, x_hi), _) in enumerate(boxes):
+                        if x_lo < x < x_hi:
+                            for b, (_, (y_lo, y_hi)) in enumerate(boxes):
+                                if y_lo < w[x - 1] < y_hi:
+                                    hit |= _bit(k, a, b)
+                blocked.add(hit)
+            for row, mask in zip(rows, masks):
+                if any(hit & mask == 0 for hit in blocked):
+                    row[n - 1] |= 1 << j
+    return [tuple(row) for row in rows]

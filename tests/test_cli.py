@@ -172,6 +172,22 @@ class TestPartition:
         summary = json.loads(out.splitlines()[-1])["summary"]
         assert summary["n_max"] == default_partition_depth(1)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("partition", "12", "--max-n", "0"),
+            ("partition", "1", "--max-n", "-2"),
+            ("partition", "1", "--max-n", "10"),
+            ("coincident", "12", "123", "--max-n", "0"),
+            ("coincident", "12", "12:(0,0)", "--max-n", "0"),
+        ],
+    )
+    def test_depth_outside_limits_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "fingerprint depth" in err and "MAX_DEPTH" in err
+
     def test_cache_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "p1.jsonl"
         code, first, _ = run(

@@ -4,11 +4,14 @@ import random
 import pytest
 
 from meshcide.perm import SYMMETRIES, all_perms, apply_symmetry_perm, lex_rank
+from meshcide import coincidence
 from meshcide.mesh import (
+    MAX_DEPTH,
     MeshPattern,
     contains,
     fingerprints_many,
     mask_to_squares,
+    parse_mesh_pattern,
     square_bit,
     squares_to_mask,
 )
@@ -164,6 +167,15 @@ class TestDecide:
     def test_proven_equal(self):
         pi = MeshPattern.of("231", [(1, 0)])
         assert decide_coincidence(pi, pi, 5).status == "PROVEN_EQUAL"
+
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1])
+    @pytest.mark.parametrize(
+        "first, second",
+        [("12", "12"), ("12", "123"), ("12:(2,0)", "12"), ("12:(0,0)", "12:(0,0)(1,1)")],
+    )
+    def test_rejects_depth_outside_limits(self, first, second, depth):
+        with pytest.raises(ValueError, match="fingerprint depth"):
+            decide_coincidence(parse_mesh_pattern(first), parse_mesh_pattern(second), depth)
 
     def test_different_patterns_refuted(self):
         v = decide_coincidence(MeshPattern.of("12"), MeshPattern.of("123"), 5)
@@ -364,6 +376,15 @@ class TestPartition:
         with pytest.raises(AssertionError, match="truncated signatures differ"):
             partition_meshes((1, 2), 4)
 
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1])
+    def test_rejects_depth_outside_limits_before_any_work(self, depth, monkeypatch):
+        def no_signatures(*args):
+            raise AssertionError("signatures were computed")
+
+        monkeypatch.setattr(coincidence, "containment_signatures_parallel", no_signatures)
+        with pytest.raises(ValueError, match="fingerprint depth"):
+            partition_meshes((1, 2), depth)
+
     def test_rejects_long_patterns(self):
         with pytest.raises(ValueError):
             partition_meshes((1, 2, 3, 4), 5)
@@ -385,14 +406,15 @@ class TestPartition:
         import json
 
         result = partition_meshes((1,), 5)
+        good = partition_lines(result)
         out = tmp_path / "part.jsonl"
-        write_partition_cache(out, partition_lines(result))
-        lines = out.read_text().splitlines()
-        first = json.loads(lines[0])
-        first["fingerprint"][0] = "0xdead"
-        lines[0] = json.dumps(first)
-        out.write_text("\n".join(lines) + "\n")
-        assert load_partition_cache(out, (1,), 5) is None
+        for line in (0, -2):  # the first and the last class
+            lines = list(good)
+            record = json.loads(lines[line])
+            record["fingerprint"][0] = "0xdead"
+            lines[line] = json.dumps(record)
+            write_partition_cache(out, lines)
+            assert load_partition_cache(out, (1,), 5) is None
 
     def test_cache_checks_gamma_flag(self, tmp_path):
         result = partition_meshes((1,), 5, use_gamma=False)

@@ -1,14 +1,21 @@
-"""The mask-native mesh kernels against their square-by-square definitions
-in ``tests/oracles.py``: exhaustively for every pattern of length at most 2,
-on seeded samples for every pattern of length 3 and for one of length 4."""
+"""The mask-native mesh kernels and the bit-sliced fingerprint sweep against
+their definitions in ``tests/oracles.py``: exhaustively for every pattern of
+length at most 2, on seeded samples for every pattern of length 3 and for
+longer ones."""
 
 import itertools
 import random
 
 import pytest
 
-from meshcide.perm import SYMMETRIES
-from meshcide.mesh import MeshPattern
+from meshcide.perm import SYMMETRIES, all_perms, lex_rank, lex_unrank
+from meshcide.mesh import (
+    MeshPattern,
+    fingerprints_many,
+    host_region_masks,
+    parse_mesh_pattern,
+    squares_to_mask,
+)
 from meshcide.diagonals import apply_symmetry_mask, enc_square_sets, enclosed_diagonals
 from meshcide.shading import shadeable_pairs, shadeable_singles, ssl_moves
 from meshcide.coincidence import classify_family
@@ -16,6 +23,8 @@ from meshcide.coincidence import classify_family
 from oracles import (
     classify_family_brute,
     enclosed_diagonals_brute,
+    fingerprints_brute,
+    mesh_contains_brute,
     shadeable_pairs_brute,
     shadeable_singles_brute,
     symmetry_mask_brute,
@@ -73,3 +82,106 @@ def test_classify_family_matches_square_reading():
 @pytest.mark.parametrize("p", [(1, 2), (2, 1)])
 def test_ssl_move_total_over_all_meshes(p):
     assert sum(len(ssl_moves(MeshPattern(p, mask))) for mask in range(512)) == 733
+
+
+def _rows(p, masks, n_max):
+    return [fp.per_n for fp in fingerprints_many(p, masks, n_max)]
+
+
+def test_fingerprints_brute_is_mesh_contains_brute():
+    rng = random.Random(1412)
+    for p in [(1, 2), (2, 1, 3), (2, 4, 1, 3)]:
+        k = len(p)
+        masks = [rng.getrandbits((k + 1) ** 2) for _ in range(30)]
+        want = []
+        for mask in masks:
+            squares = [divmod(c, k + 1) for c in range((k + 1) ** 2) if mask >> c & 1]
+            want.append(tuple(
+                sum(mesh_contains_brute(p, squares, w) << j for j, w in enumerate(all_perms(n)))
+                for n in range(1, 6)
+            ))
+        assert fingerprints_brute(p, masks, 5) == want, p
+
+
+@pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1)])
+def test_fingerprints_every_mesh_through_depth_6(p):
+    masks = range(1 << (len(p) + 1) ** 2)
+    assert _rows(p, masks, 6) == fingerprints_brute(p, masks, 6)
+
+
+@pytest.mark.parametrize("p", list(itertools.permutations((1, 2, 3))))
+def test_fingerprints_seeded_length_3_at_depth_7(p):
+    rng = random.Random(f"fingerprints:{p}")
+    masks = [0, (1 << 16) - 1] + [rng.getrandbits(16) for _ in range(40)]
+    assert _rows(p, masks, 7) == fingerprints_brute(p, masks, 7)
+
+
+# the embedded length-6 pair of test_15_embedded_pair_fingerprints
+EMBEDDED = (1, 3, 4, 6, 5, 2)
+EMBEDDED_MASKS = (
+    squares_to_mask(
+        6,
+        [
+            (0, 2), (0, 3), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4),
+            (3, 0), (3, 2), (5, 2), (5, 3), (5, 4), (5, 6), (6, 0),
+        ],
+    ),
+    squares_to_mask(
+        6,
+        [
+            (0, 2), (0, 3), (1, 4), (2, 0), (2, 2), (2, 3), (3, 0),
+            (3, 2), (3, 3), (5, 2), (5, 3), (5, 4), (5, 6), (6, 0),
+        ],
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "p, extra", [((2, 4, 1, 3), ()), (EMBEDDED, EMBEDDED_MASKS)]
+)
+def test_fingerprints_longer_patterns_at_depth_7(p, extra):
+    rng = random.Random(1412)
+    nbits = (len(p) + 1) ** 2
+    masks = [0, *extra] + [rng.getrandbits(nbits) for _ in range(30)]
+    got = _rows(p, masks, 7)
+    assert got == fingerprints_brute(p, masks, 7)
+    # rows below the pattern length are empty; the pattern's own row is not
+    for row in got:
+        assert row[: len(p) - 1] == (0,) * (len(p) - 1)
+    assert got[0][len(p) - 1] == 1 << lex_rank(p)  # in S_k only p contains p
+
+
+def test_fingerprints_shallower_than_the_pattern_are_empty():
+    masks = [0, (1 << 25) - 1, 12345]
+    assert _rows((2, 4, 1, 3), masks, 3) == [(0, 0, 0)] * 3
+    assert _rows(EMBEDDED, EMBEDDED_MASKS, 5) == [(0,) * 5] * 2
+
+
+# the depth-8 pairs of the decide-mix benchmark workload; the first is the
+# stubborn pair of test_14_undecided_honesty
+DEEP_PAIRS = (
+    (
+        "123:(0,0)(0,1)(1,0)(2,0)(2,2)(3,0)(3,2)(3,3)",
+        "123:(0,0)(0,1)(1,0)(2,0)(2,1)(2,2)(3,0)(3,2)(3,3)",
+    ),
+    ("21:(0,0)(2,1)", "21:(0,0)(0,2)(2,1)"),
+    (
+        "231:(0,0)(0,3)(2,2)(3,1)(3,2)(3,3)",
+        "231:(0,0)(0,3)(2,1)(2,2)(3,1)(3,2)(3,3)",
+    ),
+)
+
+
+@pytest.mark.parametrize("pair", DEEP_PAIRS)
+def test_depth_8_rows_match_host_region_masks(pair):
+    # host_region_masks over all 40,320 hosts of S_8 takes 4-6 s per
+    # pattern, so the reference checks a seeded tenth of the row
+    first, second = (parse_mesh_pattern(text) for text in pair)
+    p = first.perm
+    rows = [fp.per_n[7] for fp in fingerprints_many(p, (first.mask, second.mask), 8)]
+    rng = random.Random(pair[0])
+    for rank in rng.sample(range(40320), 4032):
+        host = host_region_masks(p, lex_unrank(8, rank))
+        for row, mesh in zip(rows, (first.mask, second.mask)):
+            want = any(m & mesh == 0 for m in host)
+            assert (row >> rank) & 1 == want, (pair, rank)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshcide.perm import ParseError, all_perms, apply_symmetry_perm, lex_rank
+from meshcide import mesh
 from meshcide.mesh import (
+    MAX_DEPTH,
     MeshPattern,
     OpenBox,
     avoiders,
@@ -219,6 +221,22 @@ class TestFingerprints:
         )
         n, rank = fps[0].first_difference(fps[1])
         assert (n, rank) == (5, lex_rank((4, 2, 5, 1, 3)))
+
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12])
+    def test_depth_outside_limits_raises_before_any_table(self, depth, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a host table was built")
+
+        monkeypatch.setattr(mesh, "_less_sets", no_tables)
+        monkeypatch.setattr(mesh, "_occurrence_tables", no_tables)
+        with pytest.raises(ValueError, match=f"MAX_DEPTH"):
+            fingerprints_many((1, 2, 3), (0,), depth)
+
+    def test_max_depth_is_accepted(self):
+        # the unshaded point is in every host; fully shaded, only in S_1
+        empty, full = fingerprints_many((1,), (0, 0b1111), MAX_DEPTH)
+        assert empty.per_n[-1] == (1 << 362880) - 1
+        assert full.per_n == (1,) + (0,) * (MAX_DEPTH - 1)
 
     def test_default_depth(self):
         assert default_depth(1) == 4
