@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .perm import ParseError, parse_perm, perm_text
@@ -241,12 +240,10 @@ def _cmd_partition(args) -> int:
     if args.out:
         cached = load_partition_cache(args.out, p, n_max, use_gamma=not args.no_gamma)
         if cached is not None:
-            for obj in cached:
-                print(json.dumps(obj))
+            for line in cached:
+                print(line)
             return 0
-    result = partition_meshes(
-        p, n_max, use_gamma=not args.no_gamma, threads=args.threads
-    )
+    result = partition_meshes(p, n_max, use_gamma=not args.no_gamma)
     lines = partition_lines(result)
     for line in lines:
         print(line)
@@ -258,13 +255,6 @@ def _cmd_partition(args) -> int:
 def _cmd_render(args) -> int:
     print(render(_pattern(args.pattern), args.format))
     return 0
-
-
-def _default_threads() -> int:
-    env = os.environ.get("MESHCIDE_THREADS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=None, help="fingerprint depth")
     sp.add_argument("--out", default=None, help="cache the JSONL report here")
     sp.add_argument("--no-gamma", action="store_true", help="disable the gamma rule")
-    sp.add_argument("--threads", type=int, default=_default_threads())
+    # accepted for old scripts and ignored: the signature engine is serial
+    sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
     sp = add("render", _cmd_render, "draw a pattern")
     sp.add_argument("pattern")

@@ -10,17 +10,15 @@ stays UNDECIDED, because coincidences beyond these rules do exist.
 
 from __future__ import annotations
 
-import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from pathlib import Path
 
 from .perm import (
     SYMMETRIES,
     Perm,
-    all_perms,
     apply_symmetry_perm,
     inverse_symmetry,
     is_sum_decomposable,
@@ -32,11 +30,11 @@ from .mesh import (
     Fingerprint,
     MeshPattern,
     check_depth,
+    containment_signatures,
     contains,
     default_depth,
     fingerprints_many,
     full_grid_mask,
-    host_region_masks,
     mask_to_squares,
     mesh_pattern_to_json,
     square_bit,
@@ -420,84 +418,11 @@ def decide_coincidence(
 # ---------------------------------------------------------------------------
 # Whole-space partition for one underlying pattern.
 
-@lru_cache(maxsize=4)
-def _subset_bitsets(nbits: int) -> tuple[int, ...]:
-    """table[x] has bit t set for every t that is a submask of x."""
-    table = [0] * (1 << nbits)
-    table[0] = 1
-    for x in range(1, 1 << nbits):
-        low = x & -x
-        table[x] = table[x ^ low] | (table[x ^ low] << low)
-    return tuple(table)
-
-
-def _signature_chunk(args) -> list[int]:
-    p, n_max, lo, hi = args
-    hosts = []
-    for n in range(1, n_max + 1):
-        for w in all_perms(n):
-            hosts.append(host_region_masks(p, w))
-    out = []
-    for mesh in range(lo, hi):
-        sig = 0
-        for h, masks in enumerate(hosts):
-            for m in masks:
-                if m & mesh == 0:
-                    sig |= 1 << h
-                    break
-        out.append(sig)
-    return out
-
-
-@lru_cache(maxsize=8)
-def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
-    """For every mesh over ``p``'s grid, the containment indicator over all
-    hosts of size 1..n_max (one bit per host, sizes concatenated, lex order
-    within each size).
-
-    The hosts' occurrence structure is computed once and shared by all
-    meshes; for grids up to 9 squares the per-host mesh sweep collapses to
-    submask-closure bit tricks.
-    """
-    p = make_perm(p)
-    k = len(p)
-    nbits = (k + 1) ** 2
-    total = 1 << nbits
-    if nbits <= 9:
-        subsets = _subset_bitsets(nbits)
-        full = total - 1
-        sigs = [0] * total
-        host_index = 0
-        for n in range(1, n_max + 1):
-            for w in all_perms(n):
-                cover = 0
-                for m in host_region_masks(p, w):
-                    cover |= subsets[full ^ m]
-                if cover:
-                    bit = 1 << host_index
-                    for mesh in range(total):
-                        if (cover >> mesh) & 1:
-                            sigs[mesh] |= bit
-                host_index += 1
-        return tuple(sigs)
-    return tuple(_signature_chunk((p, n_max, 0, total)))
-
-
 def containment_signatures_parallel(
     p: Perm, n_max: int, threads: int
 ) -> tuple[int, ...]:
-    """Signature table with the mesh space split across worker processes.
-    Only worth it for the 16-square grids of length-3 patterns."""
-    p = make_perm(p)
-    nbits = (len(p) + 1) ** 2
-    if threads <= 1 or nbits <= 9:
-        return containment_signatures(p, n_max)
-    total = 1 << nbits
-    step = (total + threads - 1) // threads
-    chunks = [(p, n_max, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_signature_chunk, chunks))
-    return tuple(itertools.chain.from_iterable(parts))
+    """Deprecated: ``threads`` is ignored; call ``containment_signatures``."""
+    return containment_signatures(p, n_max)
 
 
 @dataclass(frozen=True)
@@ -543,8 +468,6 @@ def partition_meshes(
     p: Perm,
     n_max: int | None = None,
     use_gamma: bool = True,
-    max_k: int = 3,
-    threads: int = 1,
 ) -> PartitionResult:
     """Group all meshes over ``p`` by truncated avoidance set, then try to
     prove each group's members pairwise coincident.
@@ -554,16 +477,15 @@ def partition_meshes(
     (shading moves, sandwiching, the mesh-shape rules, the gamma pair, and
     symmetry transfer through the stabilizer of ``p``) connects all of its
     members, and CONJECTURED otherwise, with its proven sub-blocks reported.
-    A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
+    A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work,
+    and so does a pattern or depth that ``containment_signatures`` rejects.
     """
     p = make_perm(p)
     k = len(p)
-    if k > max_k:
-        raise ValueError(f"partition supports patterns up to length {max_k}")
     if n_max is None:
         n_max = default_partition_depth(k)
     check_depth(n_max)
-    sigs = containment_signatures_parallel(p, n_max, threads)
+    sigs = containment_signatures(p, n_max)
     total = len(sigs)
 
     groups: dict[int, list[int]] = {}
@@ -699,8 +621,6 @@ def partition_records(result: PartitionResult) -> list[dict]:
 
 
 def _split_signature(sig: int, n_max: int) -> Fingerprint:
-    from math import factorial
-
     rows = []
     shift = 0
     for n in range(1, n_max + 1):
@@ -741,41 +661,37 @@ def write_partition_cache(path: str | Path, lines: list[str]) -> None:
 
 def load_partition_cache(
     path: str | Path, p: Perm, n_max: int, use_gamma: bool = True
-) -> list[dict] | None:
-    """Reload a cached report; the representative fingerprints of all classes
-    are recomputed in one shared sweep to confirm the cache still matches
-    this build.  Returns None if the file does not fit the request or fails
+) -> list[str] | None:
+    """Reload a cached report as its non-blank lines, to be printed as they
+    are.  The representative fingerprints of all classes are recomputed in
+    one shared sweep to confirm the cache still matches this build.  Returns
+    None if the file is malformed, does not fit the request or fails
     verification."""
     p = make_perm(p)
     target = Path(path)
     if not target.exists():
         return None
-    records = []
-    summary = None
+    lines = [line for line in target.read_text().splitlines() if line.strip()]
+    if not lines:
+        return None
+    masks, expected = [], []
     try:
-        for line in target.read_text().splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "summary" in obj:
-                summary = obj["summary"]
-            else:
-                records.append(obj)
-    except json.JSONDecodeError:
-        return None
-    if summary is None or summary.get("p") != list(p) or summary.get("n_max") != n_max:
-        return None
-    if summary.get("gamma") != use_gamma:
-        return None
-    if summary.get("classes") != len(records):
-        return None
-    masks = []
-    for rec in records:
-        rep = rec.get("representative", {})
-        if rep.get("perm") != list(p):
+        summary = json.loads(lines[-1])["summary"]
+        fits = (list(p), n_max, use_gamma, len(lines) - 1)
+        if tuple(summary[key] for key in ("p", "n_max", "gamma", "classes")) != fits:
             return None
-        masks.append(squares_to_mask(len(p), [tuple(sq) for sq in rep.get("mesh", ())]))
-    fps = fingerprints_many(p, masks, n_max)
-    if any(fp.hex_rows() != rec.get("fingerprint") for fp, rec in zip(fps, records)):
+        # one record at a time, so the decoded classes never pile up
+        for line in lines[:-1]:
+            rec = json.loads(line)
+            rep = rec["representative"]
+            if rep["perm"] != list(p):
+                return None
+            squares = [tuple(sq) for sq in rep.get("mesh", ())]
+            masks.append(squares_to_mask(len(p), squares))
+            expected.append(rec["fingerprint"])
+    except (ValueError, TypeError, KeyError, AttributeError):
         return None
-    return records + [{"summary": summary}]
+    fps = fingerprints_many(p, masks, n_max)
+    if any(fp.hex_rows() != rows for fp, rows in zip(fps, expected)):
+        return None
+    return lines

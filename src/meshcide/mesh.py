@@ -337,6 +337,16 @@ def _occurrence_tables(p: Perm, n: int) -> tuple[tuple[int, tuple[int, ...]], ..
 _cached_occurrence_tables = lru_cache(maxsize=64)(_occurrence_tables)
 
 
+def _tables_through(p: Perm, n_max: int) -> list:
+    """The occurrence tables of ``p`` for S_1..S_{n_max}: cached up to
+    ``_CACHED_TABLE_DEPTH``, rebuilt above it."""
+    return [
+        _cached_occurrence_tables(p, n) if n <= _CACHED_TABLE_DEPTH
+        else _occurrence_tables(p, n)
+        for n in range(1, n_max + 1)
+    ]
+
+
 def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerprint]:
     """Fingerprints of several meshes over one shared sweep of the hosts.
 
@@ -351,11 +361,7 @@ def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerp
     check_depth(n_max)
     p = tuple(p)
     nbits = (len(p) + 1) ** 2
-    tables = [
-        _cached_occurrence_tables(p, n) if n <= _CACHED_TABLE_DEPTH
-        else _occurrence_tables(p, n)
-        for n in range(1, n_max + 1)
-    ]
+    tables = _tables_through(p, n_max)
     fingerprints = []
     for mesh in masks:
         squares = [c for c in range(nbits) if mesh >> c & 1]
@@ -370,6 +376,78 @@ def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerp
             rows.append(hit)
         fingerprints.append(Fingerprint(n_max, tuple(rows)))
     return fingerprints
+
+
+MAX_SIGNATURE_LENGTH = 3
+"""Longest pattern with a signature table.  The table has one entry per
+mesh: 65,536 at length 3, 2**25 at length 4."""
+
+SIGNATURE_BIT_BUDGET = 1 << 32
+"""Largest signature table, in bits: meshes times hosts of S_1..S_n.  123 at
+depth 8 takes 3.0e9 bits (about 380 MB); at depth 9 it would take 2.7e10."""
+
+
+def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
+    """For every mesh over ``p``'s grid, the containment indicator over all
+    hosts of size 1..n_max: one bit per host, sizes concatenated, lex order
+    within each size.
+
+    ``by_mask[m]`` collects the hosts with an occurrence whose region mask
+    is exactly m: each ``occ`` of the occurrence tables is split by the
+    ``cells`` it meets.  A host contains mesh M iff one of its region masks
+    lies inside ``full ^ M``, so after a zeta (subset-sum) transform of
+    ``by_mask`` the signature of M is ``by_mask[full ^ M]``, and the table
+    is ``by_mask`` reversed.
+
+    A pattern longer than ``MAX_SIGNATURE_LENGTH``, a depth outside
+    ``1..MAX_DEPTH`` or a table above ``SIGNATURE_BIT_BUDGET`` bits raises
+    ``ValueError`` before any table is built.
+
+    >>> sigs = containment_signatures((1,), 2)  # hosts 1, 12, 21
+    >>> sigs[0], sigs[0b1111]  # fully shaded, the point is alone in its host
+    (7, 1)
+    """
+    p = make_perm(p)
+    k = len(p)
+    if k > MAX_SIGNATURE_LENGTH:
+        raise ValueError(
+            f"signature tables support patterns up to length "
+            f"{MAX_SIGNATURE_LENGTH} (MAX_SIGNATURE_LENGTH), not {k}"
+        )
+    check_depth(n_max)
+    nbits = (k + 1) ** 2
+    table_bits = sum(factorial(n) for n in range(1, n_max + 1)) << nbits
+    if table_bits > SIGNATURE_BIT_BUDGET:
+        raise ValueError(
+            f"the signature table of {perm_text(p)} at depth {n_max} takes "
+            f"{table_bits} bits, over SIGNATURE_BIT_BUDGET (2**32)"
+        )
+    size = 1 << nbits
+    by_mask = [0] * size
+    offset = 0
+    for n, tables in enumerate(_tables_through(p, n_max), start=1):
+        for occ, cells in tables:
+            parts = [(0, occ)]
+            for c, cell in enumerate(cells):
+                split = []
+                for m, hosts in parts:
+                    inside = hosts & cell
+                    if inside:
+                        split.append((m | 1 << c, inside))
+                    if inside != hosts:
+                        split.append((m, hosts ^ inside))
+                parts = split
+            for m, hosts in parts:
+                by_mask[m] |= hosts << offset
+        offset += factorial(n)
+    step = 1
+    while step < size:
+        for base in range(0, size, 2 * step):
+            for x in range(base + step, base + 2 * step):
+                by_mask[x] |= by_mask[x - step]
+        step *= 2
+    by_mask.reverse()
+    return tuple(by_mask)
 
 
 def fingerprint(pi: MeshPattern, n_max: int | None = None) -> Fingerprint:

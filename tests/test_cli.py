@@ -166,6 +166,37 @@ class TestPartition:
         assert "summary" in lines[-1]
         assert lines[-1]["summary"]["classes"] == len(lines) - 1
 
+    def test_threads_flag_is_ignored(self, capsys, monkeypatch):
+        argv = ("partition", "1", "--max-n", "4")
+        _, plain, _ = run(capsys, *argv)
+        _, flagged, _ = run(capsys, *argv, "--threads", "3")
+        monkeypatch.setenv("MESHCIDE_THREADS", "3")
+        _, env, _ = run(capsys, *argv)
+        assert flagged == plain and env == plain
+        with pytest.raises(SystemExit):
+            run(capsys, "partition", "--help")
+        assert "--threads" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("partition", "1234"), "MAX_SIGNATURE_LENGTH"),
+            (("partition", "123", "--max-n", "9"), "SIGNATURE_BIT_BUDGET"),
+        ],
+    )
+    def test_signature_limits_exit_2(self, capsys, monkeypatch, argv, limit):
+        import meshcide.mesh as mesh
+
+        def no_tables(*args):
+            raise AssertionError("a host table was built")
+
+        for name in ("_less_sets", "_occurrence_tables", "_cached_occurrence_tables"):
+            monkeypatch.setattr(mesh, name, no_tables)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert limit in err
+
     def test_default_depth(self, capsys):
         code, out, _ = run(capsys, "partition", "1", "--threads", "1")
         assert code == 0
@@ -199,6 +230,28 @@ class TestPartition:
         )
         assert code == 0
         assert first == second  # cached rerun is byte-identical
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # a representative square off the 2x2 grid
+            lambda record: record["representative"].update(mesh=[[5, 5]]),
+            # a record that is a JSON array
+            lambda record: [record],
+        ],
+    )
+    def test_malformed_cache_is_recomputed(self, capsys, tmp_path, corrupt):
+        out_file = tmp_path / "p1.jsonl"
+        argv = ("partition", "1", "--max-n", "4", "--out", str(out_file))
+        code, fresh, _ = run(capsys, *argv)
+        lines = out_file.read_text().splitlines()
+        record = json.loads(lines[0])
+        lines[0] = json.dumps(corrupt(record) or record)
+        out_file.write_text("\n".join(lines) + "\n")
+        code, again, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert again == fresh
+        assert out_file.read_text() == fresh  # the cache was rewritten
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -37,6 +38,8 @@ from meshcide.coincidence import (
     write_partition_cache,
     _split_signature,
 )
+
+from oracles import fingerprints_brute
 
 
 def msk(k, squares):
@@ -316,24 +319,45 @@ class TestSignatures:
         for mask, fp in zip(masks, fps):
             assert _split_signature(sigs[mask], 4) == fp
 
-    def test_direct_path_matches_bitset_path(self):
-        from meshcide.coincidence import _signature_chunk
+    @staticmethod
+    def _rows(sigs, masks, n_max):
+        return [_split_signature(sigs[mask], n_max).per_n for mask in masks]
 
+    def test_length_2_slice_matches_oracle(self):
         sigs = containment_signatures((2, 1), 4)
-        direct = _signature_chunk(((2, 1), 4, 100, 140))
-        assert list(sigs[100:140]) == direct
+        masks = range(100, 140)
+        assert self._rows(sigs, masks, 4) == fingerprints_brute((2, 1), masks, 4)
 
-    def test_parallel_workers_match_serial(self):
-        from meshcide.coincidence import (
-            _signature_chunk,
-            containment_signatures_parallel,
+    def test_length_3_probe_matches_oracle(self):
+        sigs = containment_signatures((1, 3, 2), 3)
+        assert len(sigs) == 1 << 16
+        masks = range(0, 1 << 16, 4099)
+        assert self._rows(sigs, masks, 3) == fingerprints_brute((1, 3, 2), masks, 3)
+
+    def test_every_mesh_of_12_matches_fingerprints(self):
+        sigs = containment_signatures((1, 2), 6)
+        masks = range(1 << 9)
+        fps = fingerprints_many((1, 2), masks, 6)
+        assert self._rows(sigs, masks, 6) == [fp.per_n for fp in fps]
+
+    @pytest.mark.parametrize("p", list(itertools.permutations((1, 2, 3))))
+    def test_seeded_length_3_matches_fingerprints(self, p):
+        sigs = containment_signatures(p, 5)
+        rng = random.Random(f"signatures:{p}")
+        masks = [rng.getrandbits(16) for _ in range(200)]
+        fps = fingerprints_many(p, masks, 5)
+        assert self._rows(sigs, masks, 5) == [fp.per_n for fp in fps]
+
+    def test_length_2_at_max_depth_fits_the_budget(self):
+        sigs = containment_signatures((1, 2), MAX_DEPTH)
+        masks = [0, 1 << 4, (1 << 9) - 1]
+        fps = fingerprints_many((1, 2), masks, MAX_DEPTH)
+        assert self._rows(sigs, masks, MAX_DEPTH) == [fp.per_n for fp in fps]
+
+    def test_deprecated_parallel_name_ignores_threads(self):
+        assert coincidence.containment_signatures_parallel((2, 1), 4, 3) == (
+            containment_signatures((2, 1), 4)
         )
-
-        par = containment_signatures_parallel((1, 3, 2), 3, threads=3)
-        assert len(par) == 1 << 16
-        probe = range(0, 1 << 16, 4099)
-        for mesh in probe:
-            assert [par[mesh]] == _signature_chunk(((1, 3, 2), 3, mesh, mesh + 1))
 
 
 class TestPartition:
@@ -381,13 +405,32 @@ class TestPartition:
         def no_signatures(*args):
             raise AssertionError("signatures were computed")
 
-        monkeypatch.setattr(coincidence, "containment_signatures_parallel", no_signatures)
+        monkeypatch.setattr(coincidence, "containment_signatures", no_signatures)
         with pytest.raises(ValueError, match="fingerprint depth"):
             partition_meshes((1, 2), depth)
 
     def test_rejects_long_patterns(self):
         with pytest.raises(ValueError):
             partition_meshes((1, 2, 3, 4), 5)
+
+    @pytest.mark.parametrize(
+        "p, depth, limit",
+        [
+            ((1, 2, 3, 4), 3, "MAX_SIGNATURE_LENGTH"),
+            ((1, 2, 3, 4), None, "MAX_SIGNATURE_LENGTH"),
+            ((1, 2, 3), 9, "SIGNATURE_BIT_BUDGET"),
+        ],
+    )
+    def test_signature_limits_raise_before_any_table(self, p, depth, limit, monkeypatch):
+        import meshcide.mesh as mesh
+
+        def no_tables(*args):
+            raise AssertionError("a host table was built")
+
+        for name in ("_less_sets", "_occurrence_tables", "_cached_occurrence_tables"):
+            monkeypatch.setattr(mesh, name, no_tables)
+        with pytest.raises(ValueError, match=limit):
+            partition_meshes(p, depth)
 
     def test_records_and_cache_round_trip(self, tmp_path):
         result = partition_meshes((1,), 5)
@@ -398,13 +441,12 @@ class TestPartition:
         write_partition_cache(out, partition_lines(result))
         loaded = load_partition_cache(out, (1,), 5)
         assert loaded is not None
-        assert loaded[-1]["summary"]["classes"] == len(result.classes)
+        assert json.loads(loaded[-1])["summary"]["classes"] == len(result.classes)
+        assert loaded == partition_lines(result)  # the lines as written
         # a different depth must not validate
         assert load_partition_cache(out, (1,), 6) is None
 
     def test_cache_rejects_corruption(self, tmp_path):
-        import json
-
         result = partition_meshes((1,), 5)
         good = partition_lines(result)
         out = tmp_path / "part.jsonl"
@@ -415,6 +457,24 @@ class TestPartition:
             lines[line] = json.dumps(record)
             write_partition_cache(out, lines)
             assert load_partition_cache(out, (1,), 5) is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # a representative square off the 2x2 grid
+            lambda record: record["representative"].update(mesh=[[5, 5]]),
+            # a record that is a JSON array
+            lambda record: [record],
+        ],
+    )
+    def test_cache_malformed_is_discarded(self, tmp_path, corrupt):
+        result = partition_meshes((1,), 5)
+        lines = partition_lines(result)
+        record = json.loads(lines[0])
+        lines[0] = json.dumps(corrupt(record) or record)
+        out = tmp_path / "part.jsonl"
+        write_partition_cache(out, lines)
+        assert load_partition_cache(out, (1,), 5) is None
 
     def test_cache_checks_gamma_flag(self, tmp_path):
         result = partition_meshes((1,), 5, use_gamma=False)

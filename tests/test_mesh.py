@@ -13,6 +13,7 @@ from meshcide.mesh import (
     MeshPattern,
     OpenBox,
     avoiders,
+    containment_signatures,
     contains,
     corresponding_region,
     default_depth,
@@ -231,6 +232,23 @@ class TestFingerprints:
         monkeypatch.setattr(mesh, "_occurrence_tables", no_tables)
         with pytest.raises(ValueError, match=f"MAX_DEPTH"):
             fingerprints_many((1, 2, 3), (0,), depth)
+
+    @pytest.mark.parametrize(
+        "p, depth, limit",
+        [
+            ((1, 2, 3, 4), 3, "MAX_SIGNATURE_LENGTH"),
+            ((1, 2, 3), 9, "SIGNATURE_BIT_BUDGET"),
+            ((1, 2, 3), 0, "MAX_DEPTH"),
+        ],
+    )
+    def test_signature_limits_raise_before_any_table(self, p, depth, limit, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a host table was built")
+
+        for name in ("_less_sets", "_occurrence_tables", "_cached_occurrence_tables"):
+            monkeypatch.setattr(mesh, name, no_tables)
+        with pytest.raises(ValueError, match=limit):
+            containment_signatures(p, depth)
 
     def test_max_depth_is_accepted(self):
         # the unshaded point is in every host; fully shaded, only in S_1
