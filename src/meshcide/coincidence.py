@@ -61,7 +61,6 @@ from .shading import (
     shadeable_pairs,
     shadeable_singles,
     ssl_closure,
-    ssl_moves,
 )
 
 
@@ -464,6 +463,42 @@ def default_partition_depth(k: int) -> int:
     return 7 if k <= 2 else 6
 
 
+def _rule_steps(p: Perm, sigs: tuple[int, ...], use_gamma: bool) -> list[TraceStep]:
+    """The mesh-shape rule edges of the partition: a chain through each
+    bucket of meshes that share a truncation and a rule (classical;
+    vincular or isolating with one enclosed-diagonal core), each chain edge
+    with its images under the stabilizer of ``p``, and the gamma pairs."""
+    k = len(p)
+    buckets: dict[tuple, list[int]] = {}
+    for mesh, sig in enumerate(sigs):
+        pattern = MeshPattern(p, mesh)
+        core = enc_core_mask(pattern)
+        if not core:
+            buckets.setdefault(("CLASSICAL", sig), []).append(mesh)
+        tags = classify_family(pattern)
+        if tags.vincular:
+            buckets.setdefault(("VINCULAR", sig, core), []).append(mesh)
+        if tags.isolating and _single_shading_chain(p, core, mesh) is not None:
+            buckets.setdefault(("ISOLATING", sig, core), []).append(mesh)
+    stabilizer = [
+        (s, symmetry_tables(s, k))
+        for s in SYMMETRIES
+        if s != "id" and apply_symmetry_perm(s, p) == p
+    ]
+    steps = []
+    for (rule, *_), bucket in buckets.items():
+        for a, b in zip(bucket, bucket[1:]):
+            steps.append(TraceStep(rule, p, a, b))
+            for sym, tables in stabilizer:
+                ga, gb = map_mask(tables, a), map_mask(tables, b)
+                steps.append(TraceStep("SYMMETRY", p, ga, gb, (sym, p, a, b)))
+    if use_gamma:
+        for sym, g1, g2 in _gamma_orientations():
+            if g1.perm == p:
+                steps.append(TraceStep("GAMMA", p, g1.mask, g2.mask, (sym,)))
+    return steps
+
+
 def partition_meshes(
     p: Perm,
     n_max: int | None = None,
@@ -473,11 +508,14 @@ def partition_meshes(
     prove each group's members pairwise coincident.
 
     Groups with distinct truncations are definitively distinct, so classes
-    are the truncation groups; a class is PROVEN when the proof relation
-    (shading moves, sandwiching, the mesh-shape rules, the gamma pair, and
-    symmetry transfer through the stabilizer of ``p``) connects all of its
+    are the truncation groups.  The proof relation is :func:`ssl_closure`
+    over every mesh, given the edges of the mesh-shape rules, their images
+    under the stabilizer of ``p`` and the gamma pair; shading moves and
+    sandwiching commute with that stabilizer, so their edges need no
+    images.  A class is PROVEN when the relation connects all of its
     members, and CONJECTURED otherwise, with its proven sub-blocks reported.
-    A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work,
+    A proof block that spans two truncations is an ``AssertionError``.  A
+    depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work,
     and so does a pattern or depth that ``containment_signatures`` rejects.
     """
     p = make_perm(p)
@@ -486,108 +524,24 @@ def partition_meshes(
         n_max = default_partition_depth(k)
     check_depth(n_max)
     sigs = containment_signatures(p, n_max)
-    total = len(sigs)
+    closure = ssl_closure(p, range(len(sigs)), given=_rule_steps(p, sigs, use_gamma))
 
-    groups: dict[int, list[int]] = {}
-    for mesh, sig in enumerate(sigs):
-        groups.setdefault(sig, []).append(mesh)
-
-    uf = UnionFind()
-    for mesh in range(total):
-        uf.find(mesh)
-    stabilizer = [
-        symmetry_tables(s, k)
-        for s in SYMMETRIES
-        if s != "id" and apply_symmetry_perm(s, p) == p
-    ]
-    pending: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
-
-    def push(a: int, b: int) -> None:
-        if a == b:
-            return
-        if sigs[a] != sigs[b]:
-            raise AssertionError(
-                f"proof edge joins meshes {a} and {b} over {perm_text(p)}, "
-                f"whose truncated signatures differ"
-            )
-        edge = (a, b) if a < b else (b, a)
-        if edge not in seen_edges:
-            seen_edges.add(edge)
-            pending.append(edge)
-
-    def drain() -> None:
-        # close the proven relation under the stabilizer symmetries
-        i = 0
-        while i < len(pending):
-            a, b = pending[i]
-            i += 1
-            uf.union(a, b)
-            for tables in stabilizer:
-                push(map_mask(tables, a), map_mask(tables, b))
-        pending.clear()
-
-    # Shading edges over the whole mesh space, and the mesh-shape rules
-    # between members of one truncation group with equal enclosed diagonals.
-    buckets: dict[tuple, list[int]] = {}
-    for mesh in range(total):
-        pattern = MeshPattern(p, mesh)
-        for move in ssl_moves(pattern):
-            push(mesh, mesh | move.added)
-        sig = sigs[mesh]
-        core = enc_core_mask(pattern)
-        if not core:
-            buckets.setdefault(("classical", sig), []).append(mesh)
-        tags = classify_family(pattern)
-        if tags.vincular:
-            buckets.setdefault(("vincular", sig, core), []).append(mesh)
-        if tags.isolating and _single_shading_chain(p, core, mesh) is not None:
-            buckets.setdefault(("isolating", sig, core), []).append(mesh)
-    for bucket in buckets.values():
-        for a, b in zip(bucket, bucket[1:]):
-            push(a, b)
-
-    if use_gamma:
-        for _, g1, g2 in _gamma_orientations():
-            if g1.perm == p:
-                push(g1.mask, g2.mask)
-
-    drain()
-
-    # sandwiching inside truncation groups, to a fixpoint with symmetry
-    while True:
-        changed = False
-        for members in groups.values():
-            comps: dict[int, list[int]] = {}
-            for mesh in members:
-                comps.setdefault(uf.find(mesh), []).append(mesh)
-            if len(comps) <= 1:
-                continue
-            for mesh in members:
-                root = uf.find(mesh)
-                for other_root, comp in comps.items():
-                    if other_root == root:
-                        continue
-                    if any(lo & mesh == lo for lo in comp) and any(
-                        mesh & hi == mesh for hi in comp
-                    ):
-                        push(mesh, other_root)
-                        changed = True
-        if not changed:
-            break
-        drain()
-
+    # blocks come sorted by least member, so groups do too
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for block in closure.classes:
+        rep = block.meshes[0]
+        for mesh in block.meshes:
+            if sigs[mesh] != sigs[rep]:
+                raise AssertionError(
+                    f"proof edges join meshes {rep} and {mesh} over {perm_text(p)}, "
+                    f"whose truncated signatures differ"
+                )
+        groups.setdefault(sigs[rep], []).append(block.meshes)
     classes = []
-    for sig in sorted(groups, key=lambda s: groups[s][0]):
-        members = groups[sig]
-        blocks: dict[int, list[int]] = {}
-        for mesh in members:
-            blocks.setdefault(uf.find(mesh), []).append(mesh)
-        block_tuples = tuple(
-            tuple(sorted(b)) for b in sorted(blocks.values(), key=lambda b: b[0])
-        )
-        status = "PROVEN" if len(block_tuples) == 1 else "CONJECTURED"
-        classes.append(PartitionClass(tuple(members), status, block_tuples))
+    for blocks in groups.values():
+        status = "PROVEN" if len(blocks) == 1 else "CONJECTURED"
+        members = tuple(sorted(m for block in blocks for m in block))
+        classes.append(PartitionClass(members, status, tuple(blocks)))
     return PartitionResult(p, n_max, use_gamma, tuple(classes), sigs)
 
 

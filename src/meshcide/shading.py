@@ -454,96 +454,112 @@ def _as_mask(k: int, mesh) -> int:
     return squares_to_mask(k, mesh)
 
 
+def _extremes(members: list[int]) -> list[tuple[int, int]]:
+    """Every pair (minimal member, maximal member above it) of a set of
+    meshes.  A member is minimal when no earlier member by size lies below
+    it, so only the minimal ones found so far need testing; likewise for
+    maximal members in the other direction."""
+    by_size = sorted(members, key=int.bit_count)
+    minimal: list[int] = []
+    for m in by_size:
+        if not any(lo & m == lo for lo in minimal):
+            minimal.append(m)
+    maximal: list[int] = []
+    for m in reversed(by_size):
+        if not any(m & hi == m for hi in maximal):
+            maximal.append(m)
+    return [(lo, hi) for lo in minimal for hi in maximal if lo & hi == lo]
+
+
 def ssl_closure(
-    p: Perm, seeds: Iterable, budget: int | None = None
+    p: Perm,
+    seeds: Iterable,
+    budget: int | None = None,
+    given: Iterable[TraceStep] = (),
 ) -> ClosureResult:
     """Partition every mesh reachable from the seeds into proven-coincident
     groups.
 
-    Two kinds of inference alternate until neither moves: every
-    simultaneous-shading move joins a mesh with its enlargement, and any
-    mesh sandwiched between two meshes already in one group joins that group.
-    Groups merged by sandwiching can enable new shading edges, so newly seen
-    meshes re-enter the expansion queue.  ``budget`` caps the number of
-    meshes expanded; exceeding it returns the partial partition flagged
-    incomplete.
+    The ``given`` steps, which the caller has justified by other rules, are
+    joined first and their meshes become seeds too.  Then two inferences
+    alternate until neither moves: every simultaneous-shading move joins a
+    mesh with its enlargement, and every mesh between a minimal and a
+    maximal member of one group joins that group (a mesh between any two
+    members lies between such a pair).  Sandwiched meshes not seen before
+    are expanded in turn.  ``budget`` caps the number of meshes expanded;
+    exceeding it returns the partial partition flagged incomplete, and a
+    negative budget is a ``ValueError``.  Each class carries the steps that
+    joined its meshes, in the order they were taken.
     """
     p = make_perm(p)
     k = len(p)
+    if budget is not None and budget < 0:
+        raise ValueError(f"closure budget must be at least 0, not {budget}")
     known = {_as_mask(k, s) for s in seeds}
     if not known:
         raise ValueError("at least one seed mesh is required")
-    uf = UnionFind()
-    for m in known:
-        uf.find(m)
-    steps: list[TraceStep] = []
     frontier = deque(sorted(known))
-    expanded: set[int] = set()
+    uf = UnionFind()
+    log: list[TraceStep] = []
+
+    def join(step: TraceStep) -> None:
+        for mesh in (step.before, step.after):
+            if mesh not in known:
+                known.add(mesh)
+                frontier.append(mesh)
+        if uf.union(step.before, step.after):
+            log.append(step)
+
     spent = 0
-    complete = True
 
-    def expand_all() -> None:
-        nonlocal spent, complete
+    def expand() -> bool:
+        nonlocal spent
         while frontier:
-            mesh = frontier.popleft()
-            if mesh in expanded:
-                continue
             if budget is not None and spent >= budget:
-                complete = False
-                frontier.clear()
-                return
+                return False
             spent += 1
-            expanded.add(mesh)
+            mesh = frontier.popleft()
             for move in ssl_moves(MeshPattern(p, mesh)):
-                grown = mesh | move.added
-                if uf.union(mesh, grown):
-                    steps.append(TraceStep("SSL", p, mesh, grown, move.assignments))
-                if grown not in known:
-                    known.add(grown)
-                    frontier.append(grown)
+                join(TraceStep("SSL", p, mesh, mesh | move.added, move.assignments))
+        return True
 
-    def sandwich_pass() -> bool:
-        changed = False
+    def sandwich(dirty: set[int]) -> None:
         components: dict[int, list[int]] = {}
         for m in known:
-            components.setdefault(uf.find(m), []).append(m)
+            root = uf.find(m)
+            if root in dirty:
+                components.setdefault(root, []).append(m)
         for root in sorted(components):
-            members = sorted(components[root])
-            for lo, hi in itertools.combinations(members, 2):
-                if lo & hi != lo:
-                    continue
+            for lo, hi in _extremes(components[root]):
                 diff = hi & ~lo
                 sub = diff
                 while True:
                     mid = lo | sub
-                    if mid not in known or uf.find(mid) != uf.find(lo):
-                        steps.append(TraceStep("CLOSURE", p, lo, mid, (lo, hi)))
-                        uf.union(mid, lo)
-                        if mid not in known:
-                            known.add(mid)
-                            frontier.append(mid)
-                        changed = True
+                    if uf.find(mid) != uf.find(lo):
+                        join(TraceStep("CLOSURE", p, lo, mid, (lo, hi)))
                     if sub == 0:
                         break
                     sub = (sub - 1) & diff
-        return changed
 
-    while True:
-        expand_all()
-        if not complete:
-            break
-        if not sandwich_pass() and not frontier:
-            break
+    for step in given:
+        join(step)
+    complete = expand()
+    swept = 0
+    while complete and swept < len(log):
+        # a group that no step has joined since the last sweep is closed
+        dirty = {uf.find(step.before) for step in log[swept:]}
+        swept = len(log)
+        sandwich(dirty)
+        complete = expand()
 
     groups: dict[int, list[int]] = {}
-    for m in known:
+    for m in sorted(known):
         groups.setdefault(uf.find(m), []).append(m)
-    classes = []
-    for root in sorted(groups):
-        meshes = tuple(sorted(groups[root]))
-        mesh_set = set(meshes)
-        relevant = tuple(
-            s for s in steps if s.before in mesh_set or s.after in mesh_set
-        )
-        classes.append(ClosureClass(meshes, relevant))
-    return ClosureResult(p, tuple(classes), complete)
+    steps: dict[int, list[TraceStep]] = {}
+    for step in log:
+        steps.setdefault(uf.find(step.before), []).append(step)
+    classes = tuple(
+        ClosureClass(tuple(groups[root]), tuple(steps.get(root, ())))
+        for root in sorted(groups)
+    )
+    return ClosureResult(p, classes, complete)

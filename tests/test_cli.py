@@ -107,6 +107,11 @@ class TestShade:
         _, out, _ = run(capsys, "shade", "12:(2,0)", "--closure")
         assert "12:(0,0)(1,1)(2,0)" in out
 
+    def test_negative_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "shade", "12", "--closure", "--budget", "-3")
+        assert code == 2 and out == ""
+        assert "budget" in err
+
 
 class TestWitness:
     def test_witness(self, capsys):

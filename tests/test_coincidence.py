@@ -16,7 +16,7 @@ from meshcide.mesh import (
     square_bit,
     squares_to_mask,
 )
-from meshcide.diagonals import apply_symmetry_mesh, enc_square_sets, same_enc
+from meshcide.diagonals import apply_symmetry_mask, apply_symmetry_mesh, enc_square_sets, same_enc
 from meshcide.shading import Assignment, ProofTrace, ShadeMove, TraceStep, shadeable_pairs
 from meshcide.coincidence import (
     GAMMA_1,
@@ -387,16 +387,16 @@ class TestPartition:
         assert cls.status == "PROVEN"
 
     def test_edge_across_signatures_is_a_hard_error(self, monkeypatch):
-        import meshcide.coincidence as coincidence
+        import meshcide.shading as shading
 
-        real = coincidence.ssl_moves
+        real = shading.ssl_moves
         # (2,0) is pointless over 12, so shading it changes the diagonals
         bogus = ShadeMove((), square_bit(2, 2, 0))
 
         def with_bogus_move(pi):
             return real(pi) + ([bogus] if pi.mask == 0 else [])
 
-        monkeypatch.setattr(coincidence, "ssl_moves", with_bogus_move)
+        monkeypatch.setattr(shading, "ssl_moves", with_bogus_move)
         with pytest.raises(AssertionError, match="truncated signatures differ"):
             partition_meshes((1, 2), 4)
 
@@ -488,3 +488,34 @@ class TestPartition:
         s = partition_summary(result)
         assert s["classes"] == s["proven"] + s["conjectured"]
         assert s["undecided_pairs"] == result.undecided_pairs()
+
+
+@pytest.fixture(scope="module")
+def partition_123_depth_4():
+    return partition_meshes((1, 2, 3), 4)
+
+
+class TestPartitionLength3:
+    def test_summary(self, partition_123_depth_4):
+        s = partition_summary(partition_123_depth_4)
+        assert (s["classes"], s["proven"], s["conjectured"], s["undecided_pairs"]) == (
+            1024,
+            65,
+            959,
+            6600310,
+        )
+
+    def test_blocks_map_onto_blocks_under_the_stabilizer(self, partition_123_depth_4):
+        p = (1, 2, 3)
+        stabilizer = [s for s in SYMMETRIES if s != "id" and apply_symmetry_perm(s, p) == p]
+        assert sorted(stabilizer) == ["i", "rc", "rci"]
+        blocks = {frozenset(b) for c in partition_123_depth_4.classes for b in c.blocks}
+        for sym in stabilizer:
+            for block in blocks:
+                assert frozenset(apply_symmetry_mask(sym, 3, m) for m in block) in blocks
+
+    def test_blocks_lie_inside_one_signature_group(self, partition_123_depth_4):
+        sigs = partition_123_depth_4.signatures
+        for cls in partition_123_depth_4.classes:
+            assert sorted(m for b in cls.blocks for m in b) == list(cls.meshes)
+            assert {sigs[m] for m in cls.meshes} == {sigs[cls.representative]}

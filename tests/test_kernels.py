@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from meshcide.perm import SYMMETRIES, all_perms, lex_rank, lex_unrank
+from meshcide.perm import SYMMETRIES, all_perms, apply_symmetry_perm, lex_rank, lex_unrank
 from meshcide.mesh import (
     MeshPattern,
     fingerprints_many,
@@ -82,6 +82,37 @@ def test_classify_family_matches_square_reading():
 @pytest.mark.parametrize("p", [(1, 2), (2, 1)])
 def test_ssl_move_total_over_all_meshes(p):
     assert sum(len(ssl_moves(MeshPattern(p, mask))) for mask in range(512)) == 733
+
+
+def _added_sets(p, masks):
+    return {mask: {m.added for m in ssl_moves(MeshPattern(p, mask))} for mask in masks}
+
+
+EXHAUSTIVE = [(1,), (1, 2), (2, 1), (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "p", EXHAUSTIVE + [p for p in itertools.permutations((1, 2, 3)) if p not in EXHAUSTIVE]
+)
+def test_ssl_moves_commute_with_the_stabilizer(p):
+    # the closure maps only rule edges through the stabilizer of p, which
+    # is sound because the moves of an image are the images of the moves
+    k = len(p)
+    nbits = (k + 1) ** 2
+    if p in EXHAUSTIVE:
+        masks = range(1 << nbits)
+    else:
+        rng = random.Random(1412)
+        masks = [rng.getrandbits(nbits) for _ in range(2000)]
+    stabilizer = [s for s in SYMMETRIES if s != "id" and apply_symmetry_perm(s, p) == p]
+    assert stabilizer
+    moves = _added_sets(p, masks)
+    for sym in stabilizer:
+        image = {mask: apply_symmetry_mask(sym, k, mask) for mask in masks}
+        moves.update(_added_sets(p, set(image.values()) - moves.keys()))
+        for mask in masks:
+            want = {apply_symmetry_mask(sym, k, a) for a in moves[mask]}
+            assert moves[image[mask]] == want, (p, sym, mask)
 
 
 def _rows(p, masks, n_max):

@@ -291,6 +291,25 @@ class TestClosure:
         result = ssl_closure((1, 2), [seed], budget=1)
         assert not result.complete
 
+    def test_negative_budget_is_an_error(self):
+        with pytest.raises(ValueError, match="budget"):
+            ssl_closure((1, 2), [0], budget=-3)
+
+    def test_large_class_sandwiches_from_its_extremes(self):
+        # sandwiching every pair of members, not just the extremes, took
+        # about a minute on this seed
+        seed = msk(5, [(0, 0), (5, 5)])
+        result = ssl_closure((2, 4, 1, 5, 3), [seed])
+        assert result.complete
+        assert [len(c.meshes) for c in result.classes] == [11664]
+
+    def test_sandwiching_runs_to_a_fixpoint(self):
+        # one sandwich sweep leaves two meshes of this class outside it
+        seed = msk(3, [(1, 2), (3, 3)])
+        result = ssl_closure((3, 1, 2), [seed])
+        assert result.complete
+        assert [len(c.meshes) for c in result.classes] == [44]
+
     def test_classes_partition_reachable_meshes(self):
         result = ssl_closure((1, 2), [0, msk(2, [(0, 0)])])
         seen = set()
