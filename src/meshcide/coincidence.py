@@ -58,6 +58,7 @@ from .shading import (
     ProofTrace,
     TraceStep,
     UnionFind,
+    shadeable_assignments,
     shadeable_pairs,
     shadeable_singles,
     ssl_closure,
@@ -183,22 +184,12 @@ def _single_shading_chain(
     """Grow ``start`` to ``target`` one shadeable single square at a time."""
     if start & ~target:
         return None
-    k = len(p)
     current = start
     steps: list[TraceStep] = []
     while current != target:
-        for point, sq, direction in shadeable_singles(MeshPattern(p, current)):
-            bit = square_bit(k, *sq)
+        for assignment, bit in shadeable_assignments(p, current, False):
             if target & bit and not current & bit:
-                steps.append(
-                    TraceStep(
-                        "SL",
-                        p,
-                        current,
-                        current | bit,
-                        (Assignment(point, "single", direction, (sq,)),),
-                    )
-                )
+                steps.append(TraceStep("SL", p, current, current | bit, (assignment,)))
                 current |= bit
                 break
         else:
@@ -325,6 +316,10 @@ class CoincidenceVerdict:
     trace: ProofTrace | None = None
     witness: Perm | None = None
     witness_contains_first: bool | None = None
+    # why an UNDECIDED pair stayed open: ("budget", meshes expanded) when the
+    # closure ran out of budget, ("disconnected", closure size) when it
+    # finished without joining the pair
+    reason: tuple[str, int] | None = None
 
 
 _DECIDE_CLOSURE_BUDGET = 4096
@@ -341,7 +336,11 @@ def _verified_refutation(
     )
 
 
-def _proof_search(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
+def _proof_search(
+    pi: MeshPattern, pi2: MeshPattern
+) -> tuple[list[TraceStep] | None, tuple[str, int] | None]:
+    """Proof steps joining the pair, or None with the reason the closure
+    gave up."""
     rules = (classical_rule, vincular_rule, isolating_rule, gamma_rule)
     for sym in SYMMETRIES:
         a = apply_symmetry_mesh(sym, pi)
@@ -351,12 +350,12 @@ def _proof_search(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
             if inner is None:
                 continue
             if sym == "id":
-                return inner
+                return inner, None
             back = inverse_symmetry(sym)
             transfer = TraceStep(
                 "SYMMETRY", pi.perm, pi.mask, pi2.mask, (back, a.perm, a.mask, b.mask)
             )
-            return inner + [transfer]
+            return inner + [transfer], None
     # Simultaneous shading and sandwiching connect the two meshes directly;
     # the move set is symmetry-equivariant, so one orientation suffices.
     closure = ssl_closure(
@@ -364,8 +363,10 @@ def _proof_search(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     )
     cls = closure.class_of(pi.mask)
     if cls is not None and pi2.mask in cls.meshes:
-        return list(cls.steps)
-    return None
+        return list(cls.steps), None
+    if closure.complete:
+        return None, ("disconnected", closure.size)
+    return None, ("budget", closure.expanded)
 
 
 def decide_coincidence(
@@ -377,9 +378,10 @@ def decide_coincidence(
     shorter underlying permutation already separates them); distinct
     enclosed diagonals (constructive short witness); a truncated avoidance
     sweep to ``n_max`` (lexicographically least separating permutation);
-    then the proof rules over all eight symmetric orientations.  Anything
-    left is honestly UNDECIDED at the reported depth.  A depth outside
-    ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
+    then the proof rules over all eight symmetric orientations, and last
+    the shading closure of the pair.  Anything left is honestly UNDECIDED
+    at the reported depth, with the reason the closure gave up.  A depth
+    outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
     if n_max is None:
         n_max = default_depth(max(pi.k, pi2.k))
@@ -405,13 +407,13 @@ def decide_coincidence(
     if diff is not None:
         n, rank = diff
         return _verified_refutation(pi, pi2, lex_unrank(n, rank), n_max)
-    steps = _proof_search(pi, pi2)
+    steps, reason = _proof_search(pi, pi2)
     if steps is not None:
         trace = ProofTrace(pi.perm, pi.mask, pi2.mask, tuple(steps))
         if not verify_trace(trace):
             raise RuntimeError("proof search produced an unverifiable trace")
         return CoincidenceVerdict("PROVEN_COINCIDENT", n_max, trace=trace)
-    return CoincidenceVerdict("UNDECIDED", n_max)
+    return CoincidenceVerdict("UNDECIDED", n_max, reason=reason)
 
 
 # ---------------------------------------------------------------------------

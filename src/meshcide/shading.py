@@ -7,7 +7,12 @@ the mesh around that point is permissive enough.  Only the northeast
 single-square conditions and the east pair conditions are spelled out; the
 other directions are obtained by conjugating the pattern with the grid
 symmetry that maps the direction onto the spelled one.  That is both shorter
-and safer than transcribing four condition tables by hand.
+and safer than transcribing four condition tables by hand.  Conjugation
+happens once per pattern, when its probes are compiled: every condition is
+pulled back into the pattern's own grid, where it is a few masks.  A mesh's
+moves depend only on which probes pass, so a closure memoises them on that
+vector, and it tests the probes for a whole frontier of meshes at once on
+bit-slices, one big integer per grid square.
 """
 
 from __future__ import annotations
@@ -32,10 +37,9 @@ from .mesh import (
     MeshPattern,
     Square,
     occurrence_region_mask,
-    square_bit,
     squares_to_mask,
 )
-from .diagonals import map_mask, symmetry_tables
+from .diagonals import apply_symmetry_square
 
 SINGLE_DIRECTIONS = ("NE", "NW", "SE", "SW")
 PAIR_DIRECTIONS = ("E", "N", "W", "S")
@@ -90,139 +94,175 @@ class ShadeMove:
         return mask_to_squares(k, self.added)
 
 
-@lru_cache(maxsize=None)
-def _ne_single_masks(k: int, i: int, v: int) -> tuple[int, int, int, int]:
-    """The northeast conditions at the point (i, v) as masks: the candidate
-    and the square opposite it, the two flanking squares, the squares of row
-    v-1 outside columns i-1 and i, and the squares of column i-1 outside rows
-    v-1 and v."""
-    bit = lambda a, b: square_bit(k, a, b)
-    blocked = bit(i, v) | bit(i - 1, v - 1)
-    flanks = bit(i, v - 1) | bit(i - 1, v)
-    row = sum(bit(x, v - 1) for x in range(k + 1) if x not in (i - 1, i))
-    column = sum(bit(i - 1, y) for y in range(k + 1) if y not in (v - 1, v))
-    return blocked, flanks, row, column
+# ---------------------------------------------------------------------------
+# Compiled probes.  A probe is one direction at one graph point.  Its
+# conditions say that some squares are unshaded (``blocked``), that some are
+# not all shaded (``flanks``), and that every shaded square of a line has its
+# neighbour at one fixed offset shaded.  Square (a, b) sits at bit a(k+1) + b,
+# so a neighbour offset is a shift of the mask, and the lines of all four
+# offsets fit beside the blocked squares in one mask over a five-grid "state":
+# grid 0 is the mesh, and grid g holds the shaded squares whose neighbour at
+# offset _offsets(k)[g - 1] is unshaded.
 
 
-def _ne_single_ok(q: Perm, mask: int, i: int) -> bool:
-    """Northeast single-square conditions at the graph point (i, q(i)) of the
-    mesh ``mask`` over ``q``.
+def _offsets(k: int) -> tuple[int, int, int, int]:
+    """Bit offsets of the upper, lower, right and left neighbours."""
+    return (1, -1, k + 1, -(k + 1))
 
-    Neither the candidate nor the square opposite it is shaded, the two
-    flanks are not both shaded, a shaded square of row v-1 has its upper
+
+def _ne_single_conditions(k: int, i: int, v: int) -> tuple:
+    """The northeast single-square conditions at the point (i, v), square by
+    square: neither the candidate nor the square opposite it is shaded, the
+    two flanks are not both shaded, a shaded square of row v-1 has its upper
     neighbour shaded, and a shaded square of column i-1 has its right
-    neighbour shaded (outside the four squares around the point).  Square
-    (a, b) sits at bit a(k+1) + b, so the upper neighbour of every square is
-    one bit up and the right neighbour k+1 bits up.
-    """
-    k = len(q)
-    blocked, flanks, row, column = _ne_single_masks(k, i, q[i - 1])
-    return not (
-        mask & blocked
-        or mask & flanks == flanks
-        or mask & row & ~(mask >> 1)
-        or mask & column & ~(mask >> (k + 1))
-    )
+    neighbour shaded (outside the four squares around the point)."""
+    blocked = [(i, v), (i - 1, v - 1)]
+    flanks = [(i, v - 1), (i - 1, v)]
+    row = [(x, v - 1) for x in range(k + 1) if x not in (i - 1, i)]
+    column = [(i - 1, y) for y in range(k + 1) if y not in (v - 1, v)]
+    return blocked, flanks, ((row, (0, 1)), (column, (1, 0)))
 
 
-@lru_cache(maxsize=None)
-def _e_pair_masks(k: int, i: int, v: int) -> tuple[int, int, int]:
-    """The east pair conditions at the point (i, v) as masks: the four
-    squares around the point, row v-1, and column i-1."""
-    bit = lambda a, b: square_bit(k, a, b)
-    around = bit(i, v) | bit(i - 1, v) | bit(i, v - 1) | bit(i - 1, v - 1)
-    row = sum(bit(x, v - 1) for x in range(k + 1))
-    column = sum(bit(i - 1, y) for y in range(k + 1))
-    return around, row, column
+def _e_pair_conditions(k: int, i: int, v: int) -> tuple:
+    """The east pair conditions at the point (i, v): no square around the
+    point is shaded, rows v-1 and v agree (a shaded square of either has its
+    neighbour in the other shaded), and a shaded square of column i-1 has
+    its right neighbour shaded."""
+    blocked = [(i, v), (i - 1, v), (i, v - 1), (i - 1, v - 1)]
+    lower = [(x, v - 1) for x in range(k + 1)]
+    upper = [(x, v) for x in range(k + 1)]
+    column = [(i - 1, y) for y in range(k + 1)]
+    return blocked, [], ((lower, (0, 1)), (upper, (0, -1)), (column, (1, 0)))
 
 
-def _e_pair_ok(q: Perm, mask: int, i: int) -> bool:
-    """East pair conditions at the graph point (i, q(i)) of the mesh ``mask``
-    over ``q``: no square around the point is shaded, rows v-1 and v agree,
-    and a shaded square of column i-1 has its right neighbour shaded."""
-    k = len(q)
-    around, row, column = _e_pair_masks(k, i, q[i - 1])
-    return not (
-        mask & around
-        or (mask ^ (mask >> 1)) & row
-        or mask & column & ~(mask >> (k + 1))
-    )
+def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
+    """A line of the spelled-out grid with its neighbour offset, mapped into
+    the pattern's grid by ``back``: the line's bits, placed in the state grid
+    of the offset its squares' neighbours have there.  The symmetries are
+    affine, so that offset is the same for every square; anything else is an
+    ``AssertionError``."""
+    if not line:
+        return 0
+    width = k + 1
+
+    def index(square: Square) -> int:
+        a, b = apply_symmetry_square(back, k, square)
+        return a * width + b
+
+    da, db = offset
+    shifts = {index((a + da, b + db)) - index((a, b)) for a, b in line}
+    if len(shifts) != 1 or not shifts <= set(_offsets(k)):
+        raise AssertionError(
+            f"symmetry {back!r} maps the neighbour offset {offset} onto the "
+            f"bit shifts {sorted(shifts)}, not onto one neighbour offset"
+        )
+    grid = _offsets(k).index(shifts.pop()) + 1
+    return sum(1 << index(square) for square in line) << grid * width * width
 
 
 @lru_cache(maxsize=64)
-def _probe_table(p: Perm, pairs: bool) -> tuple[tuple, tuple]:
-    """Everything about ``p`` that the shading conditions need, computed once.
+def _compiled(p: Perm) -> tuple[tuple, ...]:
+    """Every probe of ``p`` in output order (by graph point; singles, then
+    pairs; by direction), with its conditions pulled back from the
+    spelled-out direction into ``p``'s own grid.
 
-    For each direction: the byte tables and the image of ``p`` under the
-    symmetry conjugating it onto the spelled-out direction.  Then, in output
-    order (by graph point, then direction), one probe per direction and
-    graph point: the direction's index, the point's index in the image, and
-    the assignment the probe licenses together with its mask.
+    A probe is ``(assignment, added, forbid, flanks)``: the assignment it
+    licenses and its mask, the state bits that must all be clear, and the
+    flanks (0 for a pair, which has none).
     """
     k = len(p)
-    if pairs:
-        directions, to_spelled, kind = PAIR_DIRECTIONS, _PAIR_TO_E, "pair"
-    else:
-        directions, to_spelled, kind = SINGLE_DIRECTIONS, _SINGLE_TO_NE, "single"
-    images = []
-    probes = []
-    for d, direction in enumerate(directions):
-        sym = to_spelled[direction]
-        q = apply_symmetry_perm(sym, p)
-        images.append((symmetry_tables(sym, k), q))
-        back = inverse_symmetry(sym)
-        for j in range(1, k + 1):
-            point = apply_symmetry_point(back, k, (j, q[j - 1]))
-            if pairs:
-                squares = pair_candidate(point, direction)
-            else:
-                squares = (single_candidate(point, direction),)
-            assignment = Assignment(point, kind, direction, squares)
-            probes.append((point, d, j, assignment, squares_to_mask(k, squares)))
-    probes.sort(key=lambda t: t[:2])
-    return tuple(images), tuple(t[1:] for t in probes)
+    keyed = []
+    for rank, (kind, directions, to_spelled, conditions) in enumerate(
+        (
+            ("single", SINGLE_DIRECTIONS, _SINGLE_TO_NE, _ne_single_conditions),
+            ("pair", PAIR_DIRECTIONS, _PAIR_TO_E, _e_pair_conditions),
+        )
+    ):
+        for d, direction in enumerate(directions):
+            sym = to_spelled[direction]
+            back = inverse_symmetry(sym)
+            pull = lambda squares: squares_to_mask(
+                k, [apply_symmetry_square(back, k, s) for s in squares]
+            )
+            for j, v in enumerate(apply_symmetry_perm(sym, p), 1):
+                point = apply_symmetry_point(back, k, (j, v))
+                if kind == "pair":
+                    squares = pair_candidate(point, direction)
+                else:
+                    squares = (single_candidate(point, direction),)
+                blocked, flanks, lines = conditions(k, j, v)
+                forbid = pull(blocked)
+                for line, offset in lines:
+                    forbid |= _pull_back(k, back, line, offset)
+                assignment = Assignment(point, kind, direction, squares)
+                probe = (assignment, squares_to_mask(k, squares), forbid, pull(flanks))
+                keyed.append(((point, rank, d), probe))
+    keyed.sort(key=lambda t: t[0])
+    return tuple(probe for _, probe in keyed)
 
 
-def _shadeable(p: Perm, mask: int, pairs: bool) -> list[tuple[Assignment, int]]:
-    """Assignments (with their masks) addable to the mesh ``mask`` over ``p``
-    without changing the avoidance set: every direction is checked against
-    the spelled-out conditions in the image of its conjugating symmetry."""
-    images, probes = _probe_table(p, pairs)
-    ok = _e_pair_ok if pairs else _ne_single_ok
-    meshes = [(q, map_mask(tables, mask)) for tables, q in images]
-    return [(a, bits) for d, j, a, bits in probes if ok(*meshes[d], j)]
+def _option_vector(p: Perm, mask: int) -> bytes:
+    """Byte j is 1 when probe j of ``p`` passes on the mesh ``mask``."""
+    k = len(p)
+    size = (k + 1) ** 2
+    state = mask
+    for grid, offset in enumerate(_offsets(k), 1):
+        neighbours = mask >> offset if offset > 0 else mask << -offset
+        state |= (mask & ~neighbours) << grid * size
+    return bytes(
+        not (state & forbid or flanks and mask & flanks == flanks)
+        for _, _, forbid, flanks in _compiled(p)
+    )
 
 
-def shadeable_singles(pi: MeshPattern) -> list[tuple[tuple[int, int], Square, str]]:
-    """(point, square, direction) for every single square addable to the mesh
-    without changing the avoidance set."""
-    return [
-        (a.point, a.squares[0], a.direction)
-        for a, _ in _shadeable(pi.perm, pi.mask, False)
-    ]
+_PASSED = bytes.maketrans(b"01", b"\1\0")
 
 
-def shadeable_pairs(
-    pi: MeshPattern,
-) -> list[tuple[tuple[int, int], tuple[Square, Square], str]]:
-    """(point, square pair, direction) for every addable adjacent pair."""
-    return [
-        (a.point, a.squares, a.direction)
-        for a, _ in _shadeable(pi.perm, pi.mask, True)
-    ]
+def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
+    """The option vectors of a batch of meshes, concatenated in batch order.
 
-
-def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
-    """Every simultaneous-shading move of the pattern.
-
-    Choice functions assign to each graph point at most one of its shadeable
-    singles or pairs; distinct choices adding the same square set collapse
-    to one move, since only the union matters downstream.
+    The batch is bit-sliced: one big integer per grid square, whose bit t
+    says whether mesh t shades that square, so each probe is tested on the
+    whole batch with one OR per forbidden state bit.
     """
-    options: list[list] = [[None] for _ in pi.perm]
-    for pairs in (False, True):
-        for a, bits in _shadeable(pi.perm, pi.mask, pairs):
-            options[a.point[0] - 1].append((a, bits))
+    k = len(p)
+    size = (k + 1) ** 2
+    text = "".join(format(mesh, f"0{size}b") for mesh in batch)
+    squares = [int(text[size - 1 - s :: size][::-1], 2) for s in range(size)]
+    del text
+    state = list(squares)
+    for offset in _offsets(k):
+        state += [
+            squares[s] & ~squares[s + offset] if 0 <= s + offset < size else 0
+            for s in range(size)
+        ]
+    probes = _compiled(p)
+    count = len(probes)
+    failed = bytearray(len(batch) * count)
+    for j, (_, _, forbid, flanks) in enumerate(probes):
+        fail = 0
+        while forbid:
+            low = forbid & -forbid
+            fail |= state[low.bit_length() - 1]
+            forbid ^= low
+        if flanks:
+            both = -1
+            while flanks:
+                low = flanks & -flanks
+                both &= squares[low.bit_length() - 1]
+                flanks ^= low
+            fail |= both
+        failed[j::count] = format(fail, f"0{len(batch)}b")[::-1].encode()
+    return bytes(failed).translate(_PASSED)
+
+
+def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
+    """The moves of :func:`ssl_moves` for a mesh whose probes pass as
+    ``vector`` says; they depend on nothing else."""
+    options: list[list] = [[None] for _ in p]
+    for (assignment, bits, _, _), passed in zip(_compiled(p), vector):
+        if passed:
+            options[assignment.point[0] - 1].append((assignment, bits))
     seen: dict[int, ShadeMove] = {}
     for combo in itertools.product(*options):
         chosen = [c for c in combo if c is not None]
@@ -232,9 +272,75 @@ def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
         for _, bits in chosen:
             added |= bits
         if added not in seen:
-            assert added & pi.mask == 0
             seen[added] = ShadeMove(tuple(a for a, _ in chosen), added)
-    return sorted(seen.values(), key=lambda m: (m.added.bit_count(), m.added))
+    return tuple(sorted(seen.values(), key=lambda m: (m.added.bit_count(), m.added)))
+
+
+def _disjoint(p: Perm, mask: int, moves: tuple[ShadeMove, ...]) -> tuple[ShadeMove, ...]:
+    """The moves of the mesh ``mask``, checked to add only unshaded squares."""
+    for move in moves:
+        if move.added & mask:
+            raise AssertionError(
+                f"a shading move adds shaded squares to mesh {mask} over {p}"
+            )
+    return moves
+
+
+def _frontier_moves(
+    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[ShadeMove, ...]]
+) -> list[tuple[ShadeMove, ...]]:
+    """The moves of every mesh of a batch, in batch order.  ``memo`` maps
+    the option vectors seen so far to their moves."""
+    vectors = _batch_vectors(p, batch)
+    count = len(_compiled(p))
+    found = []
+    for t, mask in enumerate(batch):
+        vector = vectors[t * count : (t + 1) * count]
+        moves = memo.get(vector)
+        if moves is None:
+            moves = memo[vector] = _moves(p, vector)
+        found.append(_disjoint(p, mask, moves))
+    return found
+
+
+def shadeable_assignments(p: Perm, mask: int, pairs: bool) -> list[tuple[Assignment, int]]:
+    """Assignments (with their masks) addable to the mesh ``mask`` over ``p``
+    without changing the avoidance set: the singles, or the pairs."""
+    kind = "pair" if pairs else "single"
+    return [
+        (assignment, bits)
+        for (assignment, bits, _, _), passed in zip(_compiled(p), _option_vector(p, mask))
+        if passed and assignment.kind == kind
+    ]
+
+
+def shadeable_singles(pi: MeshPattern) -> list[tuple[tuple[int, int], Square, str]]:
+    """(point, square, direction) for every single square addable to the mesh
+    without changing the avoidance set."""
+    return [
+        (a.point, a.squares[0], a.direction)
+        for a, _ in shadeable_assignments(pi.perm, pi.mask, False)
+    ]
+
+
+def shadeable_pairs(
+    pi: MeshPattern,
+) -> list[tuple[tuple[int, int], tuple[Square, Square], str]]:
+    """(point, square pair, direction) for every addable adjacent pair."""
+    return [
+        (a.point, a.squares, a.direction)
+        for a, _ in shadeable_assignments(pi.perm, pi.mask, True)
+    ]
+
+
+def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
+    """Every simultaneous-shading move of the pattern, smallest first.
+
+    Choice functions assign to each graph point at most one of its shadeable
+    singles or pairs; distinct choices adding the same square set collapse
+    to one move, since only the union matters downstream.
+    """
+    return list(_disjoint(pi.perm, pi.mask, _moves(pi.perm, _option_vector(pi.perm, pi.mask))))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +544,11 @@ class ClosureResult:
     perm: Perm
     classes: tuple[ClosureClass, ...]
     complete: bool
+    expanded: int  # meshes whose shading moves were taken
+
+    @property
+    def size(self) -> int:
+        return sum(len(cls.meshes) for cls in self.classes)
 
     def class_of(self, mask: int) -> ClosureClass | None:
         for cls in self.classes:
@@ -511,16 +622,22 @@ def ssl_closure(
             log.append(step)
 
     spent = 0
+    # the moves of each option vector met, for this closure only
+    memo: dict[bytes, tuple[ShadeMove, ...]] = {}
 
     def expand() -> bool:
+        # the frontier is taken in FIFO batches, so the meshes are expanded
+        # and their steps joined in the order one at a time would take
         nonlocal spent
         while frontier:
-            if budget is not None and spent >= budget:
+            size = len(frontier) if budget is None else min(len(frontier), budget - spent)
+            if size == 0:
                 return False
-            spent += 1
-            mesh = frontier.popleft()
-            for move in ssl_moves(MeshPattern(p, mesh)):
-                join(TraceStep("SSL", p, mesh, mesh | move.added, move.assignments))
+            batch = [frontier.popleft() for _ in range(size)]
+            spent += size
+            for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
+                for move in moves:
+                    join(TraceStep("SSL", p, mesh, mesh | move.added, move.assignments))
         return True
 
     def sandwich(dirty: set[int]) -> None:
@@ -562,4 +679,4 @@ def ssl_closure(
         ClosureClass(tuple(groups[root]), tuple(steps.get(root, ())))
         for root in sorted(groups)
     )
-    return ClosureResult(p, classes, complete)
+    return ClosureResult(p, classes, complete, spent)

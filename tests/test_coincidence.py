@@ -180,6 +180,30 @@ class TestDecide:
         with pytest.raises(ValueError, match="fingerprint depth"):
             decide_coincidence(parse_mesh_pattern(first), parse_mesh_pattern(second), depth)
 
+    def test_undecided_says_the_closure_finished_disconnected(self):
+        # the stubborn pair of test_14_undecided_honesty: neither mesh has a
+        # shading move, so its closure is the two seeds
+        base = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 2), (3, 0), (3, 2), (3, 3)]
+        v = decide_coincidence(
+            MeshPattern.of("123", base), MeshPattern.of("123", base + [(2, 1)]), 8
+        )
+        assert v.status == "UNDECIDED"
+        assert v.reason == ("disconnected", 2)
+
+    def test_undecided_says_the_closure_ran_out_of_budget(self):
+        first = parse_mesh_pattern("24153:(0,0)(5,5)")
+        second = parse_mesh_pattern("24153:(0,0)(1,2)(5,5)")
+        v = decide_coincidence(first, second, 6)
+        assert v.status == "UNDECIDED"
+        assert v.reason == ("budget", coincidence._DECIDE_CLOSURE_BUDGET)
+        # S_7 separates them, so the closure could not have joined them
+        assert decide_coincidence(first, second, 7).status == "REFUTED"
+
+    def test_only_undecided_verdicts_carry_a_reason(self):
+        pi = MeshPattern.of("231", [(1, 0)])
+        assert decide_coincidence(pi, pi, 5).reason is None
+        assert decide_coincidence(MeshPattern.of("12"), MeshPattern.of("123"), 5).reason is None
+
     def test_different_patterns_refuted(self):
         v = decide_coincidence(MeshPattern.of("12"), MeshPattern.of("123"), 5)
         assert v.status == "REFUTED"
@@ -389,14 +413,17 @@ class TestPartition:
     def test_edge_across_signatures_is_a_hard_error(self, monkeypatch):
         import meshcide.shading as shading
 
-        real = shading.ssl_moves
+        real = shading._frontier_moves
         # (2,0) is pointless over 12, so shading it changes the diagonals
         bogus = ShadeMove((), square_bit(2, 2, 0))
 
-        def with_bogus_move(pi):
-            return real(pi) + ([bogus] if pi.mask == 0 else [])
+        def with_bogus_move(p, batch, memo):
+            return [
+                moves + ((bogus,) if mesh == 0 else ())
+                for mesh, moves in zip(batch, real(p, batch, memo))
+            ]
 
-        monkeypatch.setattr(shading, "ssl_moves", with_bogus_move)
+        monkeypatch.setattr(shading, "_frontier_moves", with_bogus_move)
         with pytest.raises(AssertionError, match="truncated signatures differ"):
             partition_meshes((1, 2), 4)
 

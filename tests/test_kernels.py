@@ -17,6 +17,7 @@ from meshcide.mesh import (
     squares_to_mask,
 )
 from meshcide.diagonals import apply_symmetry_mask, enc_square_sets, enclosed_diagonals
+from meshcide import shading
 from meshcide.shading import shadeable_pairs, shadeable_singles, ssl_moves
 from meshcide.coincidence import classify_family
 
@@ -113,6 +114,85 @@ def test_ssl_moves_commute_with_the_stabilizer(p):
         for mask in masks:
             want = {apply_symmetry_mask(sym, k, a) for a in moves[mask]}
             assert moves[image[mask]] == want, (p, sym, mask)
+
+
+def _batch_split(p, batch):
+    """The batch engine's option vectors, one per mesh of the batch."""
+    vectors = shading._batch_vectors(p, batch)
+    count = len(shading._compiled(p))
+    assert len(vectors) == len(batch) * count
+    return [vectors[t * count : (t + 1) * count] for t in range(len(batch))]
+
+
+def _passing(p, vector):
+    """The singles and the pairs whose probes a vector passes, in the form
+    of the corner-condition oracles."""
+    singles, pairs = [], []
+    for (a, *_), passed in zip(shading._compiled(p), vector):
+        if passed and a.kind == "single":
+            singles.append((a.point, a.squares[0], a.direction))
+        elif passed:
+            pairs.append((a.point, a.squares, a.direction))
+    return singles, pairs
+
+
+def _cross_check(p, masks, oracle_masks):
+    batch = list(masks)
+    for mask, vector in zip(batch, _batch_split(p, batch)):
+        assert vector == shading._option_vector(p, mask), (p, mask)
+    for mask in oracle_masks:
+        want = (shadeable_singles_brute(p, mask), shadeable_pairs_brute(p, mask))
+        assert _passing(p, shading._option_vector(p, mask)) == want, (p, mask)
+
+
+@pytest.mark.parametrize("p", EXHAUSTIVE)
+def test_batch_engine_on_every_mesh(p):
+    # one whole-cube batch; the oracle runs on a seeded tenth of 123
+    masks = range(1 << (len(p) + 1) ** 2)
+    oracle = masks if len(p) < 3 else random.Random(1412).sample(masks, 6554)
+    _cross_check(p, masks, oracle)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [p for p in itertools.permutations((1, 2, 3)) if p not in EXHAUSTIVE]
+    + [(2, 4, 1, 3), (2, 4, 1, 5, 3)],
+)
+def test_batch_engine_on_seeded_masks(p):
+    rng = random.Random(f"batch:{p}")
+    nbits = (len(p) + 1) ** 2
+    masks = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(1000)]
+    _cross_check(p, masks, masks[:300])
+
+
+def test_batch_order_duplicates_and_singletons():
+    p = (2, 4, 1, 3)
+    rng = random.Random(1412)
+    masks = [rng.getrandbits(25) for _ in range(40)]
+    batch = masks + masks[::3] + [0, 0]
+    rng.shuffle(batch)
+    want = [tuple(ssl_moves(MeshPattern(p, mask))) for mask in batch]
+    assert shading._frontier_moves(p, batch, {}) == want
+    for mask in batch[:5]:
+        assert _batch_split(p, [mask]) == [shading._option_vector(p, mask)]
+        assert shading._frontier_moves(p, [mask], {}) == [tuple(ssl_moves(MeshPattern(p, mask)))]
+
+
+def test_compile_rejects_a_non_uniform_neighbour_shift(monkeypatch):
+    real = shading.apply_symmetry_square
+    swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
+
+    def not_affine(name, k, square):
+        image = real(name, k, square)
+        return swap.get(image, image)
+
+    monkeypatch.setattr(shading, "apply_symmetry_square", not_affine)
+    shading._compiled.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not onto one neighbour offset"):
+            shading._compiled((1, 2))
+    finally:
+        shading._compiled.cache_clear()
 
 
 def _rows(p, masks, n_max):

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from meshcide.mesh import (
     occurrence_region_mask,
     squares_to_mask,
 )
+from meshcide import shading
 from meshcide.diagonals import apply_symmetry_mesh, apply_symmetry_square
 from meshcide.shading import (
     Assignment,
@@ -156,6 +160,35 @@ class TestSslMoves:
                 assert move.added & pi.mask == 0
                 points = [a.point for a in move.assignments]
                 assert len(points) == len(set(points))
+
+    def test_overlapping_move_is_a_hard_error(self, monkeypatch):
+        real = shading._moves
+        # every square of the grid: it overlaps any mesh with a shaded square
+        overlap = ShadeMove((), (1 << 9) - 1)
+        monkeypatch.setattr(shading, "_moves", lambda p, vector: real(p, vector) + (overlap,))
+        with pytest.raises(AssertionError, match="adds shaded squares"):
+            ssl_moves(MeshPattern.of("12", [(2, 0)]))
+        with pytest.raises(AssertionError, match="adds shaded squares"):
+            ssl_closure((1, 2), [msk(2, [(2, 0)])])
+
+    def test_overlap_check_survives_optimised_bytecode(self):
+        # the check must hold where asserts are stripped
+        script = (
+            "import meshcide.shading as s\n"
+            "real = s._moves\n"
+            "s._moves = lambda p, v: real(p, v) + (s.ShadeMove((), 511),)\n"
+            "try:\n"
+            "    s.ssl_closure((1, 2), [1])\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(shading.__file__))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": package_root},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "adds shaded squares" in out.stdout
 
     def test_no_moves_when_nothing_shadeable(self):
         # a full mesh leaves nothing to add
