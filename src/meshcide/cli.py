@@ -211,6 +211,9 @@ def _cmd_coincident(args) -> int:
         payload["trace"] = trace_to_json(verdict.trace)
         rules = [s.rule for s in verdict.trace.steps]
         lines.append(f"trace: {len(rules)} steps ({', '.join(rules)})")
+    if verdict.reason is not None:
+        payload["reason"] = list(verdict.reason)
+        lines.append(f"reason: {verdict.reason[0]} {verdict.reason[1]}")
     lines.append(f"depth: {verdict.depth}")
     _emit(args, payload, lines)
     return 0

@@ -47,11 +47,9 @@ from .diagonals import (
     enc_core_mask,
     enc_witness,
     enclosed_diagonals,
-    map_mask,
     pointless_mask,
     same_enc,
     sorted_diagonals,
-    symmetry_tables,
 )
 from .shading import (
     Assignment,
@@ -465,40 +463,13 @@ def default_partition_depth(k: int) -> int:
     return 7 if k <= 2 else 6
 
 
-def _rule_steps(p: Perm, sigs: tuple[int, ...], use_gamma: bool) -> list[TraceStep]:
-    """The mesh-shape rule edges of the partition: a chain through each
-    bucket of meshes that share a truncation and a rule (classical;
-    vincular or isolating with one enclosed-diagonal core), each chain edge
-    with its images under the stabilizer of ``p``, and the gamma pairs."""
-    k = len(p)
-    buckets: dict[tuple, list[int]] = {}
-    for mesh, sig in enumerate(sigs):
-        pattern = MeshPattern(p, mesh)
-        core = enc_core_mask(pattern)
-        if not core:
-            buckets.setdefault(("CLASSICAL", sig), []).append(mesh)
-        tags = classify_family(pattern)
-        if tags.vincular:
-            buckets.setdefault(("VINCULAR", sig, core), []).append(mesh)
-        if tags.isolating and _single_shading_chain(p, core, mesh) is not None:
-            buckets.setdefault(("ISOLATING", sig, core), []).append(mesh)
-    stabilizer = [
-        (s, symmetry_tables(s, k))
-        for s in SYMMETRIES
-        if s != "id" and apply_symmetry_perm(s, p) == p
+def _gamma_steps(p: Perm) -> list[TraceStep]:
+    """The gamma pairs over ``p``, one step per symmetric orientation."""
+    return [
+        TraceStep("GAMMA", p, g1.mask, g2.mask, (sym,))
+        for sym, g1, g2 in _gamma_orientations()
+        if g1.perm == p
     ]
-    steps = []
-    for (rule, *_), bucket in buckets.items():
-        for a, b in zip(bucket, bucket[1:]):
-            steps.append(TraceStep(rule, p, a, b))
-            for sym, tables in stabilizer:
-                ga, gb = map_mask(tables, a), map_mask(tables, b)
-                steps.append(TraceStep("SYMMETRY", p, ga, gb, (sym, p, a, b)))
-    if use_gamma:
-        for sym, g1, g2 in _gamma_orientations():
-            if g1.perm == p:
-                steps.append(TraceStep("GAMMA", p, g1.mask, g2.mask, (sym,)))
-    return steps
 
 
 def partition_meshes(
@@ -511,11 +482,13 @@ def partition_meshes(
 
     Groups with distinct truncations are definitively distinct, so classes
     are the truncation groups.  The proof relation is :func:`ssl_closure`
-    over every mesh, given the edges of the mesh-shape rules, their images
-    under the stabilizer of ``p`` and the gamma pair; shading moves and
-    sandwiching commute with that stabilizer, so their edges need no
-    images.  A class is PROVEN when the relation connects all of its
-    members, and CONJECTURED otherwise, with its proven sub-blocks reported.
+    over every mesh: simultaneous shading and sandwiching, given only the
+    gamma pairs (when ``use_gamma``).  Over the whole cube that closure
+    already derives the classical, vincular and isolating rules, so the
+    blocks do not depend on the depth, and every step of a class replays
+    under :func:`verify_trace`.  A class is PROVEN when the relation
+    connects all of its members, and CONJECTURED otherwise, with its
+    proven sub-blocks reported.
     A proof block that spans two truncations is an ``AssertionError``.  A
     depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work,
     and so does a pattern or depth that ``containment_signatures`` rejects.
@@ -526,7 +499,7 @@ def partition_meshes(
         n_max = default_partition_depth(k)
     check_depth(n_max)
     sigs = containment_signatures(p, n_max)
-    closure = ssl_closure(p, range(len(sigs)), given=_rule_steps(p, sigs, use_gamma))
+    closure = ssl_closure(p, range(len(sigs)), given=_gamma_steps(p) if use_gamma else ())
 
     # blocks come sorted by least member, so groups do too
     groups: dict[int, list[tuple[int, ...]]] = {}
@@ -565,7 +538,9 @@ def partition_records(result: PartitionResult) -> list[dict]:
                 [[a, b] for a, b in mask_to_squares(k, m)] for m in cls.meshes
             ],
             "enc": [diagonal_to_json(d) for d in sorted_diagonals(rep)],
-            "fingerprint": _class_fingerprint(result, cls).hex_rows(),
+            "fingerprint": _split_signature(
+                result.signatures[cls.representative], result.n_max
+            ).hex_rows(),
         }
         if cls.status == "CONJECTURED":
             rec["blocks"] = [
@@ -584,10 +559,6 @@ def _split_signature(sig: int, n_max: int) -> Fingerprint:
         rows.append((sig >> shift) & ((1 << width) - 1))
         shift += width
     return Fingerprint(n_max, tuple(rows))
-
-
-def _class_fingerprint(result: PartitionResult, cls: PartitionClass) -> Fingerprint:
-    return _split_signature(result.signatures[cls.representative], result.n_max)
 
 
 def partition_summary(result: PartitionResult) -> dict:
@@ -619,35 +590,59 @@ def load_partition_cache(
     path: str | Path, p: Perm, n_max: int, use_gamma: bool = True
 ) -> list[str] | None:
     """Reload a cached report as its non-blank lines, to be printed as they
-    are.  The representative fingerprints of all classes are recomputed in
-    one shared sweep to confirm the cache still matches this build.  Returns
-    None if the file is malformed, does not fit the request or fails
-    verification."""
+    are, once one fresh signature table confirms every record: the meshes
+    cover the mesh cube exactly once, each record is one whole truncation
+    group with its fingerprint, representative and size, ``blocks`` appears
+    exactly on CONJECTURED records and partitions their meshes, and the
+    summary counts the records.  Returns None if the file is malformed,
+    does not fit the request or fails a check; a pattern or depth that
+    ``containment_signatures`` rejects still raises ``ValueError``."""
     p = make_perm(p)
+    k = len(p)
     target = Path(path)
     if not target.exists():
         return None
     lines = [line for line in target.read_text().splitlines() if line.strip()]
     if not lines:
         return None
-    masks, expected = [], []
+    keys = ("p", "n_max", "gamma", "classes", "proven", "conjectured", "undecided_pairs")
     try:
         summary = json.loads(lines[-1])["summary"]
-        fits = (list(p), n_max, use_gamma, len(lines) - 1)
-        if tuple(summary[key] for key in ("p", "n_max", "gamma", "classes")) != fits:
+        *head, proven, conjectured, undecided = (summary[key] for key in keys)
+        if head != [list(p), n_max, use_gamma, len(lines) - 1]:
             return None
-        # one record at a time, so the decoded classes never pile up
-        for line in lines[:-1]:
-            rec = json.loads(line)
-            rep = rec["representative"]
-            if rep["perm"] != list(p):
-                return None
-            squares = [tuple(sq) for sq in rep.get("mesh", ())]
-            masks.append(squares_to_mask(len(p), squares))
-            expected.append(rec["fingerprint"])
     except (ValueError, TypeError, KeyError, AttributeError):
         return None
-    fps = fingerprints_many(p, masks, n_max)
-    if any(fp.hex_rows() != rows for fp, rows in zip(fps, expected)):
+    sigs = containment_signatures(p, n_max)
+    seen, groups = set(), set()
+    # the summary's counts, counted down to zero record by record
+    tally = {"PROVEN": proven, "CONJECTURED": conjectured}
+    try:
+        # one record at a time, so the decoded records never pile up
+        for line in lines[:-1]:
+            rec = json.loads(line)
+            meshes, rep = rec["meshes"], rec["representative"]
+            masks = [squares_to_mask(k, m) for m in meshes]
+            if rep["perm"] != list(p) or rep["mesh"] != meshes[0] or rec["size"] != len(masks):
+                return None
+            sig, covered = sigs[masks[0]], len(seen)
+            seen.update(masks)
+            groups.add(sig)
+            if len(seen) != covered + len(masks) or any(sigs[m] != sig for m in masks):
+                return None
+            if _split_signature(sig, n_max).hex_rows() != rec["fingerprint"]:
+                return None
+            if rec["status"] == "CONJECTURED":
+                blocks = [[squares_to_mask(k, m) for m in block] for block in rec["blocks"]]
+                members = [m for block in blocks for m in block]
+                if not all(blocks) or len(members) != len(masks) or set(members) != set(masks):
+                    return None
+                undecided -= (len(masks) ** 2 - sum(len(block) ** 2 for block in blocks)) // 2
+            elif "blocks" in rec:
+                return None
+            tally[rec["status"]] -= 1  # a KeyError for any other status
+    except (ValueError, TypeError, KeyError, AttributeError, IndexError):
         return None
-    return lines
+    if len(seen) != len(sigs) or len(groups) != len(lines) - 1:
+        return None
+    return lines if undecided == 0 and set(tally.values()) == {0} else None

@@ -36,11 +36,10 @@ def square_bit(k: int, a: int, b: int) -> int:
 
 def squares_to_mask(k: int, squares: Iterable[Square]) -> int:
     mask = 0
-    for square in squares:
-        a, b = square
+    for a, b in squares:
         if not (0 <= a <= k and 0 <= b <= k):
             raise ParseError(f"square ({a},{b}) lies outside the {k + 1}x{k + 1} grid")
-        mask |= square_bit(k, a, b)
+        mask |= 1 << (a * (k + 1) + b)  # square_bit, inlined for the cache loader
     return mask
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from meshcide import coincidence
 from meshcide.cli import main, render
 from meshcide.coincidence import default_partition_depth
 from meshcide.mesh import MeshPattern, mesh_pattern_from_json, parse_mesh_pattern
@@ -86,6 +87,38 @@ class TestCoincident:
         obj = json.loads(out)
         assert obj["status"] == "PROVEN_COINCIDENT"
         assert obj["trace"]
+        assert "reason" not in obj
+
+    # the two UNDECIDED pairs of test_coincidence.TestDecide
+    STUBBORN = "123:(0,0)(0,1)(1,0)(2,0)(2,2)(3,0)(3,2)(3,3)"
+    UNDECIDED = [
+        ((STUBBORN, STUBBORN.replace("(2,2)", "(2,1)(2,2)"), "8"), ["disconnected", 2]),
+        (
+            ("24153:(0,0)(5,5)", "24153:(0,0)(1,2)(5,5)", "6"),
+            ["budget", coincidence._DECIDE_CLOSURE_BUDGET],
+        ),
+    ]
+
+    @pytest.mark.parametrize("pair, reason", UNDECIDED)
+    def test_undecided_says_why(self, capsys, pair, reason):
+        first, second, depth = pair
+        _, out, _ = run(capsys, "coincident", first, second, "--max-n", depth)
+        assert out.splitlines() == [
+            "UNDECIDED",
+            f"reason: {reason[0]} {reason[1]}",
+            f"depth: {depth}",
+        ]
+
+    def test_undecided_json_carries_the_reason(self, capsys):
+        (first, second, depth), reason = self.UNDECIDED[0]
+        _, out, _ = run(capsys, "coincident", first, second, "--max-n", depth, "--json")
+        assert json.loads(out) == {"status": "UNDECIDED", "depth": 8, "reason": reason}
+
+    def test_decided_verdicts_carry_no_reason(self, capsys):
+        _, out, _ = run(
+            capsys, "coincident", "231:(1,0)(3,1)(3,2)", "231:(1,0)(3,2)", "--max-n", "7"
+        )
+        assert not any(line.startswith("reason") for line in out.splitlines())
 
 
 class TestAvoiders:

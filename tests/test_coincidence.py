@@ -16,8 +16,21 @@ from meshcide.mesh import (
     square_bit,
     squares_to_mask,
 )
-from meshcide.diagonals import apply_symmetry_mask, apply_symmetry_mesh, enc_square_sets, same_enc
-from meshcide.shading import Assignment, ProofTrace, ShadeMove, TraceStep, shadeable_pairs
+from meshcide.diagonals import (
+    apply_symmetry_mask,
+    apply_symmetry_mesh,
+    enc_core_mask,
+    enc_square_sets,
+    same_enc,
+)
+from meshcide.shading import (
+    Assignment,
+    ProofTrace,
+    ShadeMove,
+    TraceStep,
+    shadeable_pairs,
+    ssl_closure,
+)
 from meshcide.coincidence import (
     GAMMA_1,
     GAMMA_2,
@@ -44,6 +57,52 @@ from oracles import fingerprints_brute
 
 def msk(k, squares):
     return squares_to_mask(k, squares)
+
+
+def _cut_to_one_mesh(records):
+    # a proven class marked CONJECTURED and cut down to one mesh
+    first = records[0]
+    first.update(status="CONJECTURED", meshes=first["meshes"][:1], size=1)
+
+
+def _cut_with_blocks(records):
+    _cut_to_one_mesh(records)
+    records[0]["blocks"] = [records[0]["meshes"]]
+
+
+def _swap_meshes(records):
+    a, b = records[0]["meshes"], records[1]["meshes"]
+    a[-1], b[-1] = b[-1], a[-1]
+
+
+def _conjectured(records):
+    return next(r for r in records if r.get("status") == "CONJECTURED")
+
+
+def _duplicate_block_member(records):
+    blocks = _conjectured(records)["blocks"]
+    blocks[1].append(blocks[0][0])
+
+
+# edits of a 12@4 report that the cache loader must reject
+CACHE_EDITS = {
+    "cut to one mesh": _cut_to_one_mesh,
+    "cut to one mesh, with its block": _cut_with_blocks,
+    "meshes swapped between records": _swap_meshes,
+    "size off by one": lambda records: records[0].update(size=records[0]["size"] + 1),
+    "meshes listed twice": lambda records: records[0].update(
+        meshes=records[0]["meshes"] * 2, size=2 * records[0]["size"]
+    ),
+    "blocks on a proven record": lambda records: records[0].update(
+        blocks=[records[0]["meshes"]]
+    ),
+    "conjectured record without blocks": lambda records: _conjectured(records).pop("blocks"),
+    "a mesh in two blocks": _duplicate_block_member,
+    "proven record called conjectured": lambda records: records[0].update(
+        status="CONJECTURED", blocks=[records[0]["meshes"]]
+    ),
+    "summary miscounts": lambda records: records[-1]["summary"].update(undecided_pairs=0),
+}
 
 
 class TestFamilies:
@@ -510,6 +569,25 @@ class TestPartition:
         assert load_partition_cache(out, (1,), 5, use_gamma=True) is None
         assert load_partition_cache(out, (1,), 5, use_gamma=False) is not None
 
+    @pytest.mark.parametrize("edit", sorted(CACHE_EDITS))
+    def test_cache_rejects_edited_records(self, tmp_path, edit):
+        out = tmp_path / "part.jsonl"
+        lines = partition_lines(partition_meshes((1, 2), 4))
+        write_partition_cache(out, lines)
+        assert load_partition_cache(out, (1, 2), 4) == lines
+        records = [json.loads(line) for line in lines]
+        CACHE_EDITS[edit](records)
+        write_partition_cache(out, [json.dumps(r) for r in records])
+        assert load_partition_cache(out, (1, 2), 4) is None
+
+    def test_cache_of_a_pattern_without_signatures_raises(self, tmp_path):
+        out = tmp_path / "part.jsonl"
+        summary = {"p": [1, 2, 3, 4], "n_max": 3, "gamma": True, "classes": 0}
+        summary.update(proven=0, conjectured=0, undecided_pairs=0)
+        write_partition_cache(out, [json.dumps({"summary": summary})])
+        with pytest.raises(ValueError, match="MAX_SIGNATURE_LENGTH"):
+            load_partition_cache(out, (1, 2, 3, 4), 3)
+
     def test_summary_counts(self):
         result = partition_meshes((1, 2), 7, use_gamma=False)
         s = partition_summary(result)
@@ -546,3 +624,68 @@ class TestPartitionLength3:
         for cls in partition_123_depth_4.classes:
             assert sorted(m for b in cls.blocks for m in b) == list(cls.meshes)
             assert {sigs[m] for m in cls.meshes} == {sigs[cls.representative]}
+
+
+def assert_shape_rules_hold(result):
+    """The classical, vincular and isolating rules hold in the blocks of a
+    partition, whose closure is given none of their edges: all meshes with
+    no enclosed diagonal share one block, column-union meshes with one
+    diagonal core share one block and so do row-union meshes, and every
+    isolating mesh that single-square shading grows from its core lies in
+    that core's block."""
+    p = result.perm
+    k = len(p)
+    width = k + 1
+    block_of = {m: block for cls in result.classes for block in cls.blocks for m in block}
+    assert len(block_of) == 1 << width * width
+    classical = set()
+    for mesh in block_of:
+        pattern = MeshPattern(p, mesh)
+        core = enc_core_mask(pattern)
+        if not core:
+            classical.add(block_of[mesh])
+        elif classify_family(pattern).isolating:
+            if coincidence._single_shading_chain(p, core, mesh) is not None:
+                assert block_of[mesh] == block_of[core], (p, mesh)
+    assert len(classical) == 1
+    for line in (
+        lambda a: sum(square_bit(k, a, b) for b in range(width)),  # columns
+        lambda b: sum(square_bit(k, a, b) for a in range(width)),  # rows
+    ):
+        by_core = {}
+        for chosen in itertools.product((0, 1), repeat=width):
+            mesh = sum(line(i) for i in range(width) if chosen[i])
+            by_core.setdefault(enc_core_mask(MeshPattern(p, mesh)), set()).add(block_of[mesh])
+        assert all(len(blocks) == 1 for blocks in by_core.values()), p
+
+
+class TestShapeRulesSubsumed:
+    """The partition's closure is given only the gamma pairs; these rules
+    must follow from shading and sandwiching alone.  Blocks do not depend on
+    the depth, so depth 1 suffices."""
+
+    @pytest.mark.parametrize(
+        "p, use_gamma",
+        [((1,), True), ((1, 2), True), ((1, 2), False), ((2, 1), True), ((1, 3, 2), True)],
+    )
+    def test_small_patterns(self, p, use_gamma):
+        assert_shape_rules_hold(partition_meshes(p, 1, use_gamma))
+
+    def test_123(self, partition_123_depth_4):
+        assert_shape_rules_hold(partition_123_depth_4)
+
+
+@pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1)])
+@pytest.mark.parametrize("use_gamma", [True, False])
+def test_partition_steps_replay(p, use_gamma):
+    # the whole-cube closure partition_meshes runs: every class's own steps
+    # prove each member coincident with its representative
+    given = coincidence._gamma_steps(p) if use_gamma else ()
+    closure = ssl_closure(p, range(1 << (len(p) + 1) ** 2), given=given)
+    result = partition_meshes(p, 4, use_gamma)
+    assert {c.meshes for c in closure.classes} == {b for c in result.classes for b in c.blocks}
+    for cls in closure.classes:
+        assert {step.rule for step in cls.steps} <= {"SSL", "CLOSURE", "GAMMA"}
+        rep = cls.meshes[0]
+        for member in cls.meshes[1:]:
+            assert verify_trace(ProofTrace(p, rep, member, cls.steps)), (p, member)

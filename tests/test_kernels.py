@@ -96,8 +96,9 @@ EXHAUSTIVE = [(1,), (1, 2), (2, 1), (1, 2, 3)]
     "p", EXHAUSTIVE + [p for p in itertools.permutations((1, 2, 3)) if p not in EXHAUSTIVE]
 )
 def test_ssl_moves_commute_with_the_stabilizer(p):
-    # the closure maps only rule edges through the stabilizer of p, which
-    # is sound because the moves of an image are the images of the moves
+    # no closure edge is mapped through the stabilizer of p: the moves of an
+    # image are the images of the moves, and this equivariance is what makes
+    # the partition's blocks map onto blocks under the stabilizer
     k = len(p)
     nbits = (k + 1) ** 2
     if p in EXHAUSTIVE:
