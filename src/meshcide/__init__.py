@@ -58,7 +58,6 @@ from .coincidence import (
     gamma_rule,
     isolating_rule,
     partition_meshes,
-    vincular_rule,
     verify_trace,
 )
 

@@ -19,8 +19,6 @@ from pathlib import Path
 from .perm import (
     SYMMETRIES,
     Perm,
-    apply_symmetry_perm,
-    inverse_symmetry,
     is_sum_decomposable,
     lex_unrank,
     make_perm,
@@ -41,7 +39,6 @@ from .mesh import (
     squares_to_mask,
 )
 from .diagonals import (
-    apply_symmetry_mask,
     apply_symmetry_mesh,
     diagonal_to_json,
     enc_core_mask,
@@ -159,23 +156,6 @@ def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
 
 
-def vincular_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
-    """Column-union meshes with equal enclosed diagonals are coincident."""
-    if pi.perm != pi2.perm:
-        return None
-    if not (classify_family(pi).vincular and classify_family(pi2).vincular):
-        return None
-    if not same_enc(pi, pi2):
-        return None
-    if pi.k > 3 and pi.mask != pi2.mask:
-        # Each shaded column of a length > 3 pattern keeps a pointless
-        # square, so equal diagonals force equal meshes.
-        raise AssertionError(
-            f"distinct column-union meshes with equal diagonals at k={pi.k}"
-        )
-    return [TraceStep("VINCULAR", pi.perm, pi.mask, pi2.mask)]
-
-
 def _single_shading_chain(
     p: Perm, start: int, target: int
 ) -> list[TraceStep] | None:
@@ -264,24 +244,8 @@ def verify_trace(trace: ProofTrace) -> bool:
                 return False
             if uf.find(key(step.perm, lo)) != uf.find(key(step.perm, hi)):
                 return False
-        elif step.rule == "SYMMETRY":
-            sym, src_perm, src_before, src_after = step.detail
-            if apply_symmetry_perm(sym, src_perm) != step.perm:
-                return False
-            sk = len(src_perm)
-            if apply_symmetry_mask(sym, sk, src_before) != step.before:
-                return False
-            if apply_symmetry_mask(sym, sk, src_after) != step.after:
-                return False
-            if uf.find(key(src_perm, src_before)) != uf.find(key(src_perm, src_after)):
-                return False
         elif step.rule == "CLASSICAL":
             if classical_rule(pattern, MeshPattern(step.perm, step.after)) is None:
-                return False
-        elif step.rule == "VINCULAR":
-            other = MeshPattern(step.perm, step.after)
-            tags1, tags2 = classify_family(pattern), classify_family(other)
-            if not (tags1.vincular and tags2.vincular and same_enc(pattern, other)):
                 return False
         elif step.rule == "ISOLATING":
             other = MeshPattern(step.perm, step.after)
@@ -339,23 +303,15 @@ def _proof_search(
 ) -> tuple[list[TraceStep] | None, tuple[str, int] | None]:
     """Proof steps joining the pair, or None with the reason the closure
     gave up."""
-    rules = (classical_rule, vincular_rule, isolating_rule, gamma_rule)
-    for sym in SYMMETRIES:
-        a = apply_symmetry_mesh(sym, pi)
-        b = apply_symmetry_mesh(sym, pi2)
-        for rule in rules:
-            inner = rule(a, b)
-            if inner is None:
-                continue
-            if sym == "id":
-                return inner, None
-            back = inverse_symmetry(sym)
-            transfer = TraceStep(
-                "SYMMETRY", pi.perm, pi.mask, pi2.mask, (back, a.perm, a.mask, b.mask)
-            )
-            return inner + [transfer], None
+    for rule in (classical_rule, isolating_rule, gamma_rule):
+        steps = rule(pi, pi2)
+        if steps is not None:
+            return steps, None
     # Simultaneous shading and sandwiching connect the two meshes directly;
     # the move set is symmetry-equivariant, so one orientation suffices.
+    # It also joins the column-union and row-union pairs, the only pairs a
+    # rule proved just in another orientation, so the rules above run in
+    # this one (gamma_rule checks every orientation itself).
     closure = ssl_closure(
         pi.perm, (pi.mask, pi2.mask), budget=_DECIDE_CLOSURE_BUDGET
     )
@@ -376,8 +332,8 @@ def decide_coincidence(
     shorter underlying permutation already separates them); distinct
     enclosed diagonals (constructive short witness); a truncated avoidance
     sweep to ``n_max`` (lexicographically least separating permutation);
-    then the proof rules over all eight symmetric orientations, and last
-    the shading closure of the pair.  Anything left is honestly UNDECIDED
+    then the classical, isolating and gamma rules, and last the shading
+    closure of the pair.  Anything left is honestly UNDECIDED
     at the reported depth, with the reason the closure gave up.  A depth
     outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """

@@ -99,9 +99,6 @@ class MeshPattern:
     def has_square(self, a: int, b: int) -> bool:
         return bool(self.mask & square_bit(self.k, a, b))
 
-    def with_mask(self, mask: int) -> "MeshPattern":
-        return MeshPattern(self.perm, mask)
-
     def text(self) -> str:
         body = "".join(f"({a},{b})" for a, b in self.squares)
         return perm_text(self.perm) + (":" + body if body else "")
@@ -187,10 +184,6 @@ def mesh_occurrences(pi: MeshPattern, w: Perm) -> list[Occurrence]:
 def contains(pi: MeshPattern, w: Perm) -> bool:
     """Mesh containment; stops at the first valid occurrence."""
     return next(iter_mesh_occurrences(pi, w), None) is not None
-
-
-def avoids(pi: MeshPattern, w: Perm) -> bool:
-    return not contains(pi, w)
 
 
 def avoiders(pi: MeshPattern, n: int) -> list[Perm]:

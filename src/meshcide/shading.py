@@ -17,7 +17,6 @@ bit-slices, one big integer per grid square.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -87,11 +86,6 @@ class ShadeMove:
 
     assignments: tuple[Assignment, ...]
     added: int  # union of all assigned squares, as a mask
-
-    def added_squares(self, k: int) -> tuple[Square, ...]:
-        from .mesh import mask_to_squares
-
-        return mask_to_squares(k, self.added)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +253,26 @@ def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
 def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
     """The moves of :func:`ssl_moves` for a mesh whose probes pass as
     ``vector`` says; they depend on nothing else."""
-    options: list[list] = [[None] for _ in p]
+    options: list[list] = [[] for _ in p]
     for (assignment, bits, _, _), passed in zip(_compiled(p), vector):
         if passed:
             options[assignment.point[0] - 1].append((assignment, bits))
-    seen: dict[int, ShadeMove] = {}
-    for combo in itertools.product(*options):
-        chosen = [c for c in combo if c is not None]
-        if not chosen:
-            continue
-        added = 0
-        for _, bits in chosen:
-            added |= bits
-        if added not in seen:
-            seen[added] = ShadeMove(tuple(a for a, _ in chosen), added)
-    return tuple(sorted(seen.values(), key=lambda m: (m.added.bit_count(), m.added)))
+    # Choices grow point by point in product order, no assignment first, and
+    # only the first choice of each union is kept: a later choice with the
+    # same union, extended by any suffix, comes after the first one
+    # extended by that suffix.
+    first: dict[int, tuple[Assignment, ...]] = {0: ()}
+    for point_options in options:
+        grown: dict[int, tuple[Assignment, ...]] = {}
+        for added, chosen in first.items():
+            grown.setdefault(added, chosen)
+            for assignment, bits in point_options:
+                if added | bits not in grown:
+                    grown[added | bits] = chosen + (assignment,)
+        first = grown
+    del first[0]
+    moves = (ShadeMove(chosen, added) for added, chosen in first.items())
+    return tuple(sorted(moves, key=lambda m: (m.added.bit_count(), m.added)))
 
 
 def _disjoint(p: Perm, mask: int, moves: tuple[ShadeMove, ...]) -> tuple[ShadeMove, ...]:
@@ -443,7 +442,7 @@ class TraceStep:
     """One re-checkable inference.  ``before``/``after`` are mesh masks over
     ``perm``'s grid; the pair is asserted coincident by ``rule``."""
 
-    rule: str  # SL | SSL | CLOSURE | GAMMA | SYMMETRY | VINCULAR | ISOLATING | CLASSICAL
+    rule: str  # SL | SSL | CLOSURE | GAMMA | ISOLATING | CLASSICAL
     perm: Perm
     before: int
     after: int
@@ -480,18 +479,7 @@ def trace_step_to_json(step: TraceStep) -> dict:
         lo, hi = step.detail
         obj["mesh"] = sq(step.after)
         obj["between"] = [sq(lo), sq(hi)]
-    elif step.rule == "SYMMETRY":
-        sym, src_perm, src_before, src_after = step.detail
-        obj["symmetry"] = sym
-        obj["of"] = {
-            "perm": list(src_perm),
-            "pair": [
-                [[a, b] for a, b in mask_to_squares(len(src_perm), src_before)],
-                [[a, b] for a, b in mask_to_squares(len(src_perm), src_after)],
-            ],
-        }
-        obj["pair"] = [sq(step.before), sq(step.after)]
-    else:  # GAMMA / VINCULAR / ISOLATING / CLASSICAL relate a pair directly
+    else:  # GAMMA / ISOLATING / CLASSICAL relate a pair directly
         obj["pair"] = [sq(step.before), sq(step.after)]
         if step.detail:
             obj["detail"] = list(step.detail)

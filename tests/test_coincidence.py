@@ -21,6 +21,7 @@ from meshcide.diagonals import (
     apply_symmetry_mesh,
     enc_core_mask,
     enc_square_sets,
+    enc_witness,
     same_enc,
 )
 from meshcide.shading import (
@@ -47,7 +48,6 @@ from meshcide.coincidence import (
     partition_records,
     partition_summary,
     verify_trace,
-    vincular_rule,
     write_partition_cache,
     _split_signature,
 )
@@ -148,13 +148,20 @@ class TestRules:
         bare = MeshPattern.of("231")
         column = MeshPattern.of("231", [(2, y) for y in range(4)])
         assert classical_rule(bare, column) is not None
-        assert vincular_rule(bare, column) is not None
+        v = decide_coincidence(bare, column, 5)
+        assert v.status == "PROVEN_COINCIDENT"
+        assert [s.rule for s in v.trace.steps] == ["CLASSICAL"]
 
     def test_vincular_rule_requires_same_enc(self):
+        # column unions with distinct enclosed diagonals are refuted by the
+        # diagonal witness before any proof is tried
         a = MeshPattern.of("12", [(0, y) for y in range(3)])
         b = MeshPattern.of("12")
         assert not same_enc(a, b)
-        assert vincular_rule(a, b) is None
+        v = decide_coincidence(a, b, 5)
+        witness = enc_witness(a, b)
+        assert v.status == "REFUTED"
+        assert (v.witness, v.witness_contains_first) == (witness.perm, witness.contains_first)
 
     def test_long_vincular_equal_enc_means_equal_mesh(self):
         # over one length-5 pattern: any two column unions sharing their
@@ -319,8 +326,9 @@ class TestDecide:
         assert any(s.rule == "GAMMA" for s in v.trace.steps)
 
     def test_rule_transfer_through_symmetry(self):
-        # full rows over 312; only the transposed images are column unions
-        # (their shared enclosed diagonal is the pointless corner square)
+        # full rows over 312, which are not column unions (their shared
+        # enclosed diagonal is the pointless corner square): the closure
+        # proves them in their own orientation
         a = MeshPattern.of("312", [(x, 0) for x in range(4)])
         b = MeshPattern.of("312", [(x, 0) for x in range(4)] + [(x, 2) for x in range(4)])
         assert not classify_family(a).vincular
@@ -352,6 +360,28 @@ class TestDecide:
                     apply_symmetry_mesh(s, a), apply_symmetry_mesh(s, b), 5
                 )
                 assert v.status == base
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_line_unions_with_equal_diagonals_are_proven(k):
+    # column unions (vincular) and row unions: pairs sharing their enclosed
+    # diagonals are proven by the classical rule or the closure, with no
+    # rule of their own and no change of orientation
+    width = k + 1
+    for p in all_perms(k):
+        for line in (
+            lambda a: sum(square_bit(k, a, b) for b in range(width)),  # columns
+            lambda b: sum(square_bit(k, a, b) for a in range(width)),  # rows
+        ):
+            by_enc = {}
+            for chosen in itertools.product((0, 1), repeat=width):
+                mesh = MeshPattern(p, sum(line(i) for i in range(width) if chosen[i]))
+                by_enc.setdefault(frozenset(enc_square_sets(mesh)), []).append(mesh)
+            for group in by_enc.values():
+                for a, b in itertools.combinations(group, 2):
+                    v = decide_coincidence(a, b, 4)
+                    assert v.status == "PROVEN_COINCIDENT", (a.text(), b.text())
+                    assert verify_trace(v.trace)
 
 
 class TestVerifyTrace:
@@ -388,7 +418,9 @@ class TestVerifyTrace:
         point, pair, direction = shadeable_pairs(pi)[0]
         grown = pi.mask | msk(2, pair)
         detail = (Assignment(point, "pair", direction, pair),)
-        for rule, valid in (("SSL", True), ("DSL", False)):
+        for rule, valid in (
+            ("SSL", True), ("DSL", False), ("SYMMETRY", False), ("VINCULAR", False)
+        ):
             step = TraceStep(rule, pi.perm, pi.mask, grown, detail)
             assert verify_trace(ProofTrace(pi.perm, pi.mask, grown, (step,))) is valid
 
