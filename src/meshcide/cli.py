@@ -243,13 +243,11 @@ def _cmd_partition(args) -> int:
     if args.out:
         cached = load_partition_cache(args.out, p, n_max, use_gamma=not args.no_gamma)
         if cached is not None:
-            for line in cached:
-                print(line)
+            sys.stdout.write("\n".join(cached) + "\n")
             return 0
     result = partition_meshes(p, n_max, use_gamma=not args.no_gamma)
     lines = partition_lines(result)
-    for line in lines:
-        print(line)
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         write_partition_cache(args.out, lines)
     return 0

@@ -33,10 +33,9 @@ from .mesh import (
     default_depth,
     fingerprints_many,
     full_grid_mask,
-    mask_to_squares,
-    mesh_pattern_to_json,
     square_bit,
     squares_to_mask,
+    _square_tables,
 )
 from .diagonals import (
     apply_symmetry_mesh,
@@ -46,7 +45,7 @@ from .diagonals import (
     enclosed_diagonals,
     pointless_mask,
     same_enc,
-    sorted_diagonals,
+    _diagonal_candidates,
 )
 from .shading import (
     Assignment,
@@ -479,31 +478,52 @@ def partition_meshes(
 # ---------------------------------------------------------------------------
 # Partition report (JSON lines) and its cache file.
 
-def partition_records(result: PartitionResult) -> list[dict]:
+@lru_cache(maxsize=16)
+def _square_text_tables(k: int) -> tuple[tuple[str, ...], ...]:
+    """Table j maps the byte of mask bits 8j..8j+7 to the JSON text of its
+    squares: byte 0x05 of a k=3 mask gives ``"[0, 0], [0, 2]"``."""
+    return tuple(
+        tuple(", ".join(f"[{a}, {b}]" for a, b in squares) for squares in table)
+        for table in _square_tables(k)
+    )
+
+
+def partition_records(result: PartitionResult) -> list[str]:
+    """One JSON line per class, written as text: the keys ``p``, ``status``,
+    ``size``, ``representative``, ``meshes``, ``enc``, ``fingerprint`` and,
+    on CONJECTURED classes, ``blocks``, with ``json.dumps`` spacing."""
     p = result.perm
-    k = len(p)
+    tables = _square_text_tables(len(p))
+    perm = json.dumps(list(p))
+    candidates = [(m, json.dumps(diagonal_to_json(d))) for m, d, _ in _diagonal_candidates(p)]
+
+    def mesh_text(mask: int) -> str:
+        parts = []
+        for table in tables:
+            if mask & 0xFF:
+                parts.append(table[mask & 0xFF])
+            mask >>= 8
+        return "[" + ", ".join(parts) + "]"
+
     records = []
     for cls in result.classes:
-        rep = MeshPattern(p, cls.representative)
-        rec = {
-            "p": list(p),
-            "status": cls.status,
-            "size": cls.size,
-            "representative": mesh_pattern_to_json(rep),
-            "meshes": [
-                [[a, b] for a, b in mask_to_squares(k, m)] for m in cls.meshes
-            ],
-            "enc": [diagonal_to_json(d) for d in sorted_diagonals(rep)],
-            "fingerprint": _split_signature(
-                result.signatures[cls.representative], result.n_max
-            ).hex_rows(),
-        }
+        rep = cls.representative
+        texts = [mesh_text(m) for m in cls.meshes]
+        enc = ", ".join(text for m, text in candidates if rep & m == m)
+        rows = '", "'.join(_split_signature(result.signatures[rep], result.n_max).hex_rows())
+        blocks = ""
         if cls.status == "CONJECTURED":
-            rec["blocks"] = [
-                [[[a, b] for a, b in mask_to_squares(k, m)] for m in block]
-                for block in cls.blocks
-            ]
-        records.append(rec)
+            text_of = dict(zip(cls.meshes, texts))
+            listed = ", ".join(
+                "[" + ", ".join(text_of[m] for m in block) + "]" for block in cls.blocks
+            )
+            blocks = f', "blocks": [{listed}]'
+        records.append(
+            f'{{"p": {perm}, "status": "{cls.status}", "size": {cls.size}, '
+            f'"representative": {{"perm": {perm}, "mesh": {texts[0]}}}, '
+            f'"meshes": [{", ".join(texts)}], "enc": [{enc}], '
+            f'"fingerprint": ["{rows}"]{blocks}}}'
+        )
     return records
 
 
@@ -532,7 +552,7 @@ def partition_summary(result: PartitionResult) -> dict:
 def partition_lines(result: PartitionResult) -> list[str]:
     """The partition report as JSON lines: one record per class, then the
     summary footer."""
-    lines = [json.dumps(rec) for rec in partition_records(result)]
+    lines = partition_records(result)
     lines.append(json.dumps({"summary": partition_summary(result)}))
     return lines
 

@@ -45,7 +45,8 @@ def graph_points(p: Perm) -> frozenset[tuple[int, int]]:
 def _diagonal_candidates(
     p: Perm,
 ) -> tuple[tuple[int, EnclosedDiagonal, frozenset[Square]], ...]:
-    """Every diagonal a mesh over ``p`` could enclose, with its square mask.
+    """Every diagonal a mesh over ``p`` could enclose, with its square mask,
+    in (anchor, orientation) order.
 
     Proper runs are found by walking each maximal diagonal run of graph
     points once, so maximality needs no separate filter.  No square can sit
@@ -73,6 +74,7 @@ def _diagonal_candidates(
                 c += 1
             squares = tuple((x - 1 + i, y - i) for i in range(c + 1))
             found.append(EnclosedDiagonal("SE", squares[0], c + 1, squares))
+    found.sort(key=lambda d: (d.anchor, d.orientation))
     return tuple((squares_to_mask(k, d.squares), d, d.square_set()) for d in found)
 
 
@@ -100,7 +102,9 @@ def enc_core_mask(pi: MeshPattern) -> int:
 
 
 def sorted_diagonals(pi: MeshPattern) -> list[EnclosedDiagonal]:
-    return sorted(enclosed_diagonals(pi), key=lambda d: (d.anchor, d.orientation))
+    """The enclosed diagonals in (anchor, orientation) order."""
+    mask = pi.mask
+    return [d for m, d, _ in _diagonal_candidates(pi.perm) if mask & m == m]
 
 
 def enc_square_sets(pi: MeshPattern) -> frozenset[frozenset[Square]]:

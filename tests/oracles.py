@@ -8,7 +8,9 @@ occurrence values.  Tests compare the fast paths against these.
 
 import itertools
 
-from meshcide.diagonals import apply_symmetry_square
+from meshcide.coincidence import _split_signature
+from meshcide.diagonals import apply_symmetry_square, diagonal_to_json, enclosed_diagonals
+from meshcide.mesh import MeshPattern, mask_to_squares, mesh_pattern_to_json
 from meshcide.perm import (
     all_perms,
     apply_symmetry_perm,
@@ -269,3 +271,36 @@ def fingerprints_brute(p, masks, n_max):
                 if any(hit & mask == 0 for hit in blocked):
                     row[n - 1] |= 1 << j
     return [tuple(row) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# The partition report: each class record as the dict whose ``json.dumps`` is
+# its line, built from the library's JSON helpers.
+
+
+def partition_record_oracle(result):
+    p = result.perm
+    k = len(p)
+
+    def squares(mask):
+        return [[a, b] for a, b in mask_to_squares(k, mask)]
+
+    records = []
+    for cls in result.classes:
+        rep = MeshPattern(p, cls.representative)
+        diagonals = sorted(enclosed_diagonals(rep), key=lambda d: (d.anchor, d.orientation))
+        rec = {
+            "p": list(p),
+            "status": cls.status,
+            "size": cls.size,
+            "representative": mesh_pattern_to_json(rep),
+            "meshes": [squares(m) for m in cls.meshes],
+            "enc": [diagonal_to_json(d) for d in diagonals],
+            "fingerprint": _split_signature(
+                result.signatures[cls.representative], result.n_max
+            ).hex_rows(),
+        }
+        if cls.status == "CONJECTURED":
+            rec["blocks"] = [[squares(m) for m in block] for block in cls.blocks]
+        records.append(rec)
+    return records

@@ -269,6 +269,23 @@ class TestPartition:
         assert code == 0
         assert first == second  # cached rerun is byte-identical
 
+    def test_stdout_is_the_cache_file(self, capsys, tmp_path, monkeypatch):
+        import meshcide.cli as cli
+
+        out_file = tmp_path / "p12.jsonl"
+        argv = ("partition", "12", "--max-n", "4", "--out", str(out_file))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == out_file.read_bytes()
+
+        def no_partition(*args, **kwargs):
+            raise AssertionError("the cache was not used")
+
+        monkeypatch.setattr(cli, "partition_meshes", no_partition)
+        code, hit, _ = run(capsys, *argv)
+        assert code == 0
+        assert hit.encode() == out_file.read_bytes()
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -52,7 +52,7 @@ from meshcide.coincidence import (
     _split_signature,
 )
 
-from oracles import fingerprints_brute
+from oracles import fingerprints_brute, partition_record_oracle
 
 
 def msk(k, squares):
@@ -552,7 +552,7 @@ class TestPartition:
 
     def test_records_and_cache_round_trip(self, tmp_path):
         result = partition_meshes((1,), 5)
-        records = partition_records(result)
+        records = [json.loads(line) for line in partition_records(result)]
         assert len(records) == len(result.classes)
         assert {r["status"] for r in records} == {"PROVEN"}
         out = tmp_path / "part.jsonl"
@@ -563,6 +563,20 @@ class TestPartition:
         assert loaded == partition_lines(result)  # the lines as written
         # a different depth must not validate
         assert load_partition_cache(out, (1,), 6) is None
+
+    @pytest.mark.parametrize(
+        "p, depth, use_gamma",
+        [
+            ((1,), 5, True),
+            ((1, 2), 5, True),
+            ((1, 2), 5, False),
+            ((2, 1), 5, True),
+            ((2, 1), 5, False),
+            ((1, 3, 2), 3, True),
+        ],
+    )
+    def test_records_are_the_oracle_dumped(self, p, depth, use_gamma):
+        assert_records_match_oracle(partition_meshes(p, depth, use_gamma=use_gamma))
 
     def test_cache_rejects_corruption(self, tmp_path):
         result = partition_meshes((1,), 5)
@@ -627,12 +641,23 @@ class TestPartition:
         assert s["undecided_pairs"] == result.undecided_pairs()
 
 
+def assert_records_match_oracle(result):
+    """The text records are, byte for byte, ``json.dumps`` of the oracle's
+    dicts, and they head the report lines."""
+    records = partition_records(result)
+    assert records == [json.dumps(r) for r in partition_record_oracle(result)]
+    assert partition_lines(result)[:-1] == records
+
+
 @pytest.fixture(scope="module")
 def partition_123_depth_4():
     return partition_meshes((1, 2, 3), 4)
 
 
 class TestPartitionLength3:
+    def test_records_are_the_oracle_dumped(self, partition_123_depth_4):
+        assert_records_match_oracle(partition_123_depth_4)
+
     def test_summary(self, partition_123_depth_4):
         s = partition_summary(partition_123_depth_4)
         assert (s["classes"], s["proven"], s["conjectured"], s["undecided_pairs"]) == (

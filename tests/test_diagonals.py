@@ -289,3 +289,13 @@ class TestReporting:
             "orientation": "NE",
             "squares": [[2, 0], [3, 1]],
         }
+
+    def test_sorted_diagonals_in_anchor_order(self):
+        rng = random.Random(53)
+        cases = [(p, mask) for p in [(1, 2), (2, 1)] for mask in range(2 ** 9)]
+        for p in [*itertools.permutations((1, 2, 3)), (2, 4, 1, 3)]:
+            cases += [(p, rng.getrandbits((len(p) + 1) ** 2)) for _ in range(2000)]
+        for p, mask in cases:
+            pi = MeshPattern(p, mask)
+            expected = sorted(enclosed_diagonals(pi), key=lambda d: (d.anchor, d.orientation))
+            assert sorted_diagonals(pi) == expected
