@@ -25,7 +25,6 @@ from .perm import (
     perm_text,
 )
 from .mesh import (
-    Fingerprint,
     MeshPattern,
     check_depth,
     containment_signatures,
@@ -510,7 +509,7 @@ def partition_records(result: PartitionResult) -> list[str]:
         rep = cls.representative
         texts = [mesh_text(m) for m in cls.meshes]
         enc = ", ".join(text for m, text in candidates if rep & m == m)
-        rows = '", "'.join(_split_signature(result.signatures[rep], result.n_max).hex_rows())
+        rows = '", "'.join(_hex_rows(result.signatures[rep], result.n_max))
         blocks = ""
         if cls.status == "CONJECTURED":
             text_of = dict(zip(cls.meshes, texts))
@@ -527,14 +526,15 @@ def partition_records(result: PartitionResult) -> list[str]:
     return records
 
 
-def _split_signature(sig: int, n_max: int) -> Fingerprint:
+def _hex_rows(sig: int, n_max: int) -> list[str]:
+    """A signature's fingerprint rows as the report writes them: row n is
+    the next n! bits from the low end."""
     rows = []
-    shift = 0
     for n in range(1, n_max + 1):
         width = factorial(n)
-        rows.append((sig >> shift) & ((1 << width) - 1))
-        shift += width
-    return Fingerprint(n_max, tuple(rows))
+        rows.append(hex(sig & ((1 << width) - 1)))
+        sig >>= width
+    return rows
 
 
 def partition_summary(result: PartitionResult) -> dict:
@@ -606,7 +606,7 @@ def load_partition_cache(
             groups.add(sig)
             if len(seen) != covered + len(masks) or any(sigs[m] != sig for m in masks):
                 return None
-            if _split_signature(sig, n_max).hex_rows() != rec["fingerprint"]:
+            if _hex_rows(sig, n_max) != rec["fingerprint"]:
                 return None
             if rec["status"] == "CONJECTURED":
                 blocks = [[squares_to_mask(k, m) for m in block] for block in rec["blocks"]]

@@ -23,6 +23,7 @@ from .perm import (
     all_perms,
     iter_classical_occurrences,
     make_perm,
+    occurrence_search,
     parse_perm,
     perm_text,
 )
@@ -171,18 +172,32 @@ def occurrence_region_mask(w: Perm, occ: Occurrence) -> int:
 
 
 def iter_mesh_occurrences(pi: MeshPattern, w: Perm) -> Iterator[Occurrence]:
-    for occ in iter_classical_occurrences(pi.perm, w):
-        if occurrence_region_mask(w, occ) & pi.mask == 0:
-            yield occ
+    """Occurrences of ``pi`` in ``w`` whose shaded regions are free of host
+    points, in the search order of :func:`~meshcide.perm.occurrence_search`:
+    the letters bounding the first shaded square are placed first.
+
+    A host that starts with its minimum avoids ``21:(0,0)``: that point
+    lies below and left of every occurrence of 21.
+
+    >>> host = (1, 3, 2)
+    >>> list(iter_mesh_occurrences(MeshPattern.of("21"), host))
+    [(2, 3)]
+    >>> list(iter_mesh_occurrences(MeshPattern.of("21", [(0, 0)]), host))
+    []
+    """
+    yield from occurrence_search(pi.perm, w, pi.mask)
 
 
 def mesh_occurrences(pi: MeshPattern, w: Perm) -> list[Occurrence]:
-    """Classical occurrences whose shaded regions are free of host points."""
-    return list(iter_mesh_occurrences(pi, w))
+    """Classical occurrences whose shaded regions are free of host points,
+    in lexicographic order.  A host that is not a permutation of 1..n
+    raises ``ValueError``."""
+    return sorted(iter_mesh_occurrences(pi, w))
 
 
 def contains(pi: MeshPattern, w: Perm) -> bool:
-    """Mesh containment; stops at the first valid occurrence."""
+    """Mesh containment; stops at the first valid occurrence.  A host that
+    is not a permutation of 1..n raises ``ValueError``."""
     return next(iter_mesh_occurrences(pi, w), None) is not None
 
 

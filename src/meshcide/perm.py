@@ -9,7 +9,9 @@ point set ``{(i, w(i))}`` inside the ``[1, n] x [1, n]`` grid.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
+from operator import or_
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -96,37 +98,121 @@ def lex_unrank(n: int, rank: int) -> Perm:
     return tuple(out)
 
 
-def iter_classical_occurrences(p: Perm, w: Perm) -> Iterator[Occurrence]:
-    """Yield position tuples of every occurrence of ``p`` in ``w``.
+@lru_cache(maxsize=1024)
+def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The placement steps of :func:`occurrence_search` for ``p`` when the
+    mesh's first shaded square is bit ``first`` (-1 for none), as four
+    tuples indexed by step: ``letters``, ``values``, ``bounds``, ``done``.
 
-    Tuples come out in lexicographic order.  The search extends partial
-    position choices left to right and prunes as soon as the chosen prefix
-    stops being order isomorphic to the matching prefix of ``p``.
+    Letters are named by their position in ``p``, 1..k, and ``0`` and
+    ``k + 1`` are the grid's edges.  The letters that bound square ``first``
+    are placed first, the rest left to right.  Step d places letter
+    ``letters[d]`` of value ``values[d]``; ``bounds[d]`` is ``(left, right,
+    below, above)``: its nearest placed letters in position and the values
+    of its nearest placed letters in value.  ``done[d]`` holds the squares
+    whose four bounds are first all placed at step d.
+    """
+    k = len(p)
+    letter_of = [0] * (k + 2)
+    letter_of[k + 1] = k + 1
+    for i, v in enumerate(p, 1):
+        letter_of[v] = i
+    letters = list(range(1, k + 1))
+    if first >= 0:
+        a, b = divmod(first, k + 1)
+        lead = sorted({a, a + 1, letter_of[b], letter_of[b + 1]} - {0, k + 1})
+        letters = lead + [i for i in letters if i not in lead]
+    values = [p[i - 1] for i in letters]
+    placed, placed_values = {0, k + 1}, {0, k + 1}
+    bounds, done, bounded = [], [], 0
+    for i, v in zip(letters, values):
+        bounds.append((
+            max(j for j in placed if j < i),
+            min(j for j in placed if j > i),
+            max(u for u in placed_values if u < v),
+            min(u for u in placed_values if u > v),
+        ))
+        placed.add(i)
+        placed_values.add(v)
+        now = sum(
+            1 << (a * (k + 1) + b)
+            for a in range(k + 1) if {a, a + 1} <= placed
+            for b in range(k + 1) if {b, b + 1} <= placed_values
+        )
+        done.append(now & ~bounded)
+        bounded = now
+    return tuple(letters), tuple(values), tuple(bounds), tuple(done)
+
+
+def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
+    """Yield the occurrences of ``p`` in ``w`` whose squares in ``mask``
+    hold no other host point; square (a, b) is bit ``a * (k + 1) + b``.
+
+    Letters are placed one at a time in the order of :func:`_search_plan`.
+    A host point is a bit of an int indexed by position, and ``le[y]``
+    holds the positions of the values at most ``y``.  The next letter's
+    candidates lie strictly between its placed neighbours in position and
+    in value: one AND of a position range with ``le[hi - 1] ^ le[lo]``, so
+    every partial placement is order isomorphic to its letters of ``p``.  A
+    shaded square is tested by the same AND as soon as its two column and
+    two row bounds are placed.  With ``mask == 0`` letters go left to right
+    and occurrences come out in lexicographic order.
+
+    A host that is not a permutation of 1..n raises ``ValueError``.
     """
     k, n = len(p), len(w)
+    at = [0] * (n + 1)  # at[v]: the position of value v
+    for x, v in enumerate(w, 1):
+        if not 0 < v <= n or at[v]:
+            raise ValueError(f"host {w!r} is not a permutation of 1..{n}")
+        at[v] = x
     if k > n:
         return
-    # rank[m]: how many earlier letters of p are below p[m]; a candidate
-    # letter extends an order-isomorphic prefix iff it matches this count.
-    rank = [sum(1 for j in range(m) if p[j] < p[m]) for m in range(k)]
-    positions: list[int] = []
-    values: list[int] = []
+    # bit 0 (from at[0]) is in every le[y], so it cancels in each XOR
+    le = list(itertools.accumulate([1 << x for x in at], or_))
+    letters, values, bounds, done = _search_plan(tuple(p), (mask & -mask).bit_length() - 1)
+    boxes = []  # boxes[d]: the shaded squares to test at step d, by their bounds
+    for squares in done:
+        squares &= mask
+        here = []
+        while squares:
+            a, b = divmod((squares & -squares).bit_length() - 1, k + 1)
+            here.append((a, a + 1, b, b + 1))
+            squares &= squares - 1
+        boxes.append(here)
+    pos = [0] * (k + 2)  # pos[i]: host position of letter i
+    val = [0] * (k + 2)  # val[v]: host value of the letter of value v
+    pos[k + 1] = val[k + 1] = n + 1
+    last = k - 1
+    todo = [0] * k  # todo[d]: the candidates of step d not yet tried
+    todo[0] = (1 << (n + 1)) - 2  # the first letter may sit anywhere
+    d = 0
+    while d >= 0:
+        cand = todo[d]
+        if not cand:
+            d -= 1
+            continue
+        low = cand & -cand
+        todo[d] = cand ^ low
+        x = low.bit_length() - 1
+        pos[letters[d]] = x
+        val[values[d]] = w[x - 1]
+        for a, a1, b, b1 in boxes[d]:
+            if ((1 << pos[a1]) - (2 << pos[a])) & (le[val[b1] - 1] ^ le[val[b]]):
+                break
+        else:
+            if d == last:
+                yield tuple(pos[1:-1])
+                continue
+            d += 1
+            left, right, below, above = bounds[d]
+            todo[d] = ((1 << pos[right]) - (2 << pos[left])) & (le[val[above] - 1] ^ le[val[below]])
 
-    def extend(start: int, depth: int) -> Iterator[Occurrence]:
-        if depth == k:
-            yield tuple(positions)
-            return
-        want = rank[depth]
-        for x in range(start, n - (k - depth) + 2):
-            v = w[x - 1]
-            if sum(1 for c in values if c < v) == want:
-                positions.append(x)
-                values.append(v)
-                yield from extend(x + 1, depth + 1)
-                positions.pop()
-                values.pop()
 
-    yield from extend(1, 0)
+def iter_classical_occurrences(p: Perm, w: Perm) -> Iterator[Occurrence]:
+    """Yield position tuples of every occurrence of ``p`` in ``w``, in
+    lexicographic order (:func:`occurrence_search` with no shaded square)."""
+    yield from occurrence_search(p, w)
 
 
 def classical_occurrences(p: Perm, w: Perm) -> list[Occurrence]:

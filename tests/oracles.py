@@ -7,8 +7,8 @@ occurrence values.  Tests compare the fast paths against these.
 """
 
 import itertools
+import math
 
-from meshcide.coincidence import _split_signature
 from meshcide.diagonals import apply_symmetry_square, diagonal_to_json, enclosed_diagonals
 from meshcide.mesh import MeshPattern, mask_to_squares, mesh_pattern_to_json
 from meshcide.perm import (
@@ -54,20 +54,23 @@ def region_brute(p, w, occ, square):
     return (ext[a], ext[a + 1]), (host_value(pinv[b]), host_value(pinv[b + 1]))
 
 
-def mesh_contains_brute(p, squares, w):
+def shading_free_brute(p, w, occ, squares):
+    """No host point lies inside the rectangle of any of ``squares``."""
     n = len(w)
-    for occ in occurrences_brute(p, w):
-        good = True
-        for square in squares:
-            (x_lo, x_hi), (y_lo, y_hi) = region_brute(p, w, occ, square)
-            if any(
-                x_lo < x < x_hi and y_lo < w[x - 1] < y_hi for x in range(1, n + 1)
-            ):
-                good = False
-                break
-        if good:
-            return True
-    return False
+    for square in squares:
+        (x_lo, x_hi), (y_lo, y_hi) = region_brute(p, w, occ, square)
+        if any(x_lo < x < x_hi and y_lo < w[x - 1] < y_hi for x in range(1, n + 1)):
+            return False
+    return True
+
+
+def mesh_occurrences_brute(p, squares, w):
+    """The occurrences of the mesh, in lexicographic order."""
+    return [occ for occ in occurrences_brute(p, w) if shading_free_brute(p, w, occ, squares)]
+
+
+def mesh_contains_brute(p, squares, w):
+    return any(shading_free_brute(p, w, occ, squares) for occ in occurrences_brute(p, w))
 
 
 def first_distinguisher_brute(p, squares1, squares2, n_max):
@@ -244,29 +247,37 @@ def classify_family_brute(p, mask):
 # lexicographic order contains the mesh.
 
 
+def occurrence_hits_brute(p, w):
+    """Each occurrence of ``p`` in ``w`` with the mask of the squares whose
+    rectangle holds a host point: the test of :func:`mesh_contains_brute`
+    with its loops turned inside out, for every mesh at once."""
+    k, n = len(p), len(w)
+    out = []
+    for occ in occurrences_brute(p, w):
+        # the rectangle of square (a, b) spans the columns of (a, a) and the
+        # rows of (b, b)
+        boxes = [region_brute(p, w, occ, (a, a)) for a in range(k + 1)]
+        hit = 0
+        for x in range(1, n + 1):
+            for a, ((x_lo, x_hi), _) in enumerate(boxes):
+                if x_lo < x < x_hi:
+                    for b, (_, (y_lo, y_hi)) in enumerate(boxes):
+                        if y_lo < w[x - 1] < y_hi:
+                            hit |= _bit(k, a, b)
+        out.append((occ, hit))
+    return out
+
+
 def fingerprints_brute(p, masks, n_max):
-    """Fingerprint rows of several meshes over ``all_perms``, by the test of
-    :func:`mesh_contains_brute` with its loops turned inside out: each host's
-    occurrences and closed rectangles are worked out once, and a mesh is
+    """Fingerprint rows of several meshes over ``all_perms``: each host's
+    :func:`occurrence_hits_brute` are worked out once, and a mesh is
     contained iff some occurrence has no host point inside a shaded square.
-    ``test_fingerprints_brute_is_mesh_contains_brute`` checks the two agree."""
-    k = len(p)
+    ``test_fingerprints_brute_is_mesh_contains_brute`` checks this agrees
+    with :func:`mesh_contains_brute`."""
     rows = [[0] * n_max for _ in masks]
     for n in range(1, n_max + 1):
         for j, w in enumerate(all_perms(n)):
-            blocked = set()
-            for occ in occurrences_brute(p, w):
-                # the rectangle of square (a, b) spans the columns of (a, a)
-                # and the rows of (b, b)
-                boxes = [region_brute(p, w, occ, (a, a)) for a in range(k + 1)]
-                hit = 0
-                for x in range(1, n + 1):
-                    for a, ((x_lo, x_hi), _) in enumerate(boxes):
-                        if x_lo < x < x_hi:
-                            for b, (_, (y_lo, y_hi)) in enumerate(boxes):
-                                if y_lo < w[x - 1] < y_hi:
-                                    hit |= _bit(k, a, b)
-                blocked.add(hit)
+            blocked = {hit for _, hit in occurrence_hits_brute(p, w)}
             for row, mask in zip(rows, masks):
                 if any(hit & mask == 0 for hit in blocked):
                     row[n - 1] |= 1 << j
@@ -276,6 +287,18 @@ def fingerprints_brute(p, masks, n_max):
 # ---------------------------------------------------------------------------
 # The partition report: each class record as the dict whose ``json.dumps`` is
 # its line, built from the library's JSON helpers.
+
+
+def signature_rows(sig, n_max):
+    """The fingerprint rows of a signature: row n is the next n! bits from
+    its low end, cut from its binary text, lowest bit first."""
+    bits = format(sig, "b")[::-1]
+    rows, start = [], 0
+    for n in range(1, n_max + 1):
+        chunk = bits[start:start + math.factorial(n)]
+        rows.append(int(chunk[::-1] or "0", 2))
+        start += math.factorial(n)
+    return tuple(rows)
 
 
 def partition_record_oracle(result):
@@ -296,9 +319,10 @@ def partition_record_oracle(result):
             "representative": mesh_pattern_to_json(rep),
             "meshes": [squares(m) for m in cls.meshes],
             "enc": [diagonal_to_json(d) for d in diagonals],
-            "fingerprint": _split_signature(
-                result.signatures[cls.representative], result.n_max
-            ).hex_rows(),
+            "fingerprint": [
+                hex(row)
+                for row in signature_rows(result.signatures[cls.representative], result.n_max)
+            ],
         }
         if cls.status == "CONJECTURED":
             rec["blocks"] = [[squares(m) for m in block] for block in cls.blocks]

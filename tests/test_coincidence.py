@@ -49,10 +49,9 @@ from meshcide.coincidence import (
     partition_summary,
     verify_trace,
     write_partition_cache,
-    _split_signature,
 )
 
-from oracles import fingerprints_brute, partition_record_oracle
+from oracles import fingerprints_brute, partition_record_oracle, signature_rows
 
 
 def msk(k, squares):
@@ -432,11 +431,11 @@ class TestSignatures:
         masks = [rng.randrange(512) for _ in range(25)]
         fps = fingerprints_many((1, 2), masks, 4)
         for mask, fp in zip(masks, fps):
-            assert _split_signature(sigs[mask], 4) == fp
+            assert signature_rows(sigs[mask], 4) == fp.per_n
 
     @staticmethod
     def _rows(sigs, masks, n_max):
-        return [_split_signature(sigs[mask], n_max).per_n for mask in masks]
+        return [signature_rows(sigs[mask], n_max) for mask in masks]
 
     def test_length_2_slice_matches_oracle(self):
         sigs = containment_signatures((2, 1), 4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshcide.perm import ParseError, all_perms, apply_symmetry_perm, lex_rank
+from meshcide.perm import ParseError, all_perms, apply_symmetry_perm, is_occurrence, lex_rank
 from meshcide import mesh
 from meshcide.mesh import (
     MAX_DEPTH,
@@ -21,6 +21,7 @@ from meshcide.mesh import (
     fingerprints_many,
     full_grid_mask,
     host_region_masks,
+    iter_mesh_occurrences,
     mask_to_squares,
     mesh_occurrences,
     mesh_pattern_from_json,
@@ -30,7 +31,14 @@ from meshcide.mesh import (
     squares_to_mask,
 )
 from meshcide.diagonals import apply_symmetry_mesh
-from oracles import mesh_contains_brute, occurrences_brute, region_brute
+from oracles import (
+    mesh_contains_brute,
+    mesh_occurrences_brute,
+    occurrence_hits_brute,
+    occurrences_brute,
+    region_brute,
+    shading_free_brute,
+)
 
 W42135 = (4, 2, 1, 3, 5)
 FIG_MESH = MeshPattern.of("213", [(0, 3), (1, 2), (1, 3), (3, 0)])
@@ -172,6 +180,95 @@ class TestContainment:
                 assert contains(pi, w) == contains(
                     apply_symmetry_mesh(s, pi), apply_symmetry_perm(s, w)
                 )
+
+
+def planted_host(n, seed):
+    """A host of length n that starts with its minimum, the rest shuffled."""
+    rest = list(range(2, n + 1))
+    random.Random(seed).shuffle(rest)
+    return (1, *rest)
+
+
+class TestOccurrenceSearch:
+    """The pruned search against the definition-level oracles."""
+
+    @pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1)])
+    def test_every_mesh_on_every_small_host(self, p):
+        hosts = [w for n in range(1, 6) for w in all_perms(n)]
+        hits = [occurrence_hits_brute(p, w) for w in hosts]
+        for mask in range(1 << (len(p) + 1) ** 2):
+            pi = MeshPattern(p, mask)
+            for w, host_hits in zip(hosts, hits):
+                want = [occ for occ, hit in host_hits if hit & mask == 0]
+                assert mesh_occurrences(pi, w) == want
+                assert contains(pi, w) == bool(want)
+
+    def test_seeded_against_region_oracle(self):
+        rng = random.Random(1412)
+        for case in range(3000):
+            k, n = rng.randint(1, 5), rng.randint(1, 10)
+            p = tuple(rng.sample(range(1, k + 1), k))
+            w = tuple(rng.sample(range(1, n + 1), n))
+            drawn = rng.getrandbits((k + 1) ** 2) & rng.getrandbits((k + 1) ** 2)
+            mask = {0: 0, 1: full_grid_mask(k)}.get(case % 10, drawn)
+            pi = MeshPattern(p, mask)
+            want = mesh_occurrences_brute(p, pi.squares, w)
+            assert mesh_occurrences(pi, w) == want, (pi.text(), w)
+            assert sorted(iter_mesh_occurrences(pi, w)) == want
+            assert contains(pi, w) == bool(want)
+
+    def test_pattern_longer_than_host(self):
+        for mask in (0, 1, full_grid_mask(3)):
+            assert mesh_occurrences(MeshPattern((2, 3, 1), mask), (2, 1)) == []
+
+    def test_occurrences_come_out_sorted(self):
+        # (0,3) is bounded by letters 1 and 3, so the search places them
+        # first and meets (1, 3, 4) before (1, 2, 5)
+        pi = MeshPattern.of("123", [(0, 3)])
+        w = (1, 2, 3, 4, 5)
+        found = list(iter_mesh_occurrences(pi, w))
+        assert found != sorted(found)
+        assert mesh_occurrences(pi, w) == sorted(found) == occurrences_brute((1, 2, 3), w)
+
+    @pytest.mark.parametrize("sym", ["id", "r", "c", "rc"])
+    def test_planted_avoidance_4321(self, sym):
+        # the host's first point lies in square (0,0) of every occurrence
+        pi = apply_symmetry_mesh(sym, MeshPattern.of("4321", [(0, 0), (4, 4)]))
+        w = apply_symmetry_perm(sym, planted_host(55, sym))
+        assert contains(MeshPattern(pi.perm), w)
+        assert not contains(pi, w)
+        assert mesh_occurrences(pi, w) == []
+
+    def test_planted_avoidance_54321_at_n_200(self):
+        w = planted_host(200, 5)
+        assert contains(MeshPattern.of("54321"), w)
+        assert not contains(MeshPattern.of("54321", [(0, 0), (5, 5)]), w)
+
+    def test_large_host_occurrence_is_valid(self):
+        # moving the planted minimum to the end leaves square (0,0) of some
+        # occurrence empty
+        w = planted_host(200, 5)[1:] + (1,)
+        for text in ("54321:(0,0)(5,5)", "2413:(0,0)(2,2)(4,4)", "312:(1,0)(1,1)(3,3)"):
+            pi = parse_mesh_pattern(text)
+            occ = next(iter_mesh_occurrences(pi, w))
+            assert is_occurrence(pi.perm, w, occ)
+            assert shading_free_brute(pi.perm, w, occ, pi.squares), text
+            assert occurrence_region_mask(w, occ) & pi.mask == 0
+
+    @pytest.mark.parametrize(
+        "pi, w",
+        [
+            (MeshPattern.of("12"), (5, 7)),
+            (MeshPattern.of("21", [(1, 1)]), (3, 3, 1)),
+            (MeshPattern.of("1"), (0,)),
+            (MeshPattern.of("123"), (2, 2)),  # longer than the host
+        ],
+    )
+    def test_host_must_be_a_permutation(self, pi, w):
+        with pytest.raises(ValueError, match="not a permutation"):
+            contains(pi, w)
+        with pytest.raises(ValueError, match="not a permutation"):
+            mesh_occurrences(pi, w)
 
 
 class TestAvoiders:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb, factorial
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from meshcide.perm import (
     SYMMETRIES,
     ParseError,
+    _search_plan,
     all_perms,
     apply_symmetry_perm,
     apply_symmetry_point,
@@ -87,6 +89,32 @@ class TestClassicalOccurrences:
         for n in range(1, 6):
             for w in all_perms(n):
                 assert classical_occurrences(p, w) == occurrences_brute(p, w)
+
+    def test_seeded_against_brute_force(self):
+        # brute force lists position sets in lexicographic order
+        rng = random.Random(7)
+        for _ in range(1500):
+            k, n = rng.randint(1, 5), rng.randint(1, 10)
+            p = tuple(rng.sample(range(1, k + 1), k))
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert classical_occurrences(p, w) == occurrences_brute(p, w)
+
+    @pytest.mark.parametrize("w", [(5, 7), (1, 1), (0, 1), (2,)])
+    def test_host_must_be_a_permutation(self, w):
+        with pytest.raises(ValueError, match="not a permutation"):
+            classical_occurrences((1, 2), w)
+
+    def test_search_places_the_first_shaded_square_first(self):
+        # 54321:(0,0)(5,5): letters 1 and 5 bound both squares, so both are
+        # tested once two letters are placed
+        letters, values, bounds, done = _search_plan((5, 4, 3, 2, 1), 0)
+        assert letters == (1, 5, 2, 3, 4) and values == (5, 1, 4, 3, 2)
+        both = 1 << 0 | 1 << 35
+        assert done[0] & both == 0 and done[1] & both == both
+        # the letter of value 4 sits between letters 1 and 5 in both senses
+        assert bounds[2] == (1, 5, 1, 5)
+        # with no shaded square the letters go left to right
+        assert _search_plan((5, 4, 3, 2, 1), -1)[0] == (1, 2, 3, 4, 5)
 
     def test_identity_counts_are_binomial(self):
         for k in range(1, 4):
