@@ -47,13 +47,10 @@ from .diagonals import (
     _diagonal_candidates,
 )
 from .shading import (
-    Assignment,
     ProofTrace,
     TraceStep,
     UnionFind,
     shadeable_assignments,
-    shadeable_pairs,
-    shadeable_singles,
     ssl_closure,
 )
 
@@ -163,8 +160,8 @@ def _single_shading_chain(
     current = start
     steps: list[TraceStep] = []
     while current != target:
-        for assignment, bit in shadeable_assignments(p, current, False):
-            if target & bit and not current & bit:
+        for assignment, bit in shadeable_assignments(p, current):
+            if assignment.kind == "single" and target & bit and not current & bit:
                 steps.append(TraceStep("SL", p, current, current | bit, (assignment,)))
                 current |= bit
                 break
@@ -205,39 +202,54 @@ def gamma_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
 # ---------------------------------------------------------------------------
 # Trace verification: replay every step, rechecking its precondition.
 
-def _assignment_valid(pi: MeshPattern, assignment: Assignment) -> bool:
-    if assignment.kind == "single":
-        want = (assignment.point, assignment.squares[0], assignment.direction)
-        return want in shadeable_singles(pi)
-    want = (assignment.point, tuple(assignment.squares), assignment.direction)
-    return want in shadeable_pairs(pi)
+def _well_formed(perm, *masks) -> bool:
+    """Is ``perm`` a permutation tuple, and is every mask one over its grid?"""
+    try:
+        make_perm(perm)
+    except (TypeError, ValueError):
+        return False
+    size = 1 << (len(perm) + 1) ** 2
+    return isinstance(perm, tuple) and all(isinstance(m, int) and 0 <= m < size for m in masks)
 
 
 def verify_trace(trace: ProofTrace) -> bool:
-    """Recheck every step of a proof trace and its final connectivity."""
+    """Recheck every step of a proof trace and its final connectivity.  A
+    malformed trace or step (no permutation, a mesh outside the grid, or a
+    detail of the wrong shape) fails like any unsound one."""
+    if not _well_formed(trace.perm, trace.source, trace.target):
+        return False
     uf = UnionFind()
 
     def key(perm: Perm, mask: int):
         return (perm, mask)
 
     for step in trace.steps:
+        if not _well_formed(step.perm, step.before, step.after):
+            return False
         k = len(step.perm)
         pattern = MeshPattern(step.perm, step.before)
         if step.rule in ("SL", "SSL"):
+            if not isinstance(step.detail, tuple):
+                return False
+            # every assignment must be one the mesh licenses, whole
+            valid = [a for a, _ in shadeable_assignments(step.perm, step.before)]
             added = step.after & ~step.before
             union = 0
             points = set()
             for a in step.detail:
-                if not _assignment_valid(pattern, a):
-                    return False
-                if a.point in points:
+                if a not in valid or a.point in points:
                     return False
                 points.add(a.point)
                 union |= squares_to_mask(k, a.squares)
             if union != added or step.after != step.before | added:
                 return False
         elif step.rule == "CLOSURE":
-            lo, hi = step.detail
+            detail = step.detail
+            if not (isinstance(detail, tuple) and len(detail) == 2):
+                return False
+            if not _well_formed(step.perm, *detail):
+                return False
+            lo, hi = detail
             if lo & step.after != lo or step.after & hi != step.after:
                 return False
             if uf.find(key(step.perm, lo)) != uf.find(key(step.perm, hi)):
@@ -458,19 +470,23 @@ def partition_meshes(
     # blocks come sorted by least member, so groups do too
     groups: dict[int, list[tuple[int, ...]]] = {}
     for block in closure.classes:
-        rep = block.meshes[0]
-        for mesh in block.meshes:
-            if sigs[mesh] != sigs[rep]:
-                raise AssertionError(
-                    f"proof edges join meshes {rep} and {mesh} over {perm_text(p)}, "
-                    f"whose truncated signatures differ"
-                )
-        groups.setdefault(sigs[rep], []).append(block.meshes)
+        meshes = block.meshes
+        rep = meshes[0]
+        sig = sigs[rep]
+        if len(meshes) > 1 and not all(map(sig.__eq__, map(sigs.__getitem__, meshes))):
+            mesh = next(m for m in meshes if sigs[m] != sig)
+            raise AssertionError(
+                f"proof edges join meshes {rep} and {mesh} over {perm_text(p)}, "
+                f"whose truncated signatures differ"
+            )
+        groups.setdefault(sig, []).append(meshes)
     classes = []
     for blocks in groups.values():
-        status = "PROVEN" if len(blocks) == 1 else "CONJECTURED"
-        members = tuple(sorted(m for block in blocks for m in block))
-        classes.append(PartitionClass(members, status, tuple(blocks)))
+        if len(blocks) == 1:  # a block is sorted already
+            classes.append(PartitionClass(blocks[0], "PROVEN", tuple(blocks)))
+        else:
+            members = tuple(sorted(m for block in blocks for m in block))
+            classes.append(PartitionClass(members, "CONJECTURED", tuple(blocks)))
     return PartitionResult(p, n_max, use_gamma, tuple(classes), sigs)
 
 

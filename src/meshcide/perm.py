@@ -101,27 +101,35 @@ def lex_unrank(n: int, rank: int) -> Perm:
 @lru_cache(maxsize=1024)
 def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple]:
     """The placement steps of :func:`occurrence_search` for ``p`` when the
-    mesh's first shaded square is bit ``first`` (-1 for none), as four
-    tuples indexed by step: ``letters``, ``values``, ``bounds``, ``done``.
+    mesh's first shaded square is bit ``first`` (-1 for none): the letters
+    that bound that square first, the rest left to right.  Letters are named
+    by their position in ``p``, 1..k.  Many squares share a letter order,
+    and they share its plan (:func:`_letter_plan`)."""
+    letters = range(1, len(p) + 1)
+    if first < 0:
+        return _letter_plan(p, tuple(letters))
+    k = len(p)
+    a, b = divmod(first, k + 1)
+    lead = {a, a + 1}
+    if b > 0:
+        lead.add(p.index(b) + 1)
+    if b < k:
+        lead.add(p.index(b + 1) + 1)
+    lead = sorted(lead - {0, k + 1})
+    return _letter_plan(p, (*lead, *(i for i in letters if i not in lead)))
 
-    Letters are named by their position in ``p``, 1..k, and ``0`` and
-    ``k + 1`` are the grid's edges.  The letters that bound square ``first``
-    are placed first, the rest left to right.  Step d places letter
-    ``letters[d]`` of value ``values[d]``; ``bounds[d]`` is ``(left, right,
-    below, above)``: its nearest placed letters in position and the values
-    of its nearest placed letters in value.  ``done[d]`` holds the squares
-    whose four bounds are first all placed at step d.
+
+@lru_cache(maxsize=1024)
+def _letter_plan(p: Perm, letters: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple]:
+    """The plan that places the letters of ``p`` in the order ``letters``,
+    as four tuples indexed by step: ``letters``, ``values``, ``bounds``,
+    ``done``.  ``0`` and ``k + 1`` name the grid's edges.  Step d places
+    letter ``letters[d]`` of value ``values[d]``; ``bounds[d]`` is ``(left,
+    right, below, above)``: its nearest placed letters in position and the
+    values of its nearest placed letters in value.  ``done[d]`` holds the
+    squares whose four bounds are first all placed at step d.
     """
     k = len(p)
-    letter_of = [0] * (k + 2)
-    letter_of[k + 1] = k + 1
-    for i, v in enumerate(p, 1):
-        letter_of[v] = i
-    letters = list(range(1, k + 1))
-    if first >= 0:
-        a, b = divmod(first, k + 1)
-        lead = sorted({a, a + 1, letter_of[b], letter_of[b + 1]} - {0, k + 1})
-        letters = lead + [i for i in letters if i not in lead]
     values = [p[i - 1] for i in letters]
     placed, placed_values = {0, k + 1}, {0, k + 1}
     bounds, done, bounded = [], [], 0
@@ -141,7 +149,7 @@ def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple]:
         )
         done.append(now & ~bounded)
         bounded = now
-    return tuple(letters), tuple(values), tuple(bounds), tuple(done)
+    return letters, tuple(values), tuple(bounds), tuple(done)
 
 
 def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:

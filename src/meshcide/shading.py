@@ -154,15 +154,20 @@ def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
     return sum(1 << index(square) for square in line) << grid * width * width
 
 
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @lru_cache(maxsize=64)
 def _compiled(p: Perm) -> tuple[tuple, ...]:
     """Every probe of ``p`` in output order (by graph point; singles, then
     pairs; by direction), with its conditions pulled back from the
     spelled-out direction into ``p``'s own grid.
 
-    A probe is ``(assignment, added, forbid, flanks)``: the assignment it
-    licenses and its mask, the state bits that must all be clear, and the
-    flanks (0 for a pair, which has none).
+    A probe is ``(assignment, added, forbid, flanks, forbid_at,
+    flanks_at)``: the assignment it licenses and its mask, the state bits
+    that must all be clear, the flanks (0 for a pair, which has none), and
+    the bit indices of ``forbid`` and of ``flanks``, for the batch engine.
     """
     k = len(p)
     keyed = []
@@ -188,8 +193,10 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
                 forbid = pull(blocked)
                 for line, offset in lines:
                     forbid |= _pull_back(k, back, line, offset)
+                flank_mask = pull(flanks)
+                indices = (_bit_indices(forbid), _bit_indices(flank_mask))
                 assignment = Assignment(point, kind, direction, squares)
-                probe = (assignment, squares_to_mask(k, squares), forbid, pull(flanks))
+                probe = (assignment, squares_to_mask(k, squares), forbid, flank_mask, *indices)
                 keyed.append(((point, rank, d), probe))
     keyed.sort(key=lambda t: t[0])
     return tuple(probe for _, probe in keyed)
@@ -205,7 +212,7 @@ def _option_vector(p: Perm, mask: int) -> bytes:
         state |= (mask & ~neighbours) << grid * size
     return bytes(
         not (state & forbid or flanks and mask & flanks == flanks)
-        for _, _, forbid, flanks in _compiled(p)
+        for _, _, forbid, flanks, _, _ in _compiled(p)
     )
 
 
@@ -233,20 +240,17 @@ def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
     probes = _compiled(p)
     count = len(probes)
     failed = bytearray(len(batch) * count)
-    for j, (_, _, forbid, flanks) in enumerate(probes):
+    spec = f"0{len(batch)}b"
+    for j, (_, _, _, _, forbid_at, flanks_at) in enumerate(probes):
         fail = 0
-        while forbid:
-            low = forbid & -forbid
-            fail |= state[low.bit_length() - 1]
-            forbid ^= low
-        if flanks:
+        for i in forbid_at:
+            fail |= state[i]
+        if flanks_at:
             both = -1
-            while flanks:
-                low = flanks & -flanks
-                both &= squares[low.bit_length() - 1]
-                flanks ^= low
+            for i in flanks_at:
+                both &= squares[i]
             fail |= both
-        failed[j::count] = format(fail, f"0{len(batch)}b")[::-1].encode()
+        failed[j::count] = format(fail, spec)[::-1].encode()
     return bytes(failed).translate(_PASSED)
 
 
@@ -254,7 +258,7 @@ def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
     """The moves of :func:`ssl_moves` for a mesh whose probes pass as
     ``vector`` says; they depend on nothing else."""
     options: list[list] = [[] for _ in p]
-    for (assignment, bits, _, _), passed in zip(_compiled(p), vector):
+    for (assignment, bits, *_), passed in zip(_compiled(p), vector):
         if passed:
             options[assignment.point[0] - 1].append((assignment, bits))
     # Choices grow point by point in product order, no assignment first, and
@@ -302,14 +306,13 @@ def _frontier_moves(
     return found
 
 
-def shadeable_assignments(p: Perm, mask: int, pairs: bool) -> list[tuple[Assignment, int]]:
+def shadeable_assignments(p: Perm, mask: int) -> list[tuple[Assignment, int]]:
     """Assignments (with their masks) addable to the mesh ``mask`` over ``p``
-    without changing the avoidance set: the singles, or the pairs."""
-    kind = "pair" if pairs else "single"
+    without changing the avoidance set, singles and pairs, in probe order."""
     return [
         (assignment, bits)
-        for (assignment, bits, _, _), passed in zip(_compiled(p), _option_vector(p, mask))
-        if passed and assignment.kind == kind
+        for (assignment, bits, *_), passed in zip(_compiled(p), _option_vector(p, mask))
+        if passed
     ]
 
 
@@ -318,7 +321,8 @@ def shadeable_singles(pi: MeshPattern) -> list[tuple[tuple[int, int], Square, st
     without changing the avoidance set."""
     return [
         (a.point, a.squares[0], a.direction)
-        for a, _ in shadeable_assignments(pi.perm, pi.mask, False)
+        for a, _ in shadeable_assignments(pi.perm, pi.mask)
+        if a.kind == "single"
     ]
 
 
@@ -328,7 +332,8 @@ def shadeable_pairs(
     """(point, square pair, direction) for every addable adjacent pair."""
     return [
         (a.point, a.squares, a.direction)
-        for a, _ in shadeable_assignments(pi.perm, pi.mask, True)
+        for a, _ in shadeable_assignments(pi.perm, pi.mask)
+        if a.kind == "pair"
     ]
 
 
@@ -494,19 +499,23 @@ def trace_to_json(trace: ProofTrace) -> list[dict]:
 # Closure of a set of meshes under simultaneous shading and sandwiching.
 
 class UnionFind:
-    """Plain dict-backed union-find over hashable items."""
+    """Dict-backed union-find over comparable hashable items, rooted at each
+    class's least item.  A root whose class has two or more items also keeps
+    their list in ``members``; a singleton has none, so it costs nothing
+    until it first merges."""
 
     def __init__(self) -> None:
         self.parent: dict = {}
+        self.members: dict = {}
 
     def find(self, x):
         parent = self.parent
-        if x not in parent:
-            parent[x] = x
+        root = parent.setdefault(x, x)
+        if root == x:
             return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
+        up = parent[root]
+        while up != root:
+            root, up = up, parent[up]
         while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
@@ -518,6 +527,13 @@ class UnionFind:
         if ry < rx:  # keep the smaller representative, for determinism
             rx, ry = ry, rx
         self.parent[ry] = rx
+        members = self.members
+        kept = members.pop(rx, None) or [rx]
+        merged = members.pop(ry, None) or [ry]
+        if len(kept) < len(merged):
+            kept, merged = merged, kept
+        kept += merged  # the shorter list moves into the longer
+        members[rx] = kept
         return True
 
 
@@ -561,11 +577,17 @@ def _extremes(members: list[int]) -> list[tuple[int, int]]:
     by_size = sorted(members, key=int.bit_count)
     minimal: list[int] = []
     for m in by_size:
-        if not any(lo & m == lo for lo in minimal):
+        for lo in minimal:
+            if lo & m == lo:
+                break
+        else:
             minimal.append(m)
     maximal: list[int] = []
     for m in reversed(by_size):
-        if not any(m & hi == m for hi in maximal):
+        for hi in maximal:
+            if m & hi == m:
+                break
+        else:
             maximal.append(m)
     return [(lo, hi) for lo in minimal for hi in maximal if lo & hi == lo]
 
@@ -588,7 +610,8 @@ def ssl_closure(
     are expanded in turn.  ``budget`` caps the number of meshes expanded;
     exceeding it returns the partial partition flagged incomplete, and a
     negative budget is a ``ValueError``.  Each class carries the steps that
-    joined its meshes, in the order they were taken.
+    joined its meshes, in the order they were taken: a step is kept only
+    when it merges two groups, so a class of n meshes has n - 1 steps.
     """
     p = make_perm(p)
     k = len(p)
@@ -599,15 +622,16 @@ def ssl_closure(
         raise ValueError("at least one seed mesh is required")
     frontier = deque(sorted(known))
     uf = UnionFind()
-    log: list[TraceStep] = []
+    find = uf.find
+    log: list[TraceStep] = []  # one step per merge: a spanning forest
 
-    def join(step: TraceStep) -> None:
-        for mesh in (step.before, step.after):
+    def join(rule: str, before: int, after: int, detail: tuple) -> None:
+        for mesh in (before, after):
             if mesh not in known:
                 known.add(mesh)
                 frontier.append(mesh)
-        if uf.union(step.before, step.after):
-            log.append(step)
+        if uf.union(before, after):
+            log.append(TraceStep(rule, p, before, after, detail))
 
     spent = 0
     # the moves of each option vector met, for this closure only
@@ -625,46 +649,47 @@ def ssl_closure(
             spent += size
             for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
                 for move in moves:
-                    join(TraceStep("SSL", p, mesh, mesh | move.added, move.assignments))
+                    join("SSL", mesh, mesh | move.added, move.assignments)
         return True
 
     def sandwich(dirty: set[int]) -> None:
-        components: dict[int, list[int]] = {}
-        for m in known:
-            root = uf.find(m)
-            if root in dirty:
-                components.setdefault(root, []).append(m)
-        for root in sorted(components):
-            for lo, hi in _extremes(components[root]):
+        # the groups as they stand before this sweep joins anything
+        groups = [sorted(uf.members[root]) for root in sorted(dirty)]
+        for group in groups:
+            for lo, hi in _extremes(group):
                 diff = hi & ~lo
                 sub = diff
+                root = find(lo)
                 while True:
                     mid = lo | sub
-                    if uf.find(mid) != uf.find(lo):
-                        join(TraceStep("CLOSURE", p, lo, mid, (lo, hi)))
+                    if find(mid) != root:
+                        join("CLOSURE", lo, mid, (lo, hi))
+                        root = find(lo)
                     if sub == 0:
                         break
                     sub = (sub - 1) & diff
 
     for step in given:
-        join(step)
+        join(step.rule, step.before, step.after, step.detail)
     complete = expand()
     swept = 0
     while complete and swept < len(log):
         # a group that no step has joined since the last sweep is closed
-        dirty = {uf.find(step.before) for step in log[swept:]}
+        dirty = {find(step.before) for step in log[swept:]}
         swept = len(log)
         sandwich(dirty)
         complete = expand()
 
-    groups: dict[int, list[int]] = {}
-    for m in sorted(known):
-        groups.setdefault(uf.find(m), []).append(m)
     steps: dict[int, list[TraceStep]] = {}
     for step in log:
-        steps.setdefault(uf.find(step.before), []).append(step)
+        steps.setdefault(find(step.before), []).append(step)
+    parent, members = uf.parent, uf.members
     classes = tuple(
-        ClosureClass(tuple(groups[root]), tuple(steps.get(root, ())))
-        for root in sorted(groups)
+        ClosureClass(
+            tuple(sorted(members[root])) if root in members else (root,),
+            tuple(steps.get(root, ())),
+        )
+        for root in sorted(known)
+        if parent.get(root, root) == root
     )
     return ClosureResult(p, classes, complete, spent)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -196,6 +197,14 @@ class TestClassify:
         assert "sparse: false" in out
 
 
+# sha256 of the whole report that ``partition`` prints for these arguments
+REPORT_DIGESTS = {
+    "12 --max-n 7": "a82adeb479576d862b5c4510bbc65a3323fd5badbd6da45831411624896d9c6c",
+    "1 --max-n 6": "be01d9390969b80c710d61a1322588d9d074e23ec3c6b3060cccf665f8379f99",
+    "123 --max-n 4": "35d4f37157d96e80716f65f91ed9493f55e77fc7903113d54bbe20f8c8a99f9e",
+}
+
+
 class TestPartition:
     def test_small_partition_stdout(self, capsys):
         code, out, _ = run(capsys, "partition", "1", "--max-n", "4", "--threads", "1")
@@ -234,6 +243,12 @@ class TestPartition:
         assert code == 2
         assert out == ""
         assert limit in err
+
+    @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, "partition", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
     def test_default_depth(self, capsys):
         code, out, _ = run(capsys, "partition", "1", "--threads", "1")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from meshcide.perm import SYMMETRIES, all_perms, apply_symmetry_perm, lex_rank
-from meshcide import coincidence
+from meshcide import coincidence, shading
 from meshcide.mesh import (
     MAX_DEPTH,
     MeshPattern,
@@ -30,7 +30,9 @@ from meshcide.shading import (
     ShadeMove,
     TraceStep,
     shadeable_pairs,
+    shadeable_singles,
     ssl_closure,
+    ssl_moves,
 )
 from meshcide.coincidence import (
     GAMMA_1,
@@ -422,6 +424,71 @@ class TestVerifyTrace:
         ):
             step = TraceStep(rule, pi.perm, pi.mask, grown, detail)
             assert verify_trace(ProofTrace(pi.perm, pi.mask, grown, (step,))) is valid
+
+    @staticmethod
+    def _one_step(step):
+        return verify_trace(ProofTrace(step.perm, step.before, step.after, (step,)))
+
+    def test_malformed_closure_detail_is_false(self):
+        lo, hi = msk(2, [(0, 0)]), msk(2, [(0, 0), (1, 1)])
+        assert self._one_step(TraceStep("CLOSURE", (1, 2), lo, lo, (lo, lo)))
+        for detail in ((), (lo,), (lo, hi, hi), lo, None, ("a", "b"), (lo, 1 << 9), (-1, hi)):
+            step = TraceStep("CLOSURE", (1, 2), lo, lo, detail)
+            assert self._one_step(step) is False, detail
+
+    def test_malformed_ssl_detail_is_false(self):
+        pi = MeshPattern.of("12", [(2, 0)])
+        point, pair, direction = shadeable_pairs(pi)[0]
+        grown = pi.mask | msk(2, pair)
+        good = Assignment(point, "pair", direction, pair)
+        listed = Assignment(list(point), "pair", direction, list(pair))
+        assert self._one_step(TraceStep("SSL", pi.perm, pi.mask, grown, (good,)))
+        for detail in ((5,), (None,), ("pair",), (good, 7), (listed,), 5, None, [good]):
+            step = TraceStep("SSL", pi.perm, pi.mask, grown, detail)
+            assert self._one_step(step) is False, detail
+
+    def test_masks_outside_the_grid_are_false(self):
+        for perm, before, after in (
+            ((1, 2), -1, 0),
+            ((1, 2), 0, 1 << 9),
+            ((1, 2), "0", 0),
+            ((1, 2), 0.0, 0),
+            ((1, 1), 0, 0),
+            ([1, 2], 0, 0),
+            ("12", 0, 0),
+            (12, 0, 0),
+        ):
+            for rule in ("SSL", "CLOSURE", "CLASSICAL", "GAMMA", "ISOLATING"):
+                step = TraceStep(rule, perm, before, after, (0, 0) if rule == "CLOSURE" else ())
+                trace = ProofTrace((1, 2), 0, 0, (step,))
+                assert verify_trace(trace) is False, (rule, perm, before, after)
+            # the trace's own pattern and endpoints are checked alike
+            assert verify_trace(ProofTrace(perm, before, after, ())) is False
+
+    def test_single_with_an_extra_square_is_false(self):
+        # only the whole assignment licenses its squares: a valid single's
+        # square followed by any other square proves nothing
+        pi = MeshPattern.of("12", [(2, 0)])
+        point, square, direction = shadeable_singles(pi)[0]
+        extra = next(
+            sq for sq in mask_to_squares(2, ~pi.mask & ((1 << 9) - 1)) if sq != square
+        )
+        grown = pi.mask | msk(2, [square, extra])
+        detail = (Assignment(point, "single", direction, (square, extra)),)
+        assert not self._one_step(TraceStep("SSL", pi.perm, pi.mask, grown, detail))
+
+    def test_shadeable_probes_run_once_per_step(self, monkeypatch):
+        pi = MeshPattern.of("123")
+        move = max(ssl_moves(pi), key=lambda m: len(m.assignments))
+        assert len(move.assignments) > 1
+        step = TraceStep("SSL", pi.perm, pi.mask, pi.mask | move.added, move.assignments)
+        calls = []
+        real = shading._option_vector
+        monkeypatch.setattr(
+            shading, "_option_vector", lambda p, mask: calls.append(mask) or real(p, mask)
+        )
+        assert self._one_step(step)
+        assert calls == [pi.mask]
 
 
 class TestSignatures:

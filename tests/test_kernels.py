@@ -179,6 +179,15 @@ def test_batch_order_duplicates_and_singletons():
         assert shading._frontier_moves(p, [mask], {}) == [tuple(ssl_moves(MeshPattern(p, mask)))]
 
 
+@pytest.mark.parametrize("p", EXHAUSTIVE + [(1, 3, 2), (2, 4, 1, 3), (2, 4, 1, 5, 3)])
+def test_probe_indices_rebuild_the_masks(p):
+    # the batch engine reads a probe's bits from its index tuples only
+    for _, _, forbid, flanks, forbid_at, flanks_at in shading._compiled(p):
+        for mask, at in ((forbid, forbid_at), (flanks, flanks_at)):
+            assert list(at) == sorted(set(at))
+            assert sum(1 << i for i in at) == mask
+
+
 def test_compile_rejects_a_non_uniform_neighbour_shift(monkeypatch):
     real = shading.apply_symmetry_square
     swap = {(0, 0): (0, 1), (0, 1): (0, 0)}

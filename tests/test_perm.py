@@ -116,6 +116,23 @@ class TestClassicalOccurrences:
         # with no shaded square the letters go left to right
         assert _search_plan((5, 4, 3, 2, 1), -1)[0] == (1, 2, 3, 4, 5)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_squares_with_one_letter_order_share_a_plan(self, k):
+        for p in itertools.permutations(range(1, k + 1)):
+            plans = {}
+            for first in range(-1, (k + 1) ** 2):
+                plan = _search_plan(p, first)
+                letters = plan[0]
+                lead = set()
+                if first >= 0:
+                    a, b = divmod(first, k + 1)
+                    lead = {a, a + 1, *(i for i, v in enumerate(p, 1) if v in (b, b + 1))}
+                    lead -= {0, k + 1}
+                # the square's bounding letters first, each part left to right
+                assert list(letters[: len(lead)]) == sorted(lead)
+                assert list(letters[len(lead) :]) == sorted(set(range(1, k + 1)) - lead)
+                assert plans.setdefault(letters, plan) is plan
+
     def test_identity_counts_are_binomial(self):
         for k in range(1, 4):
             p = tuple(range(1, k + 1))

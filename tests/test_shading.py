@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -381,3 +382,141 @@ class TestMoveSoundness:
                 for move in ssl_moves(pi):
                     a, b = fingerprints_many(p, (mask, mask | move.added), 6)
                     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The closure engine against results recorded before its union-find kept
+# member lists and built steps only on merges.
+
+def _step_key(step):
+    if step.rule in ("SL", "SSL"):
+        detail = tuple((a.point, a.kind, a.direction, a.squares) for a in step.detail)
+    else:
+        detail = tuple(step.detail)
+    return (step.rule, step.perm, step.before, step.after, detail)
+
+
+def closure_digest(result, steps=True):
+    """sha256 of a closure result: its classes, ``complete`` and
+    ``expanded``, and with ``steps`` every class's steps in order."""
+    h = hashlib.sha256(repr((result.perm, result.complete, result.expanded)).encode())
+    for cls in result.classes:
+        h.update(repr(cls.meshes).encode())
+        if steps:
+            h.update(repr([_step_key(s) for s in cls.steps]).encode())
+    return h.hexdigest()
+
+
+def whole_cube_closure(p, gamma):
+    from meshcide.coincidence import _gamma_steps
+
+    cube = range(1 << (len(p) + 1) ** 2)
+    return ssl_closure(p, cube, given=_gamma_steps(p) if gamma else ())
+
+
+def seeded_closures():
+    """Three patterns of each length 3-5, each with two sparse seeded meshes."""
+    rng = random.Random(1412)
+    for k in (3, 4, 5):
+        for _ in range(3):
+            p = tuple(rng.sample(range(1, k + 1), k))
+            nbits = (k + 1) ** 2
+            seeds = [sum(1 << b for b in range(nbits) if rng.random() < 0.12) for _ in range(2)]
+            yield p, seeds
+
+
+WHOLE_CUBE_DIGESTS = {
+    # (pattern, gamma): closure_digest of the whole-cube closure
+    ((1,), True): "7d06c4cbf6aaa40410de635dad42dd189627a1a0fdcc4086b081778965f1c1f9",
+    ((1,), False): "7d06c4cbf6aaa40410de635dad42dd189627a1a0fdcc4086b081778965f1c1f9",
+    ((1, 2), True): "6299f8e4f14a257c127bb398430092b5bdae6d29ac42572448b2cd3820411302",
+    ((1, 2), False): "aff51e036a70c2da30c11be95b80438ffb5d336cfb830d25f33262e6dbe6e829",
+    ((2, 1), True): "856d5c5f109ccb644694ab6ef2356ece77c97b88351b886ebba595ded5323b48",
+    ((2, 1), False): "f5e0f9dc647b7b661cf67f5e5abb824a4c9eaa9504094e4a1f3153fdb09bb6e3",
+    ((1, 2, 3), True): "964488fe04ff74bb6401367e73188497c4ec6baba51aeed5a48b5a7955c2e4d4",
+    ((1, 2, 3), False): "964488fe04ff74bb6401367e73188497c4ec6baba51aeed5a48b5a7955c2e4d4",
+}
+
+SEEDED_DIGESTS = {
+    # (pattern, budget): closure_digest(..., steps=False)
+    ((2, 1, 3), None): "ed657576ae94a74a29ae759305ce1044e7f1d2ee05937b71c17fe78ed5dcfe77",
+    ((2, 1, 3), 0): "d48badea4c629e85c854fa8c79fb1ce27b98514bfa6e1627678f0b020be48345",
+    ((2, 1, 3), 5): "a59e0bae0e038aef5dcff645564f3cd30185c0e8388457808a305e2fe0f889bb",
+    ((2, 1, 3), 300): "60c611875af5dcb6155bcdde1e04f1c24fae5374b01d28310fa453c3c0c4fde8",
+    ((3, 2, 1), None): "c7589cd4820c73d35b2d045161dbcf4c4b17da024bee9827ccd8c33013ebe587",
+    ((3, 2, 1), 0): "60ee1eeec1b9374638b5013b023a4f4156b83c2a2cabb5e6df46b62ef602544e",
+    ((3, 2, 1), 5): "2bca576e9bce6c8ebd882c647a29777170e71b8b7aead94d59ae3ef83cbffd44",
+    ((3, 2, 1), 300): "c7589cd4820c73d35b2d045161dbcf4c4b17da024bee9827ccd8c33013ebe587",
+    ((3, 1, 2), None): "25363c3c04aa8e5f57d015fd0cb9df04e42c71a777b8e88ae274afa3335db2e0",
+    ((3, 1, 2), 0): "4e9a430b4459cf0ec23824997060f9c6a0bce0dda78e979fc30a1870accd76ac",
+    ((3, 1, 2), 5): "dccb10a6814bdfbc0d80118210b29750215b4c8aa0435c7374b9f5a983990608",
+    ((3, 1, 2), 300): "25363c3c04aa8e5f57d015fd0cb9df04e42c71a777b8e88ae274afa3335db2e0",
+    ((3, 2, 1, 4), None): "1c2a344f0af785fd8c2089a34238e52debfd25c1eae96a0f07a3dd3d00afaf83",
+    ((3, 2, 1, 4), 0): "5d88eb33d26f7cc92ef52a619887bc3f53689c8b8ff5751b17adf78e4dff1360",
+    ((3, 2, 1, 4), 5): "a9257777123ca46ac63ec5207bf632f3b5b7afcd425fbb3e3ea8c99a4bf46c31",
+    ((3, 2, 1, 4), 300): "65517b0e41633e3cd2faebf1592df6851ee54f57268df7717fd5912539e72ee4",
+    ((1, 2, 3, 4), None): "d4dd76fb1db8cecdb0e605995ddad6078f36c8bdeb6ee780616e9c11d0890631",
+    ((1, 2, 3, 4), 0): "a4601713ae8dfd25ed50d2fa733ea2137dee19dc23ab1abcefa597af94800b6b",
+    ((1, 2, 3, 4), 5): "340503cc724d9db8295e8d9a3daad84d99256493d118d16ff93e619acf5e70be",
+    ((1, 2, 3, 4), 300): "d4dd76fb1db8cecdb0e605995ddad6078f36c8bdeb6ee780616e9c11d0890631",
+    ((1, 2, 4, 3), None): "451e44b186a82936b82bb4e7781b2033996b629975fa3d70f5705ff0e4ccc124",
+    ((1, 2, 4, 3), 0): "ed633cd622c59fdc175b2ca9aa8c9e4c71580949b4474ede1adc7d4ff8ebc428",
+    ((1, 2, 4, 3), 5): "af5ca5d134fb31515931922aedff8bbdf9c9ed4b9522b4b1063aa6e5d026081f",
+    ((1, 2, 4, 3), 300): "42b0075335589c9a42bad85303869f95feae4ccb09fac4fa2ee895d97184fc34",
+    ((5, 2, 1, 4, 3), None): "3da198f5840e6470235390beafd35aded95692c1f0998adcfe79dd9bf333e103",
+    ((5, 2, 1, 4, 3), 0): "fe26714cb92921a0667df295233c78e8905bfbaf8b56d931c7b314b90228f2ed",
+    ((5, 2, 1, 4, 3), 5): "d1f87967785eef27c01f4259f8a9b078675496a4dc5ec567bee6d273ad1d2deb",
+    ((5, 2, 1, 4, 3), 300): "e9c97ccd8fd073d5a9bd84d778743d78e764987051beae4d46bd09b7a5b0171b",
+    ((2, 1, 5, 3, 4), None): "52cac3447e4cd63e176670a68bf54ffed4ced14c77135c9a36f85b430d4400b7",
+    ((2, 1, 5, 3, 4), 0): "934e79bd93295ac70793493585876c5e2fe9d0373a01d8b5f76ffe106a4ff9b0",
+    ((2, 1, 5, 3, 4), 5): "646eb9f8487057c72e77c22ea232d8b8b1f8d1bf8d5d7db3b299e7907d1439b8",
+    ((2, 1, 5, 3, 4), 300): "8ebad1aa62f510a890079c3a34a0e7710819dc079f4209e065ab066b0e9a4121",
+    ((4, 5, 1, 2, 3), None): "1310b81b1382bef0e3eec5980dbd9f3d649343a8ee586ae3e047b905d5dca488",
+    ((4, 5, 1, 2, 3), 0): "3a6344f40a8d83546dbbfe5125c32fbb00f130086a855e69be67c581c76769c3",
+    ((4, 5, 1, 2, 3), 5): "b407e628c43f8415c9100cee40fc76a972a2f7226682a1a5003cf8bd2e6ac507",
+    ((4, 5, 1, 2, 3), 300): "1310b81b1382bef0e3eec5980dbd9f3d649343a8ee586ae3e047b905d5dca488",
+}
+
+
+def assert_spanning_forest(result):
+    """Each class's steps join its meshes in ``len(meshes) - 1`` merges,
+    and no step leaves its class."""
+    for cls in result.classes:
+        assert len(cls.steps) == len(cls.meshes) - 1, cls.meshes[0]
+        members = set(cls.meshes)
+        parent = {m: m for m in members}
+
+        def root(m):
+            while parent[m] != m:
+                m = parent[m]
+            return m
+
+        for step in cls.steps:
+            assert step.before in members and step.after in members
+            a, b = root(step.before), root(step.after)
+            assert a != b, "a step that merges nothing"
+            parent[b] = a
+
+
+class TestClosureEngine:
+    @pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("gamma", [True, False])
+    def test_whole_cube_matches_recorded(self, p, gamma):
+        result = whole_cube_closure(p, gamma)
+        assert result.complete and result.expanded == 1 << (len(p) + 1) ** 2
+        assert closure_digest(result) == WHOLE_CUBE_DIGESTS[p, gamma]
+        assert_spanning_forest(result)
+
+    @pytest.mark.parametrize("budget", [None, 0, 5, 300])
+    def test_seeded_closures_match_recorded(self, budget):
+        from meshcide.coincidence import verify_trace
+        from meshcide.shading import ProofTrace
+
+        for p, seeds in seeded_closures():
+            result = ssl_closure(p, seeds, budget=budget)
+            assert closure_digest(result, steps=False) == SEEDED_DIGESTS[p, budget], p
+            assert_spanning_forest(result)
+            # every step replays; the forest joins the rest of the class
+            for cls in result.classes:
+                trace = ProofTrace(p, cls.meshes[0], cls.meshes[-1], cls.steps)
+                assert verify_trace(trace), (p, cls.meshes[0])
