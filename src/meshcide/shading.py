@@ -602,7 +602,8 @@ def ssl_closure(
     groups.
 
     The ``given`` steps, which the caller has justified by other rules, are
-    joined first and their meshes become seeds too.  Then two inferences
+    joined first and their meshes become seeds too; a given step over
+    another pattern is a ``ValueError``.  Then two inferences
     alternate until neither moves: every simultaneous-shading move joins a
     mesh with its enlargement, and every mesh between a minimal and a
     maximal member of one group joins that group (a mesh between any two
@@ -670,6 +671,8 @@ def ssl_closure(
                     sub = (sub - 1) & diff
 
     for step in given:
+        if step.perm != p:  # the log rebuilds each step over p
+            raise ValueError(f"a given step over {step.perm} in a closure over {p}")
         join(step.rule, step.before, step.after, step.detail)
     complete = expand()
     swept = 0

@@ -21,6 +21,7 @@ from meshcide.diagonals import apply_symmetry_mesh, apply_symmetry_square
 from meshcide.shading import (
     Assignment,
     ShadeMove,
+    TraceStep,
     pair_candidate,
     shadeable_pairs,
     shadeable_singles,
@@ -328,6 +329,11 @@ class TestClosure:
     def test_negative_budget_is_an_error(self):
         with pytest.raises(ValueError, match="budget"):
             ssl_closure((1, 2), [0], budget=-3)
+
+    def test_given_step_over_another_pattern_is_an_error(self):
+        step = TraceStep("GAMMA", (2, 1), 0, 1, ("id",))
+        with pytest.raises(ValueError, match="given step"):
+            ssl_closure((1, 2), [0], given=[step])
 
     def test_large_class_sandwiches_from_its_extremes(self):
         # sandwiching every pair of members, not just the extremes, took
