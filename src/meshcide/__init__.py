@@ -23,6 +23,7 @@ from .mesh import (
     corresponding_region,
     fingerprint,
     fingerprints_many,
+    first_separation,
     mesh_occurrences,
     mesh_pattern_from_json,
     mesh_pattern_to_json,

@@ -30,7 +30,7 @@ from .mesh import (
     containment_signatures,
     contains,
     default_depth,
-    fingerprints_many,
+    first_separation,
     full_grid_mask,
     square_bit,
     squares_to_mask,
@@ -341,9 +341,11 @@ def decide_coincidence(
     Pipeline: identical patterns; distinct underlying permutations (the
     shorter underlying permutation already separates them); distinct
     enclosed diagonals (constructive short witness); a truncated avoidance
-    sweep to ``n_max`` (lexicographically least separating permutation);
-    then the classical, isolating and gamma rules, and last the shading
-    closure of the pair.  Anything left is honestly UNDECIDED
+    sweep to ``n_max`` (lexicographically least separating permutation),
+    which goes size by size and stops at the first size that separates the
+    pair, though the host tables are built through ``n_max`` first; then
+    the classical, isolating and gamma rules, and last the shading closure
+    of the pair.  Anything left is honestly UNDECIDED
     at the reported depth, with the reason the closure gave up.  A depth
     outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
@@ -366,8 +368,7 @@ def decide_coincidence(
             witness=witness.perm,
             witness_contains_first=witness.contains_first,
         )
-    fp1, fp2 = fingerprints_many(pi.perm, (pi.mask, pi2.mask), n_max)
-    diff = fp1.first_difference(fp2)
+    diff = first_separation(pi.perm, pi.mask, pi2.mask, n_max)
     if diff is not None:
         n, rank = diff
         return _verified_refutation(pi, pi2, lex_unrank(n, rank), n_max)

@@ -229,11 +229,7 @@ class Fingerprint:
 
     def first_difference(self, other: "Fingerprint") -> tuple[int, int] | None:
         """(n, lex rank) of the earliest disagreement, or None."""
-        for n in range(1, min(self.n_max, other.n_max) + 1):
-            x = self.per_n[n - 1] ^ other.per_n[n - 1]
-            if x:
-                return n, (x & -x).bit_length() - 1
-        return None
+        return _first_difference(zip(self.per_n, other.per_n))
 
     def hex_rows(self) -> list[str]:
         return [hex(row) for row in self.per_n]
@@ -354,35 +350,65 @@ def _tables_through(p: Perm, n_max: int) -> list:
     ]
 
 
-def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerprint]:
-    """Fingerprints of several meshes over one shared sweep of the hosts.
+def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
+    """Row n of every mesh in ``masks``, for n = 1..n_max in turn.
 
     All of S_n is handled at once: a set of hosts is a bitset, and a host
     contains a mesh iff some occurrence ``t`` of ``p`` in it has no other
     point in a shaded square, so row n is the union over t of ``occ_t``
-    minus the union of the shaded ``cells_t``.
-
-    >>> fingerprints_many((1, 2), (0,), 3)[0].per_n == (0, 1, 31)
-    True
+    minus the union of the shaded ``cells_t``.  The tables for every size
+    are built before the first row; a row is computed only when asked for.
     """
-    check_depth(n_max)
-    p = tuple(p)
     nbits = (len(p) + 1) ** 2
     tables = _tables_through(p, n_max)
-    fingerprints = []
-    for mesh in masks:
-        squares = [c for c in range(nbits) if mesh >> c & 1]
-        rows = []
-        for table in tables:
+    shaded = [[c for c in range(nbits) if mesh >> c & 1] for mesh in masks]
+    for table in tables:
+        row = []
+        for squares in shaded:
             hit = 0
             for occ, cells in table:
                 blocked = 0
                 for c in squares:
                     blocked |= cells[c]
                 hit |= occ & ~blocked
-            rows.append(hit)
-        fingerprints.append(Fingerprint(n_max, tuple(rows)))
-    return fingerprints
+            row.append(hit)
+        yield row
+
+
+def _first_difference(rows: Iterable[Sequence[int]]) -> tuple[int, int] | None:
+    """(n, lex rank) of the lowest bit in the first pair of rows that differ,
+    the pairs numbered from n = 1, or None when every pair agrees."""
+    for n, (a, b) in enumerate(rows, start=1):
+        x = a ^ b
+        if x:
+            return n, (x & -x).bit_length() - 1
+    return None
+
+
+def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerprint]:
+    """Fingerprints of several meshes over one shared sweep of the hosts.
+
+    >>> fingerprints_many((1, 2), (0,), 3)[0].per_n == (0, 1, 31)
+    True
+    """
+    check_depth(n_max)
+    rows = list(_sweep(tuple(p), masks, n_max))
+    return [Fingerprint(n_max, per_n) for per_n in zip(*rows)]
+
+
+def first_separation(p: Perm, a: int, b: int, n_max: int) -> tuple[int, int] | None:
+    """(n, lex rank) of the least host of the smallest size n <= n_max that
+    contains exactly one of the meshes ``a`` and ``b`` over ``p``, or None.
+
+    The same answer as ``first_difference`` of the two fingerprints, but
+    the sweep stops at the first size that separates the pair.  A depth
+    outside ``1..MAX_DEPTH`` raises ``ValueError`` before any table is built.
+
+    >>> first_separation((1, 2), 0, 1 << 6, 4)  # 12 against 12:(2,0)
+    (3, 3)
+    """
+    check_depth(n_max)
+    return _first_difference(_sweep(tuple(p), (a, b), n_max))
 
 
 MAX_SIGNATURE_LENGTH = 3

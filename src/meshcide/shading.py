@@ -524,6 +524,11 @@ class UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
+        self.link(rx, ry)
+        return True
+
+    def link(self, rx, ry):
+        """Merge the classes of two distinct roots; returns the new root."""
         if ry < rx:  # keep the smaller representative, for determinism
             rx, ry = ry, rx
         self.parent[ry] = rx
@@ -534,7 +539,7 @@ class UnionFind:
             kept, merged = merged, kept
         kept += merged  # the shorter list moves into the longer
         members[rx] = kept
-        return True
+        return rx
 
 
 @dataclass(frozen=True)
@@ -649,8 +654,20 @@ def ssl_closure(
             batch = [frontier.popleft() for _ in range(size)]
             spent += size
             for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
+                if not moves:
+                    continue
+                # join, with the expanded mesh's root found once: most moves
+                # land in its own group and merge nothing
+                root = find(mesh)
                 for move in moves:
-                    join("SSL", mesh, mesh | move.added, move.assignments)
+                    after = mesh | move.added
+                    if after not in known:
+                        known.add(after)
+                        frontier.append(after)
+                    other = find(after)
+                    if other != root:
+                        root = uf.link(root, other)
+                        log.append(TraceStep("SSL", p, mesh, after, move.assignments))
         return True
 
     def sandwich(dirty: set[int]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -233,6 +234,37 @@ class TestRules:
                 assert contains_gamma_oracle(w) == contains(GAMMA_2, w)
 
 
+def decide_neighbour_pairs():
+    """Sixty seeded neighbour pairs (a mesh and the same mesh with one square
+    toggled) for every pattern of length 1-3.  At depth 7 they cover every
+    decision path: enclosed diagonals, the sweep at each size from 3 to 7,
+    proofs and UNDECIDED."""
+    rng = random.Random(1413)
+    for k in (1, 2, 3):
+        nbits = (k + 1) ** 2
+        for p in itertools.permutations(range(1, k + 1)):
+            for _ in range(60):
+                mask = rng.getrandbits(nbits)
+                yield p, mask, mask ^ 1 << rng.randrange(nbits)
+
+
+def decide_digest(pairs, depth):
+    """sha256 of each verdict's status, witness, reason and trace steps."""
+    h = hashlib.sha256()
+    for p, a, b in pairs:
+        v = decide_coincidence(MeshPattern(p, a), MeshPattern(p, b), depth)
+        steps = v.trace.steps if v.trace else None
+        h.update(
+            repr((p, a, b, v.status, v.witness, v.witness_contains_first, v.reason, steps)).encode()
+        )
+    return h.hexdigest()
+
+
+# decide_digest(decide_neighbour_pairs(), 7) before the sweep stopped at the
+# first separating size
+DECIDE_DIGEST = "04adcff008d01844a0e5667b34f3495b6f2f30405bb01543522514565c3a67fa"
+
+
 class TestDecide:
     def test_proven_equal(self):
         pi = MeshPattern.of("231", [(1, 0)])
@@ -246,6 +278,9 @@ class TestDecide:
     def test_rejects_depth_outside_limits(self, first, second, depth):
         with pytest.raises(ValueError, match="fingerprint depth"):
             decide_coincidence(parse_mesh_pattern(first), parse_mesh_pattern(second), depth)
+
+    def test_outputs_match_recorded(self):
+        assert decide_digest(decide_neighbour_pairs(), 7) == DECIDE_DIGEST
 
     def test_undecided_says_the_closure_finished_disconnected(self):
         # the stubborn pair of test_14_undecided_honesty: neither mesh has a

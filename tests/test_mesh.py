@@ -10,6 +10,7 @@ from meshcide.perm import ParseError, all_perms, apply_symmetry_perm, is_occurre
 from meshcide import mesh
 from meshcide.mesh import (
     MAX_DEPTH,
+    Fingerprint,
     MeshPattern,
     OpenBox,
     avoiders,
@@ -19,6 +20,7 @@ from meshcide.mesh import (
     default_depth,
     fingerprint,
     fingerprints_many,
+    first_separation,
     full_grid_mask,
     host_region_masks,
     iter_mesh_occurrences,
@@ -357,6 +359,76 @@ class TestFingerprints:
         assert default_depth(1) == 4
         assert default_depth(3) == 6
         assert default_depth(6) == 8
+
+
+class TestFirstSeparation:
+    """``first_separation`` is ``first_difference`` of the two fingerprints,
+    found without sweeping the sizes above the first that separates."""
+
+    @pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1)])
+    def test_matches_fingerprints_on_every_toggle(self, p):
+        nbits = (len(p) + 1) ** 2
+        fps = fingerprints_many(p, range(1 << nbits), 6)
+        for n_max in range(1, 7):
+            for a in range(1 << nbits):
+                fa = Fingerprint(n_max, fps[a].per_n[:n_max])
+                for c in range(nbits):
+                    b = a ^ 1 << c
+                    fb = Fingerprint(n_max, fps[b].per_n[:n_max])
+                    assert first_separation(p, a, b, n_max) == fa.first_difference(fb)
+
+    def test_matches_fingerprints_on_seeded_length_3_pairs(self):
+        rng = random.Random(1415)
+        seen = set()
+        for p in itertools.permutations((1, 2, 3)):
+            for _ in range(25):
+                a = rng.getrandbits(16)
+                for b in (rng.getrandbits(16), a ^ 1 << rng.randrange(16)):
+                    fa, fb = fingerprints_many(p, (a, b), 7)
+                    expected = fa.first_difference(fb)
+                    assert first_separation(p, a, b, 7) == expected
+                    seen.add(expected and expected[0])
+        assert {None, 4, 5, 6, 7} <= seen  # every size the pairs separate at, and none
+
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12])
+    def test_depth_outside_limits_raises_before_any_table(self, depth, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a host table was built")
+
+        for name in ("_less_sets", "_occurrence_tables", "_cached_occurrence_tables"):
+            monkeypatch.setattr(mesh, name, no_tables)
+        with pytest.raises(ValueError, match="MAX_DEPTH"):
+            first_separation((1, 2, 3), 0, 1, depth)
+
+    def test_reads_no_table_above_the_first_separating_size(self, monkeypatch):
+        from meshcide.coincidence import decide_coincidence
+
+        read = set()
+
+        class Watched:
+            """The occurrence table of S_n, recording when it is read."""
+
+            def __init__(self, n, table):
+                self.n, self.table = n, table
+
+            def __iter__(self):
+                read.add(self.n)
+                return iter(self.table)
+
+        tables_through = mesh._tables_through
+
+        def watched(p, n_max):
+            return [Watched(n, t) for n, t in enumerate(tables_through(p, n_max), start=1)]
+
+        monkeypatch.setattr(mesh, "_tables_through", watched)
+        first = parse_mesh_pattern("1:(0,1)(1,0)")
+        second = parse_mesh_pattern("1:(0,0)(0,1)(1,0)")  # same enclosed diagonals
+        v = decide_coincidence(first, second, 7)
+        assert v.status == "REFUTED" and v.witness == (2, 1, 3)
+        assert read == {1, 2, 3}
+        read.clear()  # the full sweep reads every size
+        fingerprints_many((1,), (first.mask, second.mask), 7)
+        assert read == set(range(1, 8))
 
 
 class TestHostMasks:
