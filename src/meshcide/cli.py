@@ -243,11 +243,12 @@ def _cmd_partition(args) -> int:
     if args.out:
         cached = load_partition_cache(args.out, p, n_max, use_gamma=not args.no_gamma)
         if cached is not None:
-            sys.stdout.write("\n".join(cached) + "\n")
+            sys.stdout.writelines(line + "\n" for line in cached)
             return 0
     result = partition_meshes(p, n_max, use_gamma=not args.no_gamma)
     lines = partition_lines(result)
-    sys.stdout.write("\n".join(lines) + "\n")
+    # one line per write, so the report is never held twice as one string
+    sys.stdout.writelines(line + "\n" for line in lines)
     if args.out:
         write_partition_cache(args.out, lines)
     return 0

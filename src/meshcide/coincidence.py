@@ -219,29 +219,32 @@ def verify_trace(trace: ProofTrace) -> bool:
     if not _well_formed(trace.perm, trace.source, trace.target):
         return False
     uf = UnionFind()
-
-    def key(perm: Perm, mask: int):
-        return (perm, mask)
+    # the assignments each (perm, mesh) licenses, with their masks, probed once
+    licensed: dict[tuple[Perm, int], dict] = {}
 
     for step in trace.steps:
         if not _well_formed(step.perm, step.before, step.after):
             return False
-        k = len(step.perm)
-        pattern = MeshPattern(step.perm, step.before)
         if step.rule in ("SL", "SSL"):
             if not isinstance(step.detail, tuple):
                 return False
             # every assignment must be one the mesh licenses, whole
-            valid = [a for a, _ in shadeable_assignments(step.perm, step.before)]
-            added = step.after & ~step.before
+            at = (step.perm, step.before)
+            if at not in licensed:
+                licensed[at] = dict(shadeable_assignments(*at))
+            valid = licensed[at]
             union = 0
             points = set()
             for a in step.detail:
-                if a not in valid or a.point in points:
+                try:
+                    bits = valid.get(a)
+                except TypeError:  # an unhashable look-alike
+                    return False
+                if bits is None or a.point in points:
                     return False
                 points.add(a.point)
-                union |= squares_to_mask(k, a.squares)
-            if union != added or step.after != step.before | added:
+                union |= bits
+            if union != step.after & ~step.before or step.after != step.before | union:
                 return False
         elif step.rule == "CLOSURE":
             detail = step.detail
@@ -252,30 +255,27 @@ def verify_trace(trace: ProofTrace) -> bool:
             lo, hi = detail
             if lo & step.after != lo or step.after & hi != step.after:
                 return False
-            if uf.find(key(step.perm, lo)) != uf.find(key(step.perm, hi)):
+            if uf.find((step.perm, lo)) != uf.find((step.perm, hi)):
                 return False
-        elif step.rule == "CLASSICAL":
-            if classical_rule(pattern, MeshPattern(step.perm, step.after)) is None:
-                return False
-        elif step.rule == "ISOLATING":
+        elif step.rule in ("CLASSICAL", "ISOLATING", "GAMMA"):
+            pattern = MeshPattern(step.perm, step.before)
             other = MeshPattern(step.perm, step.after)
-            tags1, tags2 = classify_family(pattern), classify_family(other)
-            if not (tags1.isolating and tags2.isolating and same_enc(pattern, other)):
-                return False
-            # the supporting single-square chains must already connect them
-            if uf.find(key(step.perm, step.before)) != uf.find(
-                key(step.perm, step.after)
-            ):
-                return False
-        elif step.rule == "GAMMA":
-            if gamma_rule(pattern, MeshPattern(step.perm, step.after)) is None:
+            if step.rule == "CLASSICAL":
+                if classical_rule(pattern, other) is None:
+                    return False
+            elif step.rule == "ISOLATING":
+                tags1, tags2 = classify_family(pattern), classify_family(other)
+                if not (tags1.isolating and tags2.isolating and same_enc(pattern, other)):
+                    return False
+                # the supporting single-square chains must already connect them
+                if uf.find((step.perm, step.before)) != uf.find((step.perm, step.after)):
+                    return False
+            elif gamma_rule(pattern, other) is None:
                 return False
         else:
             return False
-        uf.union(key(step.perm, step.before), key(step.perm, step.after))
-    return uf.find(key(trace.perm, trace.source)) == uf.find(
-        key(trace.perm, trace.target)
-    )
+        uf.union((step.perm, step.before), (step.perm, step.after))
+    return uf.find((trace.perm, trace.source)) == uf.find((trace.perm, trace.target))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def containment_signatures_parallel(
     return containment_signatures(p, n_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionClass:
     meshes: tuple[int, ...]
     status: str  # "PROVEN" | "CONJECTURED"
@@ -575,8 +575,10 @@ def partition_lines(result: PartitionResult) -> list[str]:
 
 
 def write_partition_cache(path: str | Path, lines: list[str]) -> None:
-    """Write report lines built by :func:`partition_lines` as a cache file."""
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write report lines built by :func:`partition_lines` as a cache file,
+    one line at a time."""
+    with open(path, "w") as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def load_partition_cache(
@@ -595,7 +597,10 @@ def load_partition_cache(
     target = Path(path)
     if not target.exists():
         return None
-    lines = [line for line in target.read_text().splitlines() if line.strip()]
+    # read line by line: splitting each line again keeps the line breaks of
+    # str.splitlines (form feeds, file separators and the like)
+    with open(target) as f:
+        lines = [line for raw in f for line in raw.splitlines() if line.strip()]
     if not lines:
         return None
     keys = ("p", "n_max", "gamma", "classes", "proven", "conjectured", "undecided_pairs")

@@ -518,7 +518,21 @@ def mesh_pattern_to_json(pi: MeshPattern) -> dict:
     return {"perm": list(pi.perm), "mesh": [[a, b] for a, b in pi.squares]}
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+
+
 def mesh_pattern_from_json(obj: dict) -> MeshPattern:
-    word = make_perm(obj["perm"])
-    squares = [tuple(sq) for sq in obj.get("mesh", ())]
-    return MeshPattern(word, squares_to_mask(len(word), squares))
+    """Inverse of :func:`mesh_pattern_to_json`.  A missing or non-list
+    ``perm``, or a ``mesh`` entry that is not a pair of ints, is a
+    ``ParseError`` that names the key."""
+    perm = obj.get("perm")
+    if not _int_list(perm):
+        raise ParseError(f'JSON key "perm" must be a list of ints, not {perm!r}')
+    mesh = obj.get("mesh", [])
+    if not isinstance(mesh, (list, tuple)) or not all(
+        _int_list(sq) and len(sq) == 2 for sq in mesh
+    ):
+        raise ParseError(f'JSON key "mesh" must be a list of [a, b] int pairs, not {mesh!r}')
+    word = make_perm(perm)
+    return MeshPattern(word, squares_to_mask(len(word), mesh))

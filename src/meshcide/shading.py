@@ -442,7 +442,7 @@ def ssl_repair_occurrence(
 # ---------------------------------------------------------------------------
 # Machine-checkable proof steps.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One re-checkable inference.  ``before``/``after`` are mesh masks over
     ``perm``'s grid; the pair is asserted coincident by ``rule``."""
@@ -542,7 +542,7 @@ class UnionFind:
         return rx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosureClass:
     meshes: tuple[int, ...]
     steps: tuple[TraceStep, ...]

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -48,6 +50,21 @@ class TestErrors:
         code, _, err = run(capsys, "enc", "231:(1,0)junk")
         assert code == 2
         assert "junk" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"mesh": []}', "perm"),
+            ('{"perm": 12}', "perm"),
+            ('{"perm": [1,2], "mesh": [1]}', "mesh"),
+            ('{"perm": [1,2], "mesh": [[1]]}', "mesh"),
+        ],
+    )
+    def test_malformed_json_pattern_exits_2(self, capsys, text, key):
+        code, out, err = run(capsys, "enc", text)
+        assert code == 2
+        assert out == ""
+        assert f'"{key}"' in err
 
 
 class TestEnc:
@@ -287,9 +304,30 @@ class TestPartition:
     def test_stdout_is_the_cache_file(self, capsys, tmp_path, monkeypatch):
         import meshcide.cli as cli
 
+        class Writes(io.StringIO):
+            """Stdout that keeps every chunk written to it."""
+
+            def __init__(self):
+                super().__init__()
+                self.chunks = []
+
+            def write(self, text):
+                self.chunks.append(text)
+                return super().write(text)
+
+        def partition_stdout(argv):
+            stdout = Writes()
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                code = main(list(argv))
+            # the report goes out one line per write, never joined
+            assert all(chunk.count("\n") <= 1 for chunk in stdout.chunks)
+            assert len(stdout.chunks) > 1
+            return code, stdout.getvalue()
+
         out_file = tmp_path / "p12.jsonl"
         argv = ("partition", "12", "--max-n", "4", "--out", str(out_file))
-        code, out, _ = run(capsys, *argv)
+        code, out = partition_stdout(argv)
         assert code == 0
         assert out.encode() == out_file.read_bytes()
 
@@ -297,9 +335,18 @@ class TestPartition:
             raise AssertionError("the cache was not used")
 
         monkeypatch.setattr(cli, "partition_meshes", no_partition)
-        code, hit, _ = run(capsys, *argv)
+        code, hit = partition_stdout(argv)
         assert code == 0
         assert hit.encode() == out_file.read_bytes()
+
+    @pytest.mark.parametrize("separator", [b"\r\n", b"\x0c"])
+    def test_cache_line_breaks_still_hit(self, capsys, tmp_path, separator):
+        out_file = tmp_path / "p12.jsonl"
+        code, fresh, _ = run(capsys, "partition", "12", "--max-n", "4", "--out", str(out_file))
+        assert code == 0
+        # str.splitlines breaks lines at both, so the file is still a cache
+        out_file.write_bytes(out_file.read_bytes().replace(b"\n", separator))
+        assert coincidence.load_partition_cache(out_file, (1, 2), 4) == fresh.splitlines()
 
     @pytest.mark.parametrize(
         "corrupt",
