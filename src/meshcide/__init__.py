@@ -57,7 +57,6 @@ from .coincidence import (
     contains_gamma_oracle,
     decide_coincidence,
     gamma_rule,
-    isolating_rule,
     partition_meshes,
     verify_trace,
 )

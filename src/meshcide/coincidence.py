@@ -39,7 +39,6 @@ from .mesh import (
 from .diagonals import (
     apply_symmetry_mesh,
     diagonal_to_json,
-    enc_core_mask,
     enc_witness,
     enclosed_diagonals,
     pointless_mask,
@@ -151,44 +150,6 @@ def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
 
 
-def _single_shading_chain(
-    p: Perm, start: int, target: int
-) -> list[TraceStep] | None:
-    """Grow ``start`` to ``target`` one shadeable single square at a time."""
-    if start & ~target:
-        return None
-    current = start
-    steps: list[TraceStep] = []
-    while current != target:
-        for assignment, bit in shadeable_assignments(p, current):
-            if assignment.kind == "single" and target & bit and not current & bit:
-                steps.append(TraceStep("SL", p, current, current | bit, (assignment,)))
-                current |= bit
-                break
-        else:
-            return None
-    return steps
-
-
-def isolating_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
-    """Isolating meshes with equal enclosed diagonals: derive both from the
-    shared diagonal core by single-square shading.  If a derivation gets
-    stuck the rule stays silent rather than asserting the conclusion."""
-    if pi.perm != pi2.perm:
-        return None
-    if not (classify_family(pi).isolating and classify_family(pi2).isolating):
-        return None
-    if not same_enc(pi, pi2):
-        return None
-    core = enc_core_mask(pi)
-    chain1 = _single_shading_chain(pi.perm, core, pi.mask)
-    chain2 = _single_shading_chain(pi.perm, core, pi2.mask)
-    if chain1 is None or chain2 is None:
-        return None
-    marker = TraceStep("ISOLATING", pi.perm, pi.mask, pi2.mask, ("core", core))
-    return chain1 + chain2 + [marker]
-
-
 def gamma_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     """The one length-2 coincidence beyond shading: the pair of meshes whose
     containment means sum-decomposability, in any symmetric orientation."""
@@ -225,7 +186,7 @@ def verify_trace(trace: ProofTrace) -> bool:
     for step in trace.steps:
         if not _well_formed(step.perm, step.before, step.after):
             return False
-        if step.rule in ("SL", "SSL"):
+        if step.rule == "SSL":
             if not isinstance(step.detail, tuple):
                 return False
             # every assignment must be one the mesh licenses, whole
@@ -257,20 +218,10 @@ def verify_trace(trace: ProofTrace) -> bool:
                 return False
             if uf.find((step.perm, lo)) != uf.find((step.perm, hi)):
                 return False
-        elif step.rule in ("CLASSICAL", "ISOLATING", "GAMMA"):
-            pattern = MeshPattern(step.perm, step.before)
-            other = MeshPattern(step.perm, step.after)
-            if step.rule == "CLASSICAL":
-                if classical_rule(pattern, other) is None:
-                    return False
-            elif step.rule == "ISOLATING":
-                tags1, tags2 = classify_family(pattern), classify_family(other)
-                if not (tags1.isolating and tags2.isolating and same_enc(pattern, other)):
-                    return False
-                # the supporting single-square chains must already connect them
-                if uf.find((step.perm, step.before)) != uf.find((step.perm, step.after)):
-                    return False
-            elif gamma_rule(pattern, other) is None:
+        elif step.rule in ("CLASSICAL", "GAMMA"):
+            rule = classical_rule if step.rule == "CLASSICAL" else gamma_rule
+            pair = MeshPattern(step.perm, step.before), MeshPattern(step.perm, step.after)
+            if rule(*pair) is None:
                 return False
         else:
             return False
@@ -313,7 +264,7 @@ def _proof_search(
 ) -> tuple[list[TraceStep] | None, tuple[str, int] | None]:
     """Proof steps joining the pair, or None with the reason the closure
     gave up."""
-    for rule in (classical_rule, isolating_rule, gamma_rule):
+    for rule in (classical_rule, gamma_rule):
         steps = rule(pi, pi2)
         if steps is not None:
             return steps, None
@@ -321,10 +272,11 @@ def _proof_search(
     # the move set is symmetry-equivariant, so one orientation suffices.
     # It also joins the column-union and row-union pairs, the only pairs a
     # rule proved just in another orientation, so the rules above run in
-    # this one (gamma_rule checks every orientation itself).
-    closure = ssl_closure(
-        pi.perm, (pi.mask, pi2.mask), budget=_DECIDE_CLOSURE_BUDGET
-    )
+    # this one (gamma_rule checks every orientation itself).  The meet is a
+    # seed too: single-square shading grows it to both meshes of an
+    # isolating pair, which the closure of the two meshes alone may miss.
+    seeds = (pi.mask, pi2.mask, pi.mask & pi2.mask)
+    closure = ssl_closure(pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET)
     cls = closure.class_of(pi.mask)
     if cls is not None and pi2.mask in cls.meshes:
         return list(cls.steps), None
@@ -344,10 +296,10 @@ def decide_coincidence(
     sweep to ``n_max`` (lexicographically least separating permutation),
     which goes size by size and stops at the first size that separates the
     pair, though the host tables are built through ``n_max`` first; then
-    the classical, isolating and gamma rules, and last the shading closure
-    of the pair.  Anything left is honestly UNDECIDED
-    at the reported depth, with the reason the closure gave up.  A depth
-    outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
+    the classical and gamma rules, and last the shading closure of the
+    pair and its meet (the squares both shade).  Anything left is honestly
+    UNDECIDED at the reported depth, with the reason the closure gave up.
+    A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
     if n_max is None:
         n_max = default_depth(max(pi.k, pi2.k))
@@ -587,9 +539,9 @@ def load_partition_cache(
     """Reload a cached report as its non-blank lines, to be printed as they
     are, once one fresh signature table confirms every record: the meshes
     cover the mesh cube exactly once, each record is one whole truncation
-    group with its fingerprint, representative and size, ``blocks`` appears
-    exactly on CONJECTURED records and partitions their meshes, and the
-    summary counts the records.  Returns None if the file is malformed,
+    group with its fingerprint, enclosed diagonals, representative and
+    size, ``blocks`` appears exactly on CONJECTURED records and partitions
+    their meshes, and the summary counts the records.  Returns None if the file is malformed,
     does not fit the request or fails a check; a pattern or depth that
     ``containment_signatures`` rejects still raises ``ValueError``."""
     p = make_perm(p)
@@ -612,6 +564,7 @@ def load_partition_cache(
     except (ValueError, TypeError, KeyError, AttributeError):
         return None
     sigs = containment_signatures(p, n_max)
+    candidates = [(m, diagonal_to_json(d)) for m, d, _ in _diagonal_candidates(p)]
     seen, groups = set(), set()
     # the summary's counts, counted down to zero record by record
     tally = {"PROVEN": proven, "CONJECTURED": conjectured}
@@ -629,6 +582,8 @@ def load_partition_cache(
             if len(seen) != covered + len(masks) or any(sigs[m] != sig for m in masks):
                 return None
             if _hex_rows(sig, n_max) != rec["fingerprint"]:
+                return None
+            if rec["enc"] != [d for m, d in candidates if masks[0] & m == m]:
                 return None
             if rec["status"] == "CONJECTURED":
                 blocks = [[squares_to_mask(k, m) for m in block] for block in rec["blocks"]]

@@ -224,15 +224,9 @@ class Fingerprint:
         if len(self.per_n) != self.n_max:
             raise ValueError("fingerprint depth does not match its rows")
 
-    def bit(self, n: int, rank: int) -> bool:
-        return bool((self.per_n[n - 1] >> rank) & 1)
-
     def first_difference(self, other: "Fingerprint") -> tuple[int, int] | None:
         """(n, lex rank) of the earliest disagreement, or None."""
         return _first_difference(zip(self.per_n, other.per_n))
-
-    def hex_rows(self) -> list[str]:
-        return [hex(row) for row in self.per_n]
 
 
 def default_depth(k: int) -> int:

@@ -447,7 +447,7 @@ class TraceStep:
     """One re-checkable inference.  ``before``/``after`` are mesh masks over
     ``perm``'s grid; the pair is asserted coincident by ``rule``."""
 
-    rule: str  # SL | SSL | CLOSURE | GAMMA | ISOLATING | CLASSICAL
+    rule: str  # SSL | CLOSURE | GAMMA | CLASSICAL
     perm: Perm
     before: int
     after: int
@@ -468,7 +468,7 @@ def trace_step_to_json(step: TraceStep) -> dict:
     k = len(step.perm)
     sq = lambda mask: [[a, b] for a, b in mask_to_squares(k, mask)]
     obj: dict = {"rule": step.rule}
-    if step.rule in ("SL", "SSL"):
+    if step.rule == "SSL":
         obj["from"] = mesh_pattern_to_json(MeshPattern(step.perm, step.before))
         obj["added"] = sq(step.after & ~step.before)
         obj["assignments"] = [
@@ -484,7 +484,7 @@ def trace_step_to_json(step: TraceStep) -> dict:
         lo, hi = step.detail
         obj["mesh"] = sq(step.after)
         obj["between"] = [sq(lo), sq(hi)]
-    else:  # GAMMA / ISOLATING / CLASSICAL relate a pair directly
+    else:  # GAMMA / CLASSICAL relate a pair directly
         obj["pair"] = [sq(step.before), sq(step.after)]
         if step.detail:
             obj["detail"] = list(step.detail)

@@ -191,6 +191,27 @@ def shadeable_pairs_brute(p, mask):
     return _conjugated(p, mask, _PAIR_TO_E, e_pair_ok_brute, candidate)
 
 
+def single_shading_chain(p, start, target):
+    """Grow ``start`` to ``target`` one shadeable single square at a time,
+    shading the first listed square of ``target``: the meshes passed
+    through, ``start`` first, or None if ``start`` is not inside ``target``
+    or the walk gets stuck."""
+    k = len(p)
+    if start & ~target:
+        return None
+    chain = [start]
+    while chain[-1] != target:
+        current = chain[-1]
+        for _, square, _ in shadeable_singles_brute(p, current):
+            bit = _bit(k, *square)
+            if target & bit and not current & bit:
+                chain.append(current | bit)
+                break
+        else:
+            return None
+    return chain
+
+
 def _pointless(p, a, b):
     points = set(enumerate(p, start=1))
     return not {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)} & points

@@ -44,7 +44,6 @@ from meshcide.coincidence import (
     contains_gamma_oracle,
     decide_coincidence,
     gamma_rule,
-    isolating_rule,
     load_partition_cache,
     partition_lines,
     partition_meshes,
@@ -54,7 +53,12 @@ from meshcide.coincidence import (
     write_partition_cache,
 )
 
-from oracles import fingerprints_brute, partition_record_oracle, signature_rows
+from oracles import (
+    fingerprints_brute,
+    partition_record_oracle,
+    signature_rows,
+    single_shading_chain,
+)
 
 
 def msk(k, squares):
@@ -104,6 +108,9 @@ CACHE_EDITS = {
         status="CONJECTURED", blocks=[records[0]["meshes"]]
     ),
     "summary miscounts": lambda records: records[-1]["summary"].update(undecided_pairs=0),
+    "enc edited": lambda records: records[0]["enc"].append(
+        {"orientation": "NE", "squares": [[9, 9]]}
+    ),
 }
 
 
@@ -178,44 +185,36 @@ class TestRules:
             key = frozenset(enc)
             assert seen.setdefault(key, mask) == mask
 
-    def test_isolating_rule_proves(self):
-        a = MeshPattern.of("213", [(1, 2)])
-        b = MeshPattern.of("213")
-        steps = isolating_rule(a, b)
-        assert steps is not None
-        trace = ProofTrace(a.perm, a.mask, b.mask, tuple(steps))
-        assert verify_trace(trace)
+    def test_isolating_fixtures(self):
+        # one isolated non-pointless square grown from the empty core
+        v = decide_coincidence(MeshPattern.of("213", [(1, 2)]), MeshPattern.of("213"), 5)
+        assert v.status == "PROVEN_COINCIDENT" and verify_trace(v.trace)
+        # distinct pointless squares are distinct enclosed diagonals
+        a, b = MeshPattern.of("231", [(1, 0)]), MeshPattern.of("231", [(3, 2)])
+        assert decide_coincidence(a, b, 5).status == "REFUTED"
 
-    def test_isolating_rule_distinct_pointless_absent(self):
-        a = MeshPattern.of("231", [(1, 0)])
-        b = MeshPattern.of("231", [(3, 2)])
-        assert isolating_rule(a, b) is None
-
-    def test_isolating_pairs_small_scan(self):
-        # every same-enc isolating pair over 213 the rule proves really does
-        # share its depth-5 truncation
-        p = (2, 1, 3)
+    @pytest.mark.parametrize(
+        "p, sample",
+        [((1,), None), ((1, 2), None), ((2, 1), None), ((2, 1, 3), 100), ((1, 2, 3), 100)],
+        ids=["1", "12", "21", "213", "123"],
+    )
+    def test_isolating_pairs_are_proven(self, p, sample):
+        # isolating meshes that single-square shading grows from one shared
+        # diagonal core are coincident, and the closure of the pair and its
+        # meet proves it: all such pairs, or a seeded sample of them
         groups = {}
-        for mask in range(0, 1 << 16):
-            pi = MeshPattern(p, mask)
-            tags = classify_family(pi)
-            if not tags.isolating:
-                continue
-            groups.setdefault(frozenset(enc_square_sets(pi)), []).append(mask)
-        rng = random.Random(13)
-        checked = 0
-        for key, masks in groups.items():
-            if len(masks) < 2:
-                continue
-            for _ in range(min(3, len(masks) // 2)):
-                a, b = rng.sample(masks, 2)
-                steps = isolating_rule(MeshPattern(p, a), MeshPattern(p, b))
-                if steps is None:
-                    continue
-                fa, fb = fingerprints_many(p, (a, b), 5)
-                assert fa == fb
-                checked += 1
-        assert checked >= 20
+        for mesh in range(1 << (len(p) + 1) ** 2):
+            pattern = MeshPattern(p, mesh)
+            core = enc_core_mask(pattern)
+            if classify_family(pattern).isolating and single_shading_chain(p, core, mesh):
+                groups.setdefault(core, []).append(mesh)
+        pairs = [pair for group in groups.values() for pair in itertools.combinations(group, 2)]
+        if sample is not None:
+            pairs = random.Random(f"isolating:{p}").sample(pairs, sample)
+        for a, b in pairs:
+            v = decide_coincidence(MeshPattern(p, a), MeshPattern(p, b), 5)
+            assert v.status == "PROVEN_COINCIDENT", (p, a, b, v.reason)
+            assert verify_trace(v.trace)
 
     def test_gamma_rule(self):
         assert gamma_rule(GAMMA_1, GAMMA_2) is not None
@@ -260,9 +259,9 @@ def decide_digest(pairs, depth):
     return h.hexdigest()
 
 
-# decide_digest(decide_neighbour_pairs(), 7) before the sweep stopped at the
-# first separating size
-DECIDE_DIGEST = "04adcff008d01844a0e5667b34f3495b6f2f30405bb01543522514565c3a67fa"
+# decide_digest(decide_neighbour_pairs(), 7) once the closure also seeded
+# the pair's meet
+DECIDE_DIGEST = "d79cc9100ac368de0d7379c93be32b238c4f3c8373528558aab57d5f0f55733b"
 
 
 class TestDecide:
@@ -455,7 +454,12 @@ class TestVerifyTrace:
         grown = pi.mask | msk(2, pair)
         detail = (Assignment(point, "pair", direction, pair),)
         for rule, valid in (
-            ("SSL", True), ("DSL", False), ("SYMMETRY", False), ("VINCULAR", False)
+            ("SSL", True),
+            ("DSL", False),
+            ("SL", False),
+            ("SYMMETRY", False),
+            ("VINCULAR", False),
+            ("ISOLATING", False),
         ):
             step = TraceStep(rule, pi.perm, pi.mask, grown, detail)
             assert verify_trace(ProofTrace(pi.perm, pi.mask, grown, (step,))) is valid
@@ -493,7 +497,7 @@ class TestVerifyTrace:
             ("12", 0, 0),
             (12, 0, 0),
         ):
-            for rule in ("SSL", "CLOSURE", "CLASSICAL", "GAMMA", "ISOLATING"):
+            for rule in ("SSL", "CLOSURE", "CLASSICAL", "GAMMA"):
                 step = TraceStep(rule, perm, before, after, (0, 0) if rule == "CLOSURE" else ())
                 trace = ProofTrace((1, 2), 0, 0, (step,))
                 assert verify_trace(trace) is False, (rule, perm, before, after)
@@ -803,7 +807,7 @@ def assert_shape_rules_hold(result):
         if not core:
             classical.add(block_of[mesh])
         elif classify_family(pattern).isolating:
-            if coincidence._single_shading_chain(p, core, mesh) is not None:
+            if single_shading_chain(p, core, mesh) is not None:
                 assert block_of[mesh] == block_of[core], (p, mesh)
     assert len(classical) == 1
     for line in (

@@ -395,7 +395,7 @@ class TestMoveSoundness:
 # member lists and built steps only on merges.
 
 def _step_key(step):
-    if step.rule in ("SL", "SSL"):
+    if step.rule == "SSL":
         detail = tuple((a.point, a.kind, a.direction, a.squares) for a in step.detail)
     else:
         detail = tuple(step.detail)
