@@ -275,8 +275,12 @@ def _proof_search(
     # this one (gamma_rule checks every orientation itself).  The meet is a
     # seed too: single-square shading grows it to both meshes of an
     # isolating pair, which the closure of the two meshes alone may miss.
+    # The closure stops at the merge that joins the pair, so the proof is
+    # the pair's class log at that moment.
     seeds = (pi.mask, pi2.mask, pi.mask & pi2.mask)
-    closure = ssl_closure(pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET)
+    closure = ssl_closure(
+        pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET, goal=(pi.mask, pi2.mask)
+    )
     cls = closure.class_of(pi.mask)
     if cls is not None and pi2.mask in cls.meshes:
         return list(cls.steps), None
@@ -297,7 +301,8 @@ def decide_coincidence(
     which goes size by size and stops at the first size that separates the
     pair, though the host tables are built through ``n_max`` first; then
     the classical and gamma rules, and last the shading closure of the
-    pair and its meet (the squares both shade).  Anything left is honestly
+    pair and its meet (the squares both shade), stopped as soon as it joins
+    the pair.  Anything left is honestly
     UNDECIDED at the reported depth, with the reason the closure gave up.
     A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
@@ -463,7 +468,7 @@ def partition_records(result: PartitionResult) -> list[str]:
     p = result.perm
     tables = _square_text_tables(len(p))
     perm = json.dumps(list(p))
-    candidates = [(m, json.dumps(diagonal_to_json(d))) for m, d, _ in _diagonal_candidates(p)]
+    candidates = [(m, json.dumps(diagonal_to_json(d))) for m, d in _diagonal_candidates(p)]
 
     def mesh_text(mask: int) -> str:
         parts = []
@@ -564,7 +569,7 @@ def load_partition_cache(
     except (ValueError, TypeError, KeyError, AttributeError):
         return None
     sigs = containment_signatures(p, n_max)
-    candidates = [(m, diagonal_to_json(d)) for m, d, _ in _diagonal_candidates(p)]
+    candidates = [(m, diagonal_to_json(d)) for m, d in _diagonal_candidates(p)]
     seen, groups = set(), set()
     # the summary's counts, counted down to zero record by record
     tally = {"PROVEN": proven, "CONJECTURED": conjectured}

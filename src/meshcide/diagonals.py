@@ -33,18 +33,13 @@ class EnclosedDiagonal:
     length: int
     squares: tuple[Square, ...]
 
-    def square_set(self) -> frozenset[Square]:
-        return frozenset(self.squares)
-
 
 def graph_points(p: Perm) -> frozenset[tuple[int, int]]:
     return frozenset((i, v) for i, v in enumerate(p, start=1))
 
 
 @lru_cache(maxsize=64)
-def _diagonal_candidates(
-    p: Perm,
-) -> tuple[tuple[int, EnclosedDiagonal, frozenset[Square]], ...]:
+def _diagonal_candidates(p: Perm) -> tuple[tuple[int, EnclosedDiagonal], ...]:
     """Every diagonal a mesh over ``p`` could enclose, with its square mask,
     in (anchor, orientation) order.
 
@@ -75,19 +70,19 @@ def _diagonal_candidates(
             squares = tuple((x - 1 + i, y - i) for i in range(c + 1))
             found.append(EnclosedDiagonal("SE", squares[0], c + 1, squares))
     found.sort(key=lambda d: (d.anchor, d.orientation))
-    return tuple((squares_to_mask(k, d.squares), d, d.square_set()) for d in found)
+    return tuple((squares_to_mask(k, d.squares), d) for d in found)
 
 
 def pointless_mask(p: Perm) -> int:
     """The squares of ``p``'s grid with no corner on the graph of ``p``."""
-    return sum(m for m, d, _ in _diagonal_candidates(p) if d.orientation == "PT")
+    return sum(m for m, d in _diagonal_candidates(p) if d.orientation == "PT")
 
 
 def enclosed_diagonals(pi: MeshPattern) -> frozenset[EnclosedDiagonal]:
     """All enclosed diagonals of the pattern: the candidate runs and
     pointless squares whose squares are all shaded."""
     mask = pi.mask
-    return frozenset(d for m, d, _ in _diagonal_candidates(pi.perm) if mask & m == m)
+    return frozenset(d for m, d in _diagonal_candidates(pi.perm) if mask & m == m)
 
 
 def enc_core_mask(pi: MeshPattern) -> int:
@@ -95,7 +90,7 @@ def enc_core_mask(pi: MeshPattern) -> int:
     are square-disjoint, so this determines the diagonal set."""
     mask = pi.mask
     core = 0
-    for m, _, _ in _diagonal_candidates(pi.perm):
+    for m, _ in _diagonal_candidates(pi.perm):
         if mask & m == m:
             core |= m
     return core
@@ -104,21 +99,15 @@ def enc_core_mask(pi: MeshPattern) -> int:
 def sorted_diagonals(pi: MeshPattern) -> list[EnclosedDiagonal]:
     """The enclosed diagonals in (anchor, orientation) order."""
     mask = pi.mask
-    return [d for m, d, _ in _diagonal_candidates(pi.perm) if mask & m == m]
-
-
-def enc_square_sets(pi: MeshPattern) -> frozenset[frozenset[Square]]:
-    """Comparison form of the diagonal set.  Orientation is dropped: a
-    pointless square carries both labels, and a proper run's square set
-    already determines its direction."""
-    mask = pi.mask
-    return frozenset(s for m, _, s in _diagonal_candidates(pi.perm) if mask & m == m)
+    return [d for m, d in _diagonal_candidates(pi.perm) if mask & m == m]
 
 
 def same_enc(pi: MeshPattern, pi2: MeshPattern) -> bool:
+    """Do the two patterns enclose the same diagonals?  Their cores decide
+    it, since the candidates are square-disjoint."""
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")
-    return enc_square_sets(pi) == enc_square_sets(pi2)
+    return enc_core_mask(pi) == enc_core_mask(pi2)
 
 
 def is_coincident_with_classical(pi: MeshPattern) -> bool:
@@ -241,20 +230,17 @@ def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     """
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")
-    by_set = {}
-    for side, pattern in ((0, pi), (1, pi2)):
-        for d in enclosed_diagonals(pattern):
-            by_set.setdefault(d.square_set(), (side, d))
-    sets1 = enc_square_sets(pi)
-    sets2 = enc_square_sets(pi2)
-    sym_diff = sorted(sets1 ^ sets2, key=lambda s: sorted(s))
-    if not sym_diff:
+    core1, core2 = enc_core_mask(pi), enc_core_mask(pi2)
+    if core1 == core2:
         raise ValueError("patterns have the same enclosed diagonals")
-    # Prefer a diagonal owned by the first pattern, for determinism only.
-    owned_first = [s for s in sym_diff if s in sets1]
-    chosen_set = owned_first[0] if owned_first else sym_diff[0]
-    owner_is_first = chosen_set in sets1
-    _, diag = by_set[chosen_set]
+    # The first such diagonal by its sorted squares, preferring one the
+    # first pattern owns, for determinism only.  The candidates come in that
+    # order: a run's anchor is its least square, and no two share a square.
+    order = _diagonal_candidates(pi.perm)
+    diag = next((d for m, d in order if core1 & m == m and core2 & m != m), None)
+    owner_is_first = diag is not None
+    if diag is None:
+        diag = next(d for m, d in order if core2 & m == m and core1 & m != m)
 
     if diag.orientation in ("NE", "PT"):
         a, b = diag.anchor

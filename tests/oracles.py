@@ -6,6 +6,7 @@ rectangles written with the pattern-inverse value lookup rather than sorted
 occurrence values.  Tests compare the fast paths against these.
 """
 
+import functools
 import itertools
 import math
 
@@ -241,6 +242,61 @@ def enclosed_diagonals_brute(p, mask):
             if all(_has(k, mask, a, b) for a, b in squares):
                 out.add((orientation, squares[0], c + 1, squares))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal_square_sets(p):
+    """Every diagonal a mesh over ``p`` could enclose, as (square set, mask):
+    the enclosed diagonals of the full mesh, walked by
+    :func:`enclosed_diagonals_brute`."""
+    k = len(p)
+    full = (1 << (k + 1) ** 2) - 1
+    return tuple(
+        (frozenset(squares), sum(_bit(k, a, b) for a, b in squares))
+        for _, _, _, squares in enclosed_diagonals_brute(p, full)
+    )
+
+
+def enc_square_sets(pi):
+    """The enclosed diagonals of a pattern as a set of square sets, the form
+    the library once compared them in: orientation is dropped, since a
+    pointless square carries both labels and a proper run's squares fix its
+    direction.  A diagonal is enclosed when all of its squares are shaded."""
+    mask = pi.mask
+    return frozenset(s for s, m in _diagonal_square_sets(pi.perm) if mask & m == m)
+
+
+def enc_witness_oracle(pi, pi2):
+    """``(witness, contains_first)`` as ``diagonals.enc_witness`` once chose
+    it from square sets: of the diagonals only one pattern encloses, sorted
+    by their sorted squares, the first the first pattern owns, else the
+    first; a new letter goes into the run's anchor square (a, b), right
+    after position a and between the values b and b + 1 (through the
+    complement symmetry for a falling run).  Whether the witness contains
+    the first pattern is decided by brute force."""
+    k = len(pi.perm)
+    sets1, sets2 = enc_square_sets(pi), enc_square_sets(pi2)
+    differ = sorted(sets1 ^ sets2, key=sorted)
+    chosen = ([s for s in differ if s in sets1] or differ)[0]
+    orientation, anchor = next(
+        (d[0], d[1])
+        for pattern in (pi, pi2)
+        for d in enclosed_diagonals_brute(pattern.perm, pattern.mask)
+        if frozenset(d[3]) == chosen
+    )
+
+    def insert_below(p, a, b):
+        word = list(p[:a]) + [b + 0.5] + list(p[a:])
+        return tuple(sorted(word).index(v) + 1 for v in word)
+
+    if orientation == "SE":
+        image = insert_below(
+            apply_symmetry_perm("c", pi.perm), *apply_symmetry_square("c", k, anchor)
+        )
+        witness = apply_symmetry_perm("c", image)
+    else:
+        witness = insert_below(pi.perm, *anchor)
+    return witness, mesh_contains_brute(pi.perm, _squares(k, pi.mask), witness)
 
 
 def classify_family_brute(p, mask):

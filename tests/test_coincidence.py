@@ -21,7 +21,6 @@ from meshcide.diagonals import (
     apply_symmetry_mask,
     apply_symmetry_mesh,
     enc_core_mask,
-    enc_square_sets,
     enc_witness,
     same_enc,
 )
@@ -54,6 +53,7 @@ from meshcide.coincidence import (
 )
 
 from oracles import (
+    enc_square_sets,
     fingerprints_brute,
     partition_record_oracle,
     signature_rows,
@@ -247,21 +247,25 @@ def decide_neighbour_pairs():
                 yield p, mask, mask ^ 1 << rng.randrange(nbits)
 
 
-def decide_digest(pairs, depth):
-    """sha256 of each verdict's status, witness, reason and trace steps."""
+def decide_digest(pairs, depth, traces=True):
+    """sha256 of each verdict's status, witness, reason and, with
+    ``traces``, its trace steps."""
     h = hashlib.sha256()
     for p, a, b in pairs:
         v = decide_coincidence(MeshPattern(p, a), MeshPattern(p, b), depth)
-        steps = v.trace.steps if v.trace else None
-        h.update(
-            repr((p, a, b, v.status, v.witness, v.witness_contains_first, v.reason, steps)).encode()
-        )
+        verdict = (p, a, b, v.status, v.witness, v.witness_contains_first, v.reason)
+        if traces:
+            verdict += (v.trace.steps if v.trace else None,)
+        h.update(repr(verdict).encode())
     return h.hexdigest()
 
 
-# decide_digest(decide_neighbour_pairs(), 7) once the closure also seeded
-# the pair's meet
-DECIDE_DIGEST = "d79cc9100ac368de0d7379c93be32b238c4f3c8373528558aab57d5f0f55733b"
+# decide_digest(decide_neighbour_pairs(), 7) once the closure stopped at
+# the merge that joins the pair
+DECIDE_DIGEST = "ec179fa39efa58799abce46e82f287e5d1780f3551c7cb50571f5902b37638dd"
+# decide_digest(decide_neighbour_pairs(), 7, traces=False), unchanged since
+# the closure began seeding the pair's meet
+VERDICT_DIGEST = "f5c22f9b4c02fcc166925a0840713acf3ab2836cca37ccb3b961e8e9ec968323"
 
 
 class TestDecide:
@@ -280,6 +284,10 @@ class TestDecide:
 
     def test_outputs_match_recorded(self):
         assert decide_digest(decide_neighbour_pairs(), 7) == DECIDE_DIGEST
+
+    def test_verdicts_match_recorded(self):
+        # status, witness and reason: what a shorter proof must not change
+        assert decide_digest(decide_neighbour_pairs(), 7, traces=False) == VERDICT_DIGEST
 
     def test_undecided_says_the_closure_finished_disconnected(self):
         # the stubborn pair of test_14_undecided_honesty: neither mesh has a

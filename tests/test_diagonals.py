@@ -17,13 +17,15 @@ from meshcide.diagonals import (
     apply_symmetry_square,
     diagonal_text,
     diagonal_to_json,
-    enc_square_sets,
+    enc_core_mask,
     enc_witness,
     enclosed_diagonals,
     is_coincident_with_classical,
     same_enc,
     sorted_diagonals,
 )
+
+from oracles import enc_square_sets, enc_witness_oracle
 
 
 def diag_sets(pi):
@@ -106,17 +108,17 @@ class TestEnclosedDiagonals:
         # removing squares never creates diagonals
         for mask in range(512):
             pi = MeshPattern((1, 2), mask)
-            full = enc_square_sets(pi)
+            full = enclosed_diagonals(pi)
             for bit in range(9):
                 if mask & (1 << bit):
                     smaller = MeshPattern((1, 2), mask & ~(1 << bit))
-                    assert enc_square_sets(smaller) <= full
+                    assert enclosed_diagonals(smaller) <= full
         rng = random.Random(29)
         for _ in range(500):
             p = tuple(rng.sample(range(1, 4), 3))
             mask = rng.getrandbits(16)
             sub = mask & rng.getrandbits(16)
-            assert enc_square_sets(MeshPattern(p, sub)) <= enc_square_sets(
+            assert enclosed_diagonals(MeshPattern(p, sub)) <= enclosed_diagonals(
                 MeshPattern(p, mask)
             )
 
@@ -176,6 +178,46 @@ class TestClassicalCriterion:
         for mask in masks:
             empty = is_coincident_with_classical(MeshPattern((1,), mask))
             assert empty == (fps[mask] == classical)
+
+
+class TestMaskComparison:
+    """``same_enc`` and ``enc_witness`` compare enclosed diagonals as masks;
+    the square sets of ``tests/oracles.py`` are their reference."""
+
+    @pytest.mark.parametrize(
+        "p", [p for k in (1, 2, 3) for p in all_perms(k)], ids=lambda p: "".join(map(str, p))
+    )
+    def test_equal_cores_mean_equal_square_sets(self, p):
+        # over every mesh, the core and the square sets group alike
+        sets_of_core, core_of_sets = {}, {}
+        for mask in range(1 << (len(p) + 1) ** 2):
+            pi = MeshPattern(p, mask)
+            core, sets = enc_core_mask(pi), enc_square_sets(pi)
+            assert sets_of_core.setdefault(core, sets) == sets, (p, mask)
+            assert core_of_sets.setdefault(sets, core) == core, (p, mask)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_witness_matches_oracle(self, k):
+        # random pairs, and pairs a few toggled squares apart, which often
+        # differ in one diagonal only, owned by either pattern
+        rng = random.Random(f"enc-witness:{k}")
+        nbits = (k + 1) ** 2
+        checked = 0
+        while checked < 150:
+            p = tuple(rng.sample(range(1, k + 1), k))
+            first = rng.getrandbits(nbits)
+            second = rng.getrandbits(nbits)
+            if checked % 2:
+                second = first
+                for _ in range(rng.randint(1, 3)):
+                    second ^= 1 << rng.randrange(nbits)
+            a, b = MeshPattern(p, first), MeshPattern(p, second)
+            assert same_enc(a, b) == (enc_square_sets(a) == enc_square_sets(b)), (a, b)
+            if same_enc(a, b):
+                continue
+            wit = enc_witness(a, b)
+            assert (wit.perm, wit.contains_first) == enc_witness_oracle(a, b), (a, b)
+            checked += 1
 
 
 class TestWitness:

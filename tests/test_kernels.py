@@ -16,9 +16,9 @@ from meshcide.mesh import (
     parse_mesh_pattern,
     squares_to_mask,
 )
-from meshcide.diagonals import apply_symmetry_mask, enc_square_sets, enclosed_diagonals
+from meshcide.diagonals import apply_symmetry_mask, enc_core_mask, enclosed_diagonals
 from meshcide import shading
-from meshcide.shading import shadeable_pairs, shadeable_singles, ssl_moves
+from meshcide.shading import ShadeMove, shadeable_pairs, shadeable_singles, ssl_moves
 from meshcide.coincidence import classify_family
 
 from oracles import (
@@ -70,7 +70,7 @@ def test_enclosed_diagonals_match_corner_walk():
         want = enclosed_diagonals_brute(p, mask)
         got = {(d.orientation, d.anchor, d.length, d.squares) for d in enclosed_diagonals(pi)}
         assert got == want, pi
-        assert enc_square_sets(pi) == {frozenset(d[3]) for d in want}, pi
+        assert enc_core_mask(pi) == squares_to_mask(pi.k, [s for d in want for s in d[3]]), pi
 
 
 def test_classify_family_matches_square_reading():
@@ -177,6 +177,44 @@ def test_batch_order_duplicates_and_singletons():
     for mask in batch[:5]:
         assert _batch_split(p, [mask]) == [shading._option_vector(p, mask)]
         assert shading._frontier_moves(p, [mask], {}) == [tuple(ssl_moves(MeshPattern(p, mask)))]
+
+
+@pytest.mark.parametrize("p", [(2, 3, 1), (3, 1, 4, 2), (4, 2, 5, 1, 3)])
+def test_frontier_moves_equal_on_both_probe_paths(p, monkeypatch):
+    # batches up to twice the crossover, each probed per mesh and bit-sliced
+    rng = random.Random(f"paths:{p}")
+    nbits = (len(p) + 1) ** 2
+    crossover = shading._SLICED_BATCH_MIN
+    for size in range(1, 2 * crossover + 1):
+        batch = [rng.getrandbits(nbits) for _ in range(size)]
+        want = [tuple(ssl_moves(MeshPattern(p, mask))) for mask in batch]
+        for threshold in (1, size + 1):  # sliced, then per mesh
+            monkeypatch.setattr(shading, "_SLICED_BATCH_MIN", threshold)
+            assert shading._frontier_moves(p, batch, {}) == want, (p, size, threshold)
+
+
+def test_batch_size_picks_the_probe_path(monkeypatch):
+    p = (2, 4, 1, 3)
+    real = shading._batch_vectors
+    sliced = []
+    monkeypatch.setattr(
+        shading, "_batch_vectors", lambda p, batch: sliced.append(len(batch)) or real(p, batch)
+    )
+    crossover = shading._SLICED_BATCH_MIN
+    for size in (1, crossover - 1, crossover, 2 * crossover):
+        shading._frontier_moves(p, [0] * size, {})
+    assert sliced == [crossover, 2 * crossover]
+
+
+@pytest.mark.parametrize("size", [1, 2 * shading._SLICED_BATCH_MIN])
+def test_overlap_error_on_both_probe_paths(size, monkeypatch):
+    real = shading._moves
+    # every square of the grid: it overlaps any mesh with a shaded square
+    overlap = ShadeMove((), (1 << 9) - 1)
+    monkeypatch.setattr(shading, "_moves", lambda p, vector: real(p, vector) + (overlap,))
+    batch = [squares_to_mask(2, [(2, 0)])] * size
+    with pytest.raises(AssertionError, match="adds shaded squares"):
+        shading._frontier_moves((1, 2), batch, {})
 
 
 @pytest.mark.parametrize("p", EXHAUSTIVE + [(1, 3, 2), (2, 4, 1, 3), (2, 4, 1, 5, 3)])

@@ -14,12 +14,15 @@ from meshcide.mesh import (
     fingerprints_many,
     mesh_occurrences,
     occurrence_region_mask,
+    parse_mesh_pattern,
     squares_to_mask,
 )
 from meshcide import shading
+from meshcide.coincidence import decide_coincidence, verify_trace
 from meshcide.diagonals import apply_symmetry_mesh, apply_symmetry_square
 from meshcide.shading import (
     Assignment,
+    ProofTrace,
     ShadeMove,
     TraceStep,
     pair_candidate,
@@ -369,6 +372,75 @@ class TestClosure:
             sample = list(cls.meshes)[:12]
             fps = fingerprints_many(p, sample, 5)
             assert all(fp == fps[0] for fp in fps)
+
+
+def goal_pairs():
+    """Thirty seeded neighbour pairs at each of lengths 3 and 4: a sparse
+    mesh, and the same mesh with one square toggled."""
+    rng = random.Random(1503)
+    for k in (3, 4):
+        nbits = (k + 1) ** 2
+        for _ in range(30):
+            p = tuple(rng.sample(range(1, k + 1), k))
+            a = sum(1 << bit for bit in range(nbits) if rng.random() < 0.2)
+            yield p, a, a ^ 1 << rng.randrange(nbits)
+
+
+class TestGoal:
+    """A goal pair stops the closure at the merge that joins it."""
+
+    def test_stopped_classes_lie_in_full_classes(self):
+        joined = saved = 0
+        for p, a, b in goal_pairs():
+            seeds = (a, b, a & b)
+            full = ssl_closure(p, seeds, budget=512)
+            stopped = ssl_closure(p, seeds, budget=512, goal=(a, b))
+            assert stopped.expanded <= full.expanded
+            class_of = {m: i for i, cls in enumerate(full.classes) for m in cls.meshes}
+            for cls in stopped.classes:
+                assert len({class_of[m] for m in cls.meshes}) == 1, (p, a, b)
+            together = b in stopped.class_of(a).meshes
+            assert together == (b in full.class_of(a).meshes), (p, a, b)
+            if together:
+                joined += 1
+                saved += stopped.expanded < full.expanded
+                assert not stopped.complete
+                steps = stopped.class_of(a).steps
+                assert verify_trace(ProofTrace(p, a, b, steps)), (p, a, b)
+            else:  # never stopped: the same run as without the goal
+                assert closure_digest(stopped) == closure_digest(full), (p, a, b)
+        assert joined >= 10 and saved >= 10
+
+    def test_pinned_k5_pair_stops_after_its_seeds(self):
+        # without the goal this closure spends the whole budget decide gives
+        # it, and the pair's class log runs to 5,183 steps
+        a = parse_mesh_pattern("42513:(5,0)(5,3)(5,5)")
+        b = parse_mesh_pattern("42513:(3,0)(5,0)(5,5)")
+        seeds = (a.mask, b.mask, a.mask & b.mask)
+        full = ssl_closure(a.perm, seeds, budget=4096)
+        assert (full.complete, full.expanded) == (False, 4096)
+        assert len(full.class_of(a.mask).steps) == 5183
+        stopped = ssl_closure(a.perm, seeds, budget=4096, goal=(a.mask, b.mask))
+        assert (stopped.complete, stopped.expanded) == (False, 3)
+        cls = stopped.class_of(a.mask)
+        assert b.mask in cls.meshes and len(cls.steps) == 14
+        assert verify_trace(ProofTrace(a.perm, a.mask, b.mask, cls.steps))
+        v = decide_coincidence(a, b, 6)
+        assert v.status == "PROVEN_COINCIDENT" and v.trace.steps == cls.steps
+
+    def test_goal_joined_before_any_expansion(self):
+        g1 = msk(2, [(0, 1), (0, 2), (1, 1), (1, 2), (2, 0)])
+        g2 = msk(2, [(0, 2), (1, 0), (1, 1), (2, 0), (2, 1)])
+        step = TraceStep("GAMMA", (1, 2), g1, g2, ("id",))
+        result = ssl_closure((1, 2), [g1, g2], given=[step], goal=(g1, g2))
+        assert (result.complete, result.expanded) == (False, 0)
+        assert result.class_of(g1).steps == (step,)
+        result = ssl_closure((1, 2), [g1], goal=(g1, g1))
+        assert (result.complete, result.expanded, result.classes[0].steps) == (False, 0, ())
+
+    def test_goal_must_be_seeds(self):
+        with pytest.raises(ValueError, match="goal"):
+            ssl_closure((1, 2), [0], goal=(0, 1))
 
 
 class TestMoveSoundness:
