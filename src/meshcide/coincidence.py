@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from pathlib import Path
+from typing import NamedTuple
 
 from .perm import (
     SYMMETRIES,
@@ -175,15 +176,25 @@ def _well_formed(perm, *masks) -> bool:
 
 def verify_trace(trace: ProofTrace) -> bool:
     """Recheck every step of a proof trace and its final connectivity.  A
-    malformed trace or step (no permutation, a mesh outside the grid, or a
-    detail of the wrong shape) fails like any unsound one."""
-    if not _well_formed(trace.perm, trace.source, trace.target):
+    malformed trace or step (not a ``ProofTrace``, steps that are not
+    ``TraceStep``s, no permutation, a mesh outside the grid, or a detail of
+    the wrong shape) fails like any unsound one."""
+    if not isinstance(trace, ProofTrace) or not _well_formed(
+        trace.perm, trace.source, trace.target
+    ):
+        return False
+    try:
+        steps = iter(trace.steps)
+    except TypeError:  # no steps at all, not even an empty tuple
         return False
     uf = UnionFind()
     # the assignments each (perm, mesh) licenses, with their masks, probed once
     licensed: dict[tuple[Perm, int], dict] = {}
 
-    for step in trace.steps:
+    for step in steps:
+        # a plain tuple compares equal to a TraceStep but has no fields
+        if not isinstance(step, TraceStep):
+            return False
         if not _well_formed(step.perm, step.before, step.after):
             return False
         if step.rule == "SSL":
@@ -348,8 +359,7 @@ def containment_signatures_parallel(
     return containment_signatures(p, n_max)
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionClass:
+class PartitionClass(NamedTuple):
     meshes: tuple[int, ...]
     status: str  # "PROVEN" | "CONJECTURED"
     blocks: tuple[tuple[int, ...], ...]  # proven sub-blocks
@@ -452,13 +462,17 @@ def partition_meshes(
 # Partition report (JSON lines) and its cache file.
 
 @lru_cache(maxsize=16)
-def _square_text_tables(k: int) -> tuple[tuple[str, ...], ...]:
-    """Table j maps the byte of mask bits 8j..8j+7 to the JSON text of its
-    squares: byte 0x05 of a k=3 mask gives ``"[0, 0], [0, 2]"``."""
-    return tuple(
-        tuple(", ".join(f"[{a}, {b}]" for a, b in squares) for squares in table)
+def _square_text_tables(k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The JSON text of the squares in the low and the high byte of a mask,
+    each square followed by ``", "``: byte 0x05 of a k=3 mask gives
+    ``"[0, 0], [0, 2], "``.  A partition's masks have at most 16 bits, as
+    its pattern is at most ``MAX_SIGNATURE_LENGTH`` long, so the two
+    tables cover them."""
+    tables = tuple(
+        tuple("".join(f"[{a}, {b}], " for a, b in squares) for squares in table)
         for table in _square_tables(k)
     )
+    return tables + (("",),) * (2 - len(tables))
 
 
 def partition_records(result: PartitionResult) -> list[str]:
@@ -466,33 +480,28 @@ def partition_records(result: PartitionResult) -> list[str]:
     ``size``, ``representative``, ``meshes``, ``enc``, ``fingerprint`` and,
     on CONJECTURED classes, ``blocks``, with ``json.dumps`` spacing."""
     p = result.perm
-    tables = _square_text_tables(len(p))
+    low, high = _square_text_tables(len(p))
     perm = json.dumps(list(p))
     candidates = [(m, json.dumps(diagonal_to_json(d))) for m, d in _diagonal_candidates(p)]
-
-    def mesh_text(mask: int) -> str:
-        parts = []
-        for table in tables:
-            if mask & 0xFF:
-                parts.append(table[mask & 0xFF])
-            mask >>= 8
-        return "[" + ", ".join(parts) + "]"
+    cuts = _row_cuts(result.n_max)
+    sigs = result.signatures
 
     records = []
     for cls in result.classes:
-        rep = cls.representative
-        texts = [mesh_text(m) for m in cls.meshes]
+        meshes = cls.meshes
+        rep = meshes[0]
+        texts = [f"[{(low[m & 0xFF] + high[m >> 8])[:-2]}]" for m in meshes]
         enc = ", ".join(text for m, text in candidates if rep & m == m)
-        rows = '", "'.join(_hex_rows(result.signatures[rep], result.n_max))
+        rows = '", "'.join(_hex_rows(sigs[rep], cuts))
         blocks = ""
         if cls.status == "CONJECTURED":
-            text_of = dict(zip(cls.meshes, texts))
+            text_of = dict(zip(meshes, texts))
             listed = ", ".join(
                 "[" + ", ".join(text_of[m] for m in block) + "]" for block in cls.blocks
             )
             blocks = f', "blocks": [{listed}]'
         records.append(
-            f'{{"p": {perm}, "status": "{cls.status}", "size": {cls.size}, '
+            f'{{"p": {perm}, "status": "{cls.status}", "size": {len(meshes)}, '
             f'"representative": {{"perm": {perm}, "mesh": {texts[0]}}}, '
             f'"meshes": [{", ".join(texts)}], "enc": [{enc}], '
             f'"fingerprint": ["{rows}"]{blocks}}}'
@@ -500,15 +509,22 @@ def partition_records(result: PartitionResult) -> list[str]:
     return records
 
 
-def _hex_rows(sig: int, n_max: int) -> list[str]:
-    """A signature's fingerprint rows as the report writes them: row n is
-    the next n! bits from the low end."""
-    rows = []
+def _row_cuts(n_max: int) -> list[tuple[int, int]]:
+    """(shift, mask) of each fingerprint row of a signature: row n is the
+    next n! bits from the low end."""
+    cuts = []
+    shift = 0
     for n in range(1, n_max + 1):
         width = factorial(n)
-        rows.append(hex(sig & ((1 << width) - 1)))
-        sig >>= width
-    return rows
+        cuts.append((shift, (1 << width) - 1))
+        shift += width
+    return cuts
+
+
+def _hex_rows(sig: int, cuts: list[tuple[int, int]]) -> list[str]:
+    """A signature's fingerprint rows as the report writes them, cut at
+    :func:`_row_cuts`."""
+    return [hex(sig >> shift & mask) for shift, mask in cuts]
 
 
 def partition_summary(result: PartitionResult) -> dict:
@@ -570,6 +586,7 @@ def load_partition_cache(
         return None
     sigs = containment_signatures(p, n_max)
     candidates = [(m, diagonal_to_json(d)) for m, d in _diagonal_candidates(p)]
+    cuts = _row_cuts(n_max)
     seen, groups = set(), set()
     # the summary's counts, counted down to zero record by record
     tally = {"PROVEN": proven, "CONJECTURED": conjectured}
@@ -586,7 +603,7 @@ def load_partition_cache(
             groups.add(sig)
             if len(seen) != covered + len(masks) or any(sigs[m] != sig for m in masks):
                 return None
-            if _hex_rows(sig, n_max) != rec["fingerprint"]:
+            if _hex_rows(sig, cuts) != rec["fingerprint"]:
                 return None
             if rec["enc"] != [d for m, d in candidates if masks[0] & m == m]:
                 return None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .perm import (
@@ -467,12 +468,25 @@ def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
             for m, hosts in parts:
                 by_mask[m] |= hosts << offset
         offset += factorial(n)
+    # the zeta transform, one slice at a time: a mask with bit ``step``
+    # takes in the mask without it, in strided slices while the steps are
+    # short and in contiguous blocks once they are long.  A block is cut
+    # into runs of at most 256 masks, because a slice's new ints all exist
+    # before its old ones are freed: the last step, in one slice, would
+    # briefly hold half the final table twice.
     step = 1
     while step < size:
-        for base in range(0, size, 2 * step):
-            for x in range(base + step, base + 2 * step):
-                by_mask[x] |= by_mask[x - step]
-        step *= 2
+        span = 2 * step
+        if step * step < size:
+            for x in range(step, span):
+                by_mask[x::span] = map(or_, by_mask[x::span], by_mask[x - step :: span])
+        else:
+            run = min(step, 256)
+            for base in range(0, size, span):
+                for lo in range(base, base + step, run):
+                    high = slice(lo + step, lo + step + run)
+                    by_mask[high] = map(or_, by_mask[high], by_mask[lo : lo + run])
+        step = span
     by_mask.reverse()
     return tuple(by_mask)
 

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perm import (
     Occurrence,
@@ -80,8 +80,7 @@ class Assignment:
     squares: tuple[Square, ...]
 
 
-@dataclass(frozen=True)
-class ShadeMove:
+class ShadeMove(NamedTuple):
     """A simultaneous choice: at most one assignment per graph point."""
 
     assignments: tuple[Assignment, ...]
@@ -228,7 +227,8 @@ def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
     """
     k = len(p)
     size = (k + 1) ** 2
-    text = "".join(format(mesh, f"0{size}b") for mesh in batch)
+    spec = f"0{size}b"
+    text = "".join(format(mesh, spec) for mesh in batch)
     squares = [int(text[size - 1 - s :: size][::-1], 2) for s in range(size)]
     del text
     state = list(squares)
@@ -296,10 +296,12 @@ _SLICED_BATCH_MIN = 12
 
 
 def _frontier_moves(
-    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[ShadeMove, ...]]
+    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]]
 ) -> list[tuple[ShadeMove, ...]]:
     """The moves of every mesh of a batch, in batch order.  ``memo`` maps
-    the option vectors seen so far to their moves."""
+    the option vectors seen so far to their moves and the union of the
+    squares those moves add, so a mesh that misses the union needs no
+    further overlap check."""
     if len(batch) < _SLICED_BATCH_MIN:
         vectors = b"".join(_option_vector(p, mask) for mask in batch)
     else:
@@ -308,10 +310,17 @@ def _frontier_moves(
     found = []
     for t, mask in enumerate(batch):
         vector = vectors[t * count : (t + 1) * count]
-        moves = memo.get(vector)
-        if moves is None:
-            moves = memo[vector] = _moves(p, vector)
-        found.append(_disjoint(p, mask, moves))
+        entry = memo.get(vector)
+        if entry is None:
+            moves = _moves(p, vector)
+            union = 0
+            for move in moves:
+                union |= move.added
+            entry = memo[vector] = (moves, union)
+        moves, union = entry
+        if union & mask:
+            _disjoint(p, mask, moves)
+        found.append(moves)
     return found
 
 
@@ -451,8 +460,7 @@ def ssl_repair_occurrence(
 # ---------------------------------------------------------------------------
 # Machine-checkable proof steps.
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One re-checkable inference.  ``before``/``after`` are mesh masks over
     ``perm``'s grid; the pair is asserted coincident by ``rule``."""
 
@@ -551,8 +559,7 @@ class UnionFind:
         return rx
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureClass:
+class ClosureClass(NamedTuple):
     meshes: tuple[int, ...]
     steps: tuple[TraceStep, ...]
 
@@ -668,8 +675,9 @@ def ssl_closure(
             check_goal()
 
     spent = 0
-    # the moves of each option vector met, for this closure only
-    memo: dict[bytes, tuple[ShadeMove, ...]] = {}
+    # the moves of each option vector met and their union, for this
+    # closure only
+    memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]] = {}
 
     def expand() -> bool:
         # the frontier is taken in FIFO batches, so the meshes are expanded

@@ -26,6 +26,7 @@ from meshcide.diagonals import (
 )
 from meshcide.shading import (
     Assignment,
+    ClosureClass,
     ProofTrace,
     ShadeMove,
     TraceStep,
@@ -37,6 +38,7 @@ from meshcide.shading import (
 from meshcide.coincidence import (
     GAMMA_1,
     GAMMA_2,
+    PartitionClass,
     classical_rule,
     classify_family,
     containment_signatures,
@@ -524,6 +526,18 @@ class TestVerifyTrace:
         detail = (Assignment(point, "single", direction, (square, extra)),)
         assert not self._one_step(TraceStep("SSL", pi.perm, pi.mask, grown, detail))
 
+    def test_plain_tuple_step_is_false(self):
+        # equal to a valid CLASSICAL TraceStep, but not one
+        step = ("CLASSICAL", (1, 2), 0, 1, ())
+        assert verify_trace(ProofTrace((1, 2), 0, 1, (step,))) is False
+
+    @pytest.mark.parametrize("trace", [((1, 2), 0, 0, ()), None, "12"])
+    def test_non_trace_argument_is_false(self, trace):
+        assert verify_trace(trace) is False
+
+    def test_missing_steps_are_false(self):
+        assert verify_trace(ProofTrace((1, 2), 0, 0, None)) is False
+
     def test_shadeable_probes_run_once_per_step(self, monkeypatch):
         pi = MeshPattern.of("123")
         move = max(ssl_moves(pi), key=lambda m: len(m.assignments))
@@ -575,6 +589,14 @@ class TestSignatures:
         masks = [rng.getrandbits(16) for _ in range(200)]
         fps = fingerprints_many(p, masks, 5)
         assert self._rows(sigs, masks, 5) == [fp.per_n for fp in fps]
+
+    def test_every_mesh_of_132_matches_fingerprints(self):
+        # the whole cube, so every step of the zeta transform is covered,
+        # in strided slices (steps 1..128) and contiguous blocks (256..)
+        sigs = containment_signatures((1, 3, 2), 4)
+        masks = range(1 << 16)
+        fps = fingerprints_many((1, 3, 2), masks, 4)
+        assert self._rows(sigs, masks, 4) == [fp.per_n for fp in fps]
 
     def test_length_2_at_max_depth_fits_the_budget(self):
         sigs = containment_signatures((1, 2), MAX_DEPTH)
@@ -859,3 +881,43 @@ def test_partition_steps_replay(p, use_gamma):
         rep = cls.meshes[0]
         for member in cls.meshes[1:]:
             assert verify_trace(ProofTrace(p, rep, member, cls.steps)), (p, member)
+
+
+# each record type, built from a mask: equal masks give equal records
+RECORDS = {
+    "TraceStep": lambda m: TraceStep("CLASSICAL", (1, 2), 0, m),
+    "ShadeMove": lambda m: ShadeMove((Assignment((1, 1), "single", "NE", ((1, 1),)),), m),
+    "ClosureClass": lambda m: ClosureClass((0, m), (TraceStep("CLASSICAL", (1, 2), 0, m),)),
+    "PartitionClass": lambda m: PartitionClass((0, m), "PROVEN", ((0, m),)),
+}
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+    def test_rejects_attribute_assignment(self, make):
+        record = make(1)
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert record == make(1)
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+    def test_hashes_and_compares_by_value(self, make):
+        a, b, other = make(1), make(1), make(2)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+        assert len({a, b, other}) == 2
+
+    def test_records_unpack_like_tuples(self):
+        closure = ssl_closure((1, 2), [0, msk(2, [(0, 0)])])
+        meshes, steps = next(c for c in closure.classes if c.steps)
+        rule, perm, before, after, detail = steps[0]
+        assert (rule, perm) == ("SSL", (1, 2)) and after & ~before
+        assert detail == steps[0].detail
+        assignments, added = ssl_moves(MeshPattern((1, 2), before))[0]
+        assert added and all(isinstance(a, Assignment) for a in assignments)
+        cls = partition_meshes((1,), 3).classes[0]
+        meshes, status, blocks = cls
+        assert (meshes, status, blocks) == (cls.meshes, "PROVEN", (cls.meshes,))
+        assert cls.size == len(meshes) and cls.representative == meshes[0]
