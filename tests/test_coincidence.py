@@ -592,7 +592,7 @@ class TestSignatures:
 
     def test_every_mesh_of_132_matches_fingerprints(self):
         # the whole cube, so every step of the zeta transform is covered,
-        # in strided slices (steps 1..128) and contiguous blocks (256..)
+        # in strided slices (steps 1..128) and contiguous runs (256..)
         sigs = containment_signatures((1, 3, 2), 4)
         masks = range(1 << 16)
         fps = fingerprints_many((1, 3, 2), masks, 4)
