@@ -15,13 +15,11 @@ from .perm import (
     perm_text,
 )
 from .mesh import (
-    Fingerprint,
     MeshPattern,
     OpenBox,
     avoiders,
     contains,
     corresponding_region,
-    fingerprint,
     fingerprints_many,
     first_separation,
     mesh_occurrences,

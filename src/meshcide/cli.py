@@ -2,7 +2,8 @@
 
 Boolean answers are printed, never encoded in the exit status; ``--json``
 switches any verb to a machine-readable report.  Exit status 2 flags a
-parse or validation problem, 0 anything else.
+parse or validation problem, or an ``--out`` file that cannot be read or
+written; 0 anything else.
 """
 
 from __future__ import annotations
@@ -325,10 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # parse errors and JSON ones included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

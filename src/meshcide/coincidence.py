@@ -40,8 +40,8 @@ from .mesh import (
 from .diagonals import (
     apply_symmetry_mesh,
     diagonal_to_json,
+    enc_core_mask,
     enc_witness,
-    enclosed_diagonals,
     pointless_mask,
     same_enc,
     _diagonal_candidates,
@@ -146,7 +146,7 @@ def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     """Both meshes entirely superfluous: each pattern equals its classical core."""
     if pi.perm != pi2.perm:
         return None
-    if enclosed_diagonals(pi) or enclosed_diagonals(pi2):
+    if enc_core_mask(pi) or enc_core_mask(pi2):
         return None
     return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
 
@@ -562,9 +562,11 @@ def load_partition_cache(
     cover the mesh cube exactly once, each record is one whole truncation
     group with its fingerprint, enclosed diagonals, representative and
     size, ``blocks`` appears exactly on CONJECTURED records and partitions
-    their meshes, and the summary counts the records.  Returns None if the file is malformed,
-    does not fit the request or fails a check; a pattern or depth that
-    ``containment_signatures`` rejects still raises ``ValueError``."""
+    their meshes, and the summary counts the records.  Returns None if the
+    file is malformed (text that is not UTF-8 included), does not fit the
+    request or fails a check; a pattern or depth that
+    ``containment_signatures`` rejects still raises ``ValueError``, and a
+    file that cannot be opened ``OSError``."""
     p = make_perm(p)
     k = len(p)
     target = Path(path)
@@ -572,8 +574,11 @@ def load_partition_cache(
         return None
     # read line by line: splitting each line again keeps the line breaks of
     # str.splitlines (form feeds, file separators and the like)
-    with open(target) as f:
-        lines = [line for raw in f for line in raw.splitlines() if line.strip()]
+    try:
+        with open(target) as f:
+            lines = [line for raw in f for line in raw.splitlines() if line.strip()]
+    except UnicodeDecodeError:
+        return None
     if not lines:
         return None
     keys = ("p", "n_max", "gamma", "classes", "proven", "conjectured", "undecided_pairs")

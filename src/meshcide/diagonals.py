@@ -21,8 +21,8 @@ from .mesh import (
     MeshPattern,
     Square,
     contains,
-    square_bit,
     squares_to_mask,
+    _square_tables,
 )
 
 
@@ -81,8 +81,7 @@ def pointless_mask(p: Perm) -> int:
 def enclosed_diagonals(pi: MeshPattern) -> frozenset[EnclosedDiagonal]:
     """All enclosed diagonals of the pattern: the candidate runs and
     pointless squares whose squares are all shaded."""
-    mask = pi.mask
-    return frozenset(d for m, d in _diagonal_candidates(pi.perm) if mask & m == m)
+    return frozenset(sorted_diagonals(pi))
 
 
 def enc_core_mask(pi: MeshPattern) -> int:
@@ -112,7 +111,7 @@ def same_enc(pi: MeshPattern, pi2: MeshPattern) -> bool:
 
 def is_coincident_with_classical(pi: MeshPattern) -> bool:
     """True iff the whole mesh is superfluous (no enclosed diagonal)."""
-    return not enclosed_diagonals(pi)
+    return not enc_core_mask(pi)
 
 
 def diagonal_text(d: EnclosedDiagonal) -> str:
@@ -146,36 +145,17 @@ def apply_symmetry_square(name: str, k: int, square: Square) -> Square:
 
 @lru_cache(maxsize=256)
 def _symmetry_tables(word: str, k: int) -> tuple[tuple[int, ...], ...]:
-    width = k + 1
-    nbits = width * width
-    tables = []
-    for lo in range(0, nbits, 8):
-        table = [0]
-        for bit in range(lo, lo + 8):
-            image = 0
-            if bit < nbits:
-                a, b = apply_symmetry_square(word, k, divmod(bit, width))
-                image = square_bit(k, a, b)
-            table += [t | image for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def symmetry_tables(name: str, k: int) -> tuple[tuple[int, ...], ...]:
     """The action of a symmetry on masks over the (k+1) x (k+1) grid, as
-    byte tables: table j maps the byte of mask bits 8j..8j+7 to the union of
-    their images.  Built square by square from :func:`apply_symmetry_square`
-    and cached per generator word and grid size."""
-    return _symmetry_tables(symmetry_word(name), k)
-
-
-def map_mask(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
-    """Image of a mask under the symmetry whose byte tables are given."""
-    out = 0
-    for table in tables:
-        out |= table[mask & 0xFF]
-        mask >>= 8
-    return out
+    byte tables: each entry of the square byte tables of ``mesh`` maps to
+    the mask of its squares' images.  Cached per generator word and grid
+    size."""
+    return tuple(
+        tuple(
+            squares_to_mask(k, [apply_symmetry_square(word, k, s) for s in squares])
+            for squares in table
+        )
+        for table in _square_tables(k)
+    )
 
 
 def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
@@ -188,7 +168,11 @@ def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
     >>> mask_to_squares(2, apply_symmetry_mask("ir", 2, mesh))  # any word
     ((0, 2), (1, 0))
     """
-    return map_mask(symmetry_tables(name, k), mask)
+    out = 0
+    for table in _symmetry_tables(symmetry_word(name), k):
+        out |= table[mask & 0xFF]
+        mask >>= 8
+    return out
 
 
 def apply_symmetry_mesh(name: str, pi: MeshPattern) -> MeshPattern:

@@ -151,23 +151,23 @@ def corresponding_region(w: Perm, occ: Occurrence, square: Square) -> OpenBox:
     return OpenBox(pos[a], pos[a + 1], vals[b], vals[b + 1])
 
 
-def occurrence_region_mask(w: Perm, occ: Occurrence) -> int:
-    """Bitmask of the grid squares whose region holds at least one host point.
-
-    A non-occurrence point (x, w(x)) lands in the cell whose column counts
-    occurrence positions below x and whose row counts occurrence values
-    below w(x); a mesh blocks the occurrence iff it meets this mask.
-    """
-    k = len(occ)
-    width = k + 1
+def _host_cells(w: Perm, occ: Occurrence) -> Iterator[tuple[int, int, int]]:
+    """``(x, a, b)`` for each host point (x, w(x)) outside the occurrence:
+    it lies in square (a, b), whose column counts the occurrence positions
+    below x and whose row counts the occurrence values below w(x)."""
     vals = sorted(w[i - 1] for i in occ)
     occ_set = set(occ)
-    mask = 0
     for x in range(1, len(w) + 1):
-        if x in occ_set:
-            continue
-        a = bisect_right(occ, x)
-        b = bisect_right(vals, w[x - 1])
+        if x not in occ_set:
+            yield x, bisect_right(occ, x), bisect_right(vals, w[x - 1])
+
+
+def occurrence_region_mask(w: Perm, occ: Occurrence) -> int:
+    """Bitmask of the grid squares whose region holds at least one host
+    point; a mesh blocks the occurrence iff it meets this mask."""
+    width = len(occ) + 1
+    mask = 0
+    for _, a, b in _host_cells(w, occ):
         mask |= 1 << (a * width + b)
     return mask
 
@@ -211,23 +211,6 @@ def avoiders(pi: MeshPattern, n: int) -> list[Perm]:
 
 # ---------------------------------------------------------------------------
 # Fingerprints: the containment indicator over all of S_1..S_{n_max}.
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """One containment bitmask per size; bit j covers the j-th permutation of
-    S_n in lexicographic order."""
-
-    n_max: int
-    per_n: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.per_n) != self.n_max:
-            raise ValueError("fingerprint depth does not match its rows")
-
-    def first_difference(self, other: "Fingerprint") -> tuple[int, int] | None:
-        """(n, lex rank) of the earliest disagreement, or None."""
-        return _first_difference(zip(self.per_n, other.per_n))
 
 
 def default_depth(k: int) -> int:
@@ -380,22 +363,23 @@ def _first_difference(rows: Iterable[Sequence[int]]) -> tuple[int, int] | None:
     return None
 
 
-def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[Fingerprint]:
-    """Fingerprints of several meshes over one shared sweep of the hosts.
+def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[tuple[int, ...]]:
+    """Fingerprints of several meshes over one shared sweep of the hosts: per
+    mesh, one containment row per size n = 1..n_max, whose bit j covers the
+    j-th permutation of S_n in lexicographic order.
 
-    >>> fingerprints_many((1, 2), (0,), 3)[0].per_n == (0, 1, 31)
-    True
+    >>> fingerprints_many((1, 2), (0,), 3)
+    [(0, 1, 31)]
     """
     check_depth(n_max)
-    rows = list(_sweep(tuple(p), masks, n_max))
-    return [Fingerprint(n_max, per_n) for per_n in zip(*rows)]
+    return list(zip(*_sweep(tuple(p), masks, n_max)))
 
 
 def first_separation(p: Perm, a: int, b: int, n_max: int) -> tuple[int, int] | None:
     """(n, lex rank) of the least host of the smallest size n <= n_max that
     contains exactly one of the meshes ``a`` and ``b`` over ``p``, or None.
 
-    The same answer as ``first_difference`` of the two fingerprints, but
+    The same answer as ``_first_difference`` of the two fingerprints, but
     the sweep stops at the first size that separates the pair.  A depth
     outside ``1..MAX_DEPTH`` raises ``ValueError`` before any table is built.
 
@@ -489,12 +473,6 @@ def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
         step = span
     by_mask.reverse()
     return tuple(by_mask)
-
-
-def fingerprint(pi: MeshPattern, n_max: int | None = None) -> Fingerprint:
-    if n_max is None:
-        n_max = default_depth(pi.k)
-    return fingerprints_many(pi.perm, (pi.mask,), n_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ bit-slices, one big integer per grid square.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,8 +34,11 @@ from .perm import (
 from .mesh import (
     MeshPattern,
     Square,
+    mask_to_squares,
+    mesh_pattern_to_json,
     occurrence_region_mask,
     squares_to_mask,
+    _host_cells,
 )
 from .diagonals import apply_symmetry_square
 
@@ -279,16 +281,6 @@ def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
     return tuple(sorted(moves, key=lambda m: (m.added.bit_count(), m.added)))
 
 
-def _disjoint(p: Perm, mask: int, moves: tuple[ShadeMove, ...]) -> tuple[ShadeMove, ...]:
-    """The moves of the mesh ``mask``, checked to add only unshaded squares."""
-    for move in moves:
-        if move.added & mask:
-            raise AssertionError(
-                f"a shading move adds shaded squares to mesh {mask} over {p}"
-            )
-    return moves
-
-
 # Below this many meshes, probing each mesh on its own beats slicing the
 # batch: a bit-sliced batch of 24-40 probes costs about 60-170 us whatever
 # its size, against about 8 us per mesh probed alone, at k = 3 to 5.
@@ -300,8 +292,8 @@ def _frontier_moves(
 ) -> list[tuple[ShadeMove, ...]]:
     """The moves of every mesh of a batch, in batch order.  ``memo`` maps
     the option vectors seen so far to their moves and the union of the
-    squares those moves add, so a mesh that misses the union needs no
-    further overlap check."""
+    squares those moves add.  A mesh that meets that union has a move
+    adding a square it already shades, which is an ``AssertionError``."""
     if len(batch) < _SLICED_BATCH_MIN:
         vectors = b"".join(_option_vector(p, mask) for mask in batch)
     else:
@@ -319,7 +311,9 @@ def _frontier_moves(
             entry = memo[vector] = (moves, union)
         moves, union = entry
         if union & mask:
-            _disjoint(p, mask, moves)
+            raise AssertionError(
+                f"a shading move adds shaded squares to mesh {mask} over {p}"
+            )
         found.append(moves)
     return found
 
@@ -362,28 +356,11 @@ def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
     singles or pairs; distinct choices adding the same square set collapse
     to one move, since only the union matters downstream.
     """
-    return list(_disjoint(pi.perm, pi.mask, _moves(pi.perm, _option_vector(pi.perm, pi.mask))))
+    return list(_frontier_moves(pi.perm, (pi.mask,), {})[0])
 
 
 # ---------------------------------------------------------------------------
 # The occurrence-repair walk.
-
-def _region_points(
-    w: Perm, positions: Sequence[int], squares: frozenset[Square]
-) -> list[tuple[int, int]]:
-    """Host points currently inside the regions of the given squares."""
-    occ = tuple(positions)
-    vals = sorted(w[i - 1] for i in occ)
-    width = len(occ) + 1
-    pts = []
-    for x in range(1, len(w) + 1):
-        if x in positions:
-            continue
-        cell = (bisect_right(occ, x), bisect_right(vals, w[x - 1]))
-        if cell in squares:
-            pts.append((x, w[x - 1]))
-    return pts
-
 
 # For a single square the two squares flanking the candidate may not both be
 # shaded, but one may be.  Taking the vertical extreme sweeps the leftover
@@ -439,7 +416,8 @@ def ssl_repair_occurrence(
     for _ in range(2 * k * n + 1):
         busy = None
         for assignment, squares in plan:
-            pts = _region_points(w, positions, squares)
+            # the host points inside the regions of the assigned squares
+            pts = [(x, w[x - 1]) for x, a, b in _host_cells(w, positions) if (a, b) in squares]
             if pts:
                 busy = (assignment, pts)
                 break
@@ -480,8 +458,6 @@ class ProofTrace:
 
 
 def trace_step_to_json(step: TraceStep) -> dict:
-    from .mesh import mask_to_squares, mesh_pattern_to_json
-
     k = len(step.perm)
     sq = lambda mask: [[a, b] for a, b in mask_to_squares(k, mask)]
     obj: dict = {"rule": step.rule}
@@ -629,21 +605,22 @@ def ssl_closure(
 
     The ``given`` steps, which the caller has justified by other rules, are
     joined first and their meshes become seeds too; a given step over
-    another pattern is a ``ValueError``.  Then two inferences
-    alternate until neither moves: every simultaneous-shading move joins a
-    mesh with its enlargement, and every mesh between a minimal and a
-    maximal member of one group joins that group (a mesh between any two
-    members lies between such a pair).  Sandwiched meshes not seen before
-    are expanded in turn.  ``budget`` caps the number of meshes expanded;
-    exceeding it returns the partial partition flagged incomplete, and a
-    negative budget is a ``ValueError``.  A ``goal``, a pair of seed meshes,
-    stops the closure at the first merge that gives both one root (or before
-    any work, if the given steps join them); the partition as it stands then
-    is returned, also flagged incomplete, and the goal's class carries its
-    steps so far, which replay in order.  A goal mesh that is not a seed is
-    a ``ValueError``.  Each class carries the steps that
-    joined its meshes, in the order they were taken: a step is kept only
-    when it merges two groups, so a class of n meshes has n - 1 steps.
+    another pattern, or with a mesh outside the grid, is a ``ValueError``.
+    Then two inferences alternate until neither moves: every
+    simultaneous-shading move joins a mesh with its enlargement, and every
+    mesh between a minimal and a maximal member of one group joins that
+    group (a mesh between any two members lies between such a pair).
+    Sandwiched meshes not seen before are expanded in turn.  ``budget`` caps
+    the number of meshes expanded; exceeding it returns the partial
+    partition flagged incomplete, and a negative budget is a ``ValueError``.
+    A ``goal``, a pair of seed meshes, stops the closure at the first merge
+    that gives both one root (or before any work, if the given steps join
+    them); the partition as it stands then is returned, also flagged
+    incomplete, and the goal's class carries its steps so far, which replay
+    in order.  A goal mesh that is not a seed is a ``ValueError``.  Each
+    class carries the steps that joined its meshes, in the order they were
+    taken: a step is kept only when it merges two groups, so a class of n
+    meshes has n - 1 steps.
     """
     p = make_perm(p)
     k = len(p)
@@ -728,7 +705,7 @@ def ssl_closure(
         for step in given:
             if step.perm != p:  # the log rebuilds each step over p
                 raise ValueError(f"a given step over {step.perm} in a closure over {p}")
-            join(step.rule, step.before, step.after, step.detail)
+            join(step.rule, _as_mask(k, step.before), _as_mask(k, step.after), step.detail)
         check_goal()
         complete = expand()
         swept = 0

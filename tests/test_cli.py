@@ -370,6 +370,29 @@ class TestPartition:
         assert again == fresh
         assert out_file.read_text() == fresh  # the cache was rewritten
 
+    def test_cache_that_is_not_utf8_is_recomputed(self, capsys, tmp_path):
+        out_file = tmp_path / "p1.jsonl"
+        argv = ("partition", "1", "--max-n", "4", "--out", str(out_file))
+        code, fresh, _ = run(capsys, *argv)
+        out_file.write_bytes(b"\xff" + out_file.read_bytes())
+        code, again, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert again == fresh
+        assert out_file.read_text() == fresh  # the cache was rewritten
+
+    def test_out_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "partition", "1", "--max-n", "4", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_out_path_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "p1.jsonl"
+        code, _, err = run(capsys, "partition", "1", "--max-n", "4", "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_file.exists()
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, capsys):

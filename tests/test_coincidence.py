@@ -559,7 +559,7 @@ class TestSignatures:
         masks = [rng.randrange(512) for _ in range(25)]
         fps = fingerprints_many((1, 2), masks, 4)
         for mask, fp in zip(masks, fps):
-            assert signature_rows(sigs[mask], 4) == fp.per_n
+            assert signature_rows(sigs[mask], 4) == fp
 
     @staticmethod
     def _rows(sigs, masks, n_max):
@@ -580,7 +580,7 @@ class TestSignatures:
         sigs = containment_signatures((1, 2), 6)
         masks = range(1 << 9)
         fps = fingerprints_many((1, 2), masks, 6)
-        assert self._rows(sigs, masks, 6) == [fp.per_n for fp in fps]
+        assert self._rows(sigs, masks, 6) == fps
 
     @pytest.mark.parametrize("p", list(itertools.permutations((1, 2, 3))))
     def test_seeded_length_3_matches_fingerprints(self, p):
@@ -588,7 +588,7 @@ class TestSignatures:
         rng = random.Random(f"signatures:{p}")
         masks = [rng.getrandbits(16) for _ in range(200)]
         fps = fingerprints_many(p, masks, 5)
-        assert self._rows(sigs, masks, 5) == [fp.per_n for fp in fps]
+        assert self._rows(sigs, masks, 5) == fps
 
     def test_every_mesh_of_132_matches_fingerprints(self):
         # the whole cube, so every step of the zeta transform is covered,
@@ -596,13 +596,13 @@ class TestSignatures:
         sigs = containment_signatures((1, 3, 2), 4)
         masks = range(1 << 16)
         fps = fingerprints_many((1, 3, 2), masks, 4)
-        assert self._rows(sigs, masks, 4) == [fp.per_n for fp in fps]
+        assert self._rows(sigs, masks, 4) == fps
 
     def test_length_2_at_max_depth_fits_the_budget(self):
         sigs = containment_signatures((1, 2), MAX_DEPTH)
         masks = [0, 1 << 4, (1 << 9) - 1]
         fps = fingerprints_many((1, 2), masks, MAX_DEPTH)
-        assert self._rows(sigs, masks, MAX_DEPTH) == [fp.per_n for fp in fps]
+        assert self._rows(sigs, masks, MAX_DEPTH) == fps
 
     def test_deprecated_parallel_name_ignores_threads(self):
         assert coincidence.containment_signatures_parallel((2, 1), 4, 3) == (

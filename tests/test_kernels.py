@@ -187,7 +187,8 @@ def test_frontier_moves_equal_on_both_probe_paths(p, monkeypatch):
     crossover = shading._SLICED_BATCH_MIN
     for size in range(1, 2 * crossover + 1):
         batch = [rng.getrandbits(nbits) for _ in range(size)]
-        want = [tuple(ssl_moves(MeshPattern(p, mask))) for mask in batch]
+        # per-mesh probes and moves, apart from both paths of _frontier_moves
+        want = [shading._moves(p, shading._option_vector(p, mask)) for mask in batch]
         for threshold in (1, size + 1):  # sliced, then per mesh
             monkeypatch.setattr(shading, "_SLICED_BATCH_MIN", threshold)
             assert shading._frontier_moves(p, batch, {}) == want, (p, size, threshold)
@@ -244,7 +245,7 @@ def test_compile_rejects_a_non_uniform_neighbour_shift(monkeypatch):
 
 
 def _rows(p, masks, n_max):
-    return [fp.per_n for fp in fingerprints_many(p, masks, n_max)]
+    return fingerprints_many(p, masks, n_max)
 
 
 def test_fingerprints_brute_is_mesh_contains_brute():
@@ -337,7 +338,7 @@ def test_depth_8_rows_match_host_region_masks(pair):
     # pattern, so the reference checks a seeded tenth of the row
     first, second = (parse_mesh_pattern(text) for text in pair)
     p = first.perm
-    rows = [fp.per_n[7] for fp in fingerprints_many(p, (first.mask, second.mask), 8)]
+    rows = [fp[7] for fp in fingerprints_many(p, (first.mask, second.mask), 8)]
     rng = random.Random(pair[0])
     for rank in rng.sample(range(40320), 4032):
         host = host_region_masks(p, lex_unrank(8, rank))

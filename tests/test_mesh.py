@@ -10,7 +10,6 @@ from meshcide.perm import ParseError, all_perms, apply_symmetry_perm, is_occurre
 from meshcide import mesh
 from meshcide.mesh import (
     MAX_DEPTH,
-    Fingerprint,
     MeshPattern,
     OpenBox,
     avoiders,
@@ -18,7 +17,6 @@ from meshcide.mesh import (
     contains,
     corresponding_region,
     default_depth,
-    fingerprint,
     fingerprints_many,
     first_separation,
     full_grid_mask,
@@ -167,7 +165,7 @@ class TestContainment:
                 if hi == lo:
                     continue
                 for n in range(5):
-                    assert fps[hi].per_n[n] & ~fps[lo].per_n[n] == 0
+                    assert fps[hi][n] & ~fps[lo][n] == 0
 
     def test_symmetry_equivariance(self):
         rng = random.Random(23)
@@ -295,9 +293,9 @@ class TestAvoiders:
 
 class TestFingerprints:
     def test_depth_two_fixture(self):
-        fp = fingerprint(MeshPattern.of("12"), 2)
-        assert fp.per_n[0] == 0  # the single letter cannot contain 12
-        assert fp.per_n[1] == 0b01  # 12 yes, 21 no
+        fp = fingerprints_many((1, 2), (0,), 2)[0]
+        assert fp[0] == 0  # the single letter cannot contain 12
+        assert fp[1] == 0b01  # 12 yes, 21 no
 
     def test_shading_pair_agrees_to_depth_6(self):
         fps = fingerprints_many(
@@ -319,7 +317,7 @@ class TestFingerprints:
             ),
             6,
         )
-        n, rank = fps[0].first_difference(fps[1])
+        n, rank = mesh._first_difference(zip(fps[0], fps[1]))
         assert (n, rank) == (5, lex_rank((4, 2, 5, 1, 3)))
 
     @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12])
@@ -352,8 +350,8 @@ class TestFingerprints:
     def test_max_depth_is_accepted(self):
         # the unshaded point is in every host; fully shaded, only in S_1
         empty, full = fingerprints_many((1,), (0, 0b1111), MAX_DEPTH)
-        assert empty.per_n[-1] == (1 << 362880) - 1
-        assert full.per_n == (1,) + (0,) * (MAX_DEPTH - 1)
+        assert empty[-1] == (1 << 362880) - 1
+        assert full == (1,) + (0,) * (MAX_DEPTH - 1)
 
     def test_default_depth(self):
         assert default_depth(1) == 4
@@ -362,7 +360,7 @@ class TestFingerprints:
 
 
 class TestFirstSeparation:
-    """``first_separation`` is ``first_difference`` of the two fingerprints,
+    """``first_separation`` is ``_first_difference`` of the two fingerprints,
     found without sweeping the sizes above the first that separates."""
 
     @pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1)])
@@ -371,11 +369,11 @@ class TestFirstSeparation:
         fps = fingerprints_many(p, range(1 << nbits), 6)
         for n_max in range(1, 7):
             for a in range(1 << nbits):
-                fa = Fingerprint(n_max, fps[a].per_n[:n_max])
+                fa = fps[a][:n_max]
                 for c in range(nbits):
                     b = a ^ 1 << c
-                    fb = Fingerprint(n_max, fps[b].per_n[:n_max])
-                    assert first_separation(p, a, b, n_max) == fa.first_difference(fb)
+                    fb = fps[b][:n_max]
+                    assert first_separation(p, a, b, n_max) == mesh._first_difference(zip(fa, fb))
 
     def test_matches_fingerprints_on_seeded_length_3_pairs(self):
         rng = random.Random(1415)
@@ -385,7 +383,7 @@ class TestFirstSeparation:
                 a = rng.getrandbits(16)
                 for b in (rng.getrandbits(16), a ^ 1 << rng.randrange(16)):
                     fa, fb = fingerprints_many(p, (a, b), 7)
-                    expected = fa.first_difference(fb)
+                    expected = mesh._first_difference(zip(fa, fb))
                     assert first_separation(p, a, b, 7) == expected
                     seen.add(expected and expected[0])
         assert {None, 4, 5, 6, 7} <= seen  # every size the pairs separate at, and none

@@ -338,6 +338,14 @@ class TestClosure:
         with pytest.raises(ValueError, match="given step"):
             ssl_closure((1, 2), [0], given=[step])
 
+    @pytest.mark.parametrize("after", [-3, 1 << 9, 1 << 20])
+    def test_given_step_outside_the_grid_is_an_error(self, after):
+        # a 3x3 grid has masks 0 .. 2**9 - 1; unchecked, these closures
+        # returned classes holding meshes outside it
+        step = TraceStep("GAMMA", (1, 2), 0, after, ("id",))
+        with pytest.raises(ValueError, match="out of range"):
+            ssl_closure((1, 2), [0], budget=3, given=[step])
+
     def test_large_class_sandwiches_from_its_extremes(self):
         # sandwiching every pair of members, not just the extremes, took
         # about a minute on this seed
