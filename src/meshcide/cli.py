@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .perm import ParseError, parse_perm, perm_text
 from .mesh import (
@@ -242,6 +243,10 @@ def _cmd_partition(args) -> int:
     if n_max is None:
         n_max = default_partition_depth(len(p))
     if args.out:
+        # fail before the work, without creating or truncating the file
+        folder = Path(args.out).parent
+        if not folder.is_dir():
+            raise FileNotFoundError(f"no directory {str(folder)!r} for --out")
         cached = load_partition_cache(args.out, p, n_max, use_gamma=not args.no_gamma)
         if cached is not None:
             sys.stdout.writelines(line + "\n" for line in cached)

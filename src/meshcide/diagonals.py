@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perm import Perm, apply_symmetry_perm, symmetry_word
+from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, symmetry_word
 from .mesh import (
     MeshPattern,
     Square,
@@ -57,18 +57,17 @@ def _diagonal_candidates(p: Perm) -> tuple[tuple[int, EnclosedDiagonal], ...]:
             if not corners & points:
                 found.append(EnclosedDiagonal("PT", (a, b), 1, ((a, b),)))
     for x, y in sorted(points):
-        if (x - 1, y - 1) not in points:  # (x, y) starts a rising run
+        for orientation, dy in (("NE", 1), ("SE", -1)):
+            if (x - 1, y - dy) in points:
+                continue  # (x, y) does not start a run
             c = 1
-            while (x + c, y + c) in points:
+            while (x + c, y + dy * c) in points:
                 c += 1
-            squares = tuple((x - 1 + i, y - 1 + i) for i in range(c + 1))
-            found.append(EnclosedDiagonal("NE", squares[0], c + 1, squares))
-        if (x - 1, y + 1) not in points:  # (x, y) starts a falling run
-            c = 1
-            while (x + c, y - c) in points:
-                c += 1
-            squares = tuple((x - 1 + i, y - i) for i in range(c + 1))
-            found.append(EnclosedDiagonal("SE", squares[0], c + 1, squares))
+            # (x, y) is the first square's upper right corner on a rising run,
+            # its lower right corner on a falling one
+            b = y - 1 if dy > 0 else y
+            squares = tuple((x - 1 + t, b + dy * t) for t in range(c + 1))
+            found.append(EnclosedDiagonal(orientation, squares[0], c + 1, squares))
     found.sort(key=lambda d: (d.anchor, d.orientation))
     return tuple((squares_to_mask(k, d.squares), d) for d in found)
 
@@ -132,15 +131,10 @@ def diagonal_to_json(d: EnclosedDiagonal) -> dict:
 # Symmetry action on meshes.
 
 def apply_symmetry_square(name: str, k: int, square: Square) -> Square:
-    a, b = square
-    for ch in symmetry_word(name):
-        if ch == "r":
-            a = k - a
-        elif ch == "c":
-            b = k - b
-        else:
-            a, b = b, a
-    return (a, b)
+    """Act on a square of the (k+1) x (k+1) grid.  Square indices run over
+    0..k like the point coordinates of the grid of k - 1 points, and a
+    symmetry moves the two alike."""
+    return apply_symmetry_point(name, k - 1, square)
 
 
 @lru_cache(maxsize=256)

@@ -275,40 +275,45 @@ def symmetry_word(name: str) -> str:
     return s
 
 
+@lru_cache(maxsize=256)
+def _symmetry_form(name: str) -> tuple[bool, bool, bool]:
+    """The normal form ``(swap, reflect_x, reflect_y)`` of a symmetry: it
+    swaps a point's coordinates if ``swap``, then reflects its x and its y
+    as the flags say.  Reverse reflects x, complement reflects y, and
+    inverse swaps, so inverse after a normal form swaps the two reflections
+    too.  This is the one place that reads the generators."""
+    swap = reflect_x = reflect_y = False
+    for ch in symmetry_word(name):
+        if ch == "r":
+            reflect_x = not reflect_x
+        elif ch == "c":
+            reflect_y = not reflect_y
+        else:
+            swap, reflect_x, reflect_y = not swap, reflect_y, reflect_x
+    return swap, reflect_x, reflect_y
+
+
+def apply_symmetry_point(name: str, n: int, point: tuple[int, int]) -> tuple[int, int]:
+    """Act on a point of the ``[0, n+1] x [0, n+1]`` grid."""
+    swap, reflect_x, reflect_y = _symmetry_form(name)
+    x, y = point[::-1] if swap else point
+    return (n + 1 - x if reflect_x else x, n + 1 - y if reflect_y else y)
+
+
 def apply_symmetry_perm(name: str, w: Perm) -> Perm:
-    """Apply a dihedral symmetry to a permutation.
+    """Apply a dihedral symmetry to a permutation: the image of its graph.
 
     >>> apply_symmetry_perm("r", (2, 3, 1))
     (1, 3, 2)
     >>> apply_symmetry_perm("c", (2, 3, 1))
     (2, 1, 3)
     """
-    out = tuple(w)
-    n = len(out)
-    for ch in symmetry_word(name):
-        if ch == "r":
-            out = out[::-1]
-        elif ch == "c":
-            out = tuple(n + 1 - v for v in out)
-        else:
-            inv = [0] * n
-            for i, v in enumerate(out):
-                inv[v - 1] = i + 1
-            out = tuple(inv)
-    return out
-
-
-def apply_symmetry_point(name: str, n: int, point: tuple[int, int]) -> tuple[int, int]:
-    """Act on a point of the ``[0, n+1] x [0, n+1]`` grid."""
-    x, y = point
-    for ch in symmetry_word(name):
-        if ch == "r":
-            x = n + 1 - x
-        elif ch == "c":
-            y = n + 1 - y
-        else:
-            x, y = y, x
-    return (x, y)
+    n = len(w)
+    out = [0] * n
+    for point in enumerate(w, 1):
+        x, y = apply_symmetry_point(name, n, point)
+        out[x - 1] = y
+    return tuple(out)
 
 
 def inverse_symmetry(name: str) -> str:
@@ -318,13 +323,8 @@ def inverse_symmetry(name: str) -> str:
 
 def canonical_symmetry(name: str) -> str:
     """Fold an arbitrary generator word onto one of the eight canonical names."""
-    # (1,3,4,2) has trivial stabilizer, so its image pins the group element.
-    probe = (1, 3, 4, 2)
-    image = apply_symmetry_perm(name, probe)
-    for s in SYMMETRIES:
-        if apply_symmetry_perm(s, probe) == image:
-            return s
-    raise AssertionError("dihedral group closure violated")
+    form = _symmetry_form(name)
+    return next(s for s in SYMMETRIES if _symmetry_form(s) == form)
 
 
 def direct_sum(u: Perm, v: Perm) -> Perm:

@@ -362,34 +362,28 @@ def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
 # ---------------------------------------------------------------------------
 # The occurrence-repair walk.
 
-# For a single square the two squares flanking the candidate may not both be
-# shaded, but one may be.  Taking the vertical extreme sweeps the leftover
-# region points into the flank vertically adjacent to the candidate; taking
-# the horizontal extreme sweeps them into the horizontally adjacent one.  The
-# walk must therefore pick the extreme whose receiving flank is unshaded.
-_VERTICAL_FLANK = {
-    "NE": lambda i, v: (i, v - 1),
-    "NW": lambda i, v: (i - 1, v - 1),
-    "SE": lambda i, v: (i, v),
-    "SW": lambda i, v: (i - 1, v),
-}
-
-
 def _pick_replacement(
-    pi: MeshPattern, assignment: Assignment, pts: list[tuple[int, int]]
+    pi: MeshPattern, assignment: Assignment, n: int, pts: list[tuple[int, int]]
 ) -> int:
-    """Extreme candidate in the move's direction; pts is x-sorted."""
-    direction = assignment.direction
+    """The position of the host point, among ``pts``, to slide the
+    assignment's occurrence point to, in a host of length ``n``.
+
+    The rule is spelled out for the northeast single and the east pair and
+    conjugated like the probes: the pick is the point whose image lies
+    furthest along one axis of the spelled-out grid.  A pair takes the
+    furthest east.  A single's two flanks may not both be shaded, but one
+    may be.  The furthest north sweeps the leftover region points into the
+    flank below the candidate, the furthest east into the flank beside it,
+    so a single goes north unless the flank below is shaded."""
+    k = pi.k
     if assignment.kind == "pair":
-        if direction in ("E", "W"):
-            return pts[-1][0] if direction == "E" else pts[0][0]
-        chooser = max if direction == "N" else min
-        return chooser(pts, key=lambda t: t[1])[0]
-    vertical_ok = not pi.has_square(*_VERTICAL_FLANK[direction](*assignment.point))
-    if vertical_ok:
-        chooser = max if direction in ("NE", "NW") else min
-        return chooser(pts, key=lambda t: t[1])[0]
-    return pts[-1][0] if direction in ("NE", "SE") else pts[0][0]
+        sym, axis = _PAIR_TO_E[assignment.direction], 0
+    else:
+        sym = _SINGLE_TO_NE[assignment.direction]
+        j, v = apply_symmetry_point(sym, k, assignment.point)
+        flank = apply_symmetry_square(inverse_symmetry(sym), k, (j, v - 1))
+        axis = 0 if pi.has_square(*flank) else 1
+    return max(pts, key=lambda pt: apply_symmetry_point(sym, n, pt)[axis])[0]
 
 
 def ssl_repair_occurrence(
@@ -424,7 +418,7 @@ def ssl_repair_occurrence(
         if busy is None:
             break
         assignment, pts = busy
-        positions[assignment.point[0] - 1] = _pick_replacement(pi, assignment, pts)
+        positions[assignment.point[0] - 1] = _pick_replacement(pi, assignment, n, pts)
         assert positions == sorted(positions)
     else:
         raise RuntimeError("repair walk exceeded its 2kn step bound")
@@ -617,10 +611,10 @@ def ssl_closure(
     that gives both one root (or before any work, if the given steps join
     them); the partition as it stands then is returned, also flagged
     incomplete, and the goal's class carries its steps so far, which replay
-    in order.  A goal mesh that is not a seed is a ``ValueError``.  Each
-    class carries the steps that joined its meshes, in the order they were
-    taken: a step is kept only when it merges two groups, so a class of n
-    meshes has n - 1 steps.
+    in order.  A goal that is not two meshes, or a goal mesh that is not a
+    seed, is a ``ValueError``.  Each class carries the steps that joined its
+    meshes, in the order they were taken: a step is kept only when it merges
+    two groups, so a class of n meshes has n - 1 steps.
     """
     p = make_perm(p)
     k = len(p)
@@ -631,6 +625,8 @@ def ssl_closure(
         raise ValueError("at least one seed mesh is required")
     if goal is not None:
         goal = tuple(_as_mask(k, mesh) for mesh in goal)
+        if len(goal) != 2:
+            raise ValueError(f"a goal is a pair of meshes, not {len(goal)}")
         if not known.issuperset(goal):
             raise ValueError("the goal meshes must be seeds")
     frontier = deque(sorted(known))

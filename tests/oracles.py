@@ -10,14 +10,9 @@ import functools
 import itertools
 import math
 
-from meshcide.diagonals import apply_symmetry_square, diagonal_to_json, enclosed_diagonals
+from meshcide.diagonals import diagonal_to_json, enclosed_diagonals
 from meshcide.mesh import MeshPattern, mask_to_squares, mesh_pattern_to_json
-from meshcide.perm import (
-    all_perms,
-    apply_symmetry_perm,
-    apply_symmetry_point,
-    inverse_symmetry,
-)
+from meshcide.perm import all_perms
 
 
 def occurrences_brute(p, w):
@@ -86,10 +81,46 @@ def first_distinguisher_brute(p, squares1, squares2, n_max):
 
 
 # ---------------------------------------------------------------------------
+# The grid symmetries from their definitions, one generator at a time: a
+# symmetry is a word over r (reverse), c (complement) and i (inverse),
+# applied left to right, and "id" is the empty word.
+
+
+def symmetry_perm_ref(name, w):
+    """The image of the one-line word ``w``: reverse reads it backwards,
+    complement turns each value v into n + 1 - v, and inverse puts at
+    position v the position of the value v."""
+    n = len(w)
+    w = tuple(w)
+    for ch in "" if name == "id" else name:
+        if ch == "r":
+            w = w[::-1]
+        elif ch == "c":
+            w = tuple(n + 1 - v for v in w)
+        else:  # "i"
+            w = tuple(w.index(v) + 1 for v in range(1, n + 1))
+    return w
+
+
+def symmetry_square_ref(name, k, square):
+    """The image of the square (a, b) of the (k+1) x (k+1) grid: reverse
+    mirrors the columns 0..k, complement the rows, inverse transposes.  A
+    point of the grid of n points moves as a square with k = n + 1 does."""
+    a, b = square
+    for ch in "" if name == "id" else name:
+        if ch == "r":
+            a = k - a
+        elif ch == "c":
+            b = k - b
+        else:  # "i"
+            a, b = b, a
+    return (a, b)
+
+
+# ---------------------------------------------------------------------------
 # Square-by-square mesh definitions, for the library's mask-native kernels.
 # A mesh is a mask in the library's layout: square (a, b) of a length-k
-# pattern is bit a * (k + 1) + b.  The symmetry action on one square, and on
-# permutations and points, is the library's own definition.
+# pattern is bit a * (k + 1) + b.
 
 
 def _bit(k, a, b):
@@ -108,7 +139,7 @@ def symmetry_mask_brute(name, k, mask):
     """Image of a mesh under a symmetry, one square at a time."""
     out = 0
     for square in _squares(k, mask):
-        out |= _bit(k, *apply_symmetry_square(name, k, square))
+        out |= _bit(k, *symmetry_square_ref(name, k, square))
     return out
 
 
@@ -154,11 +185,15 @@ def _conjugated(p, mask, to_spelled, ok, candidate):
     k = len(p)
     out = []
     for direction, sym in to_spelled.items():
-        q = apply_symmetry_perm(sym, p)
+        q = symmetry_perm_ref(sym, p)
         image = symmetry_mask_brute(sym, k, mask)
         for j in range(1, k + 1):
             if ok(q, image, j):
-                point = apply_symmetry_point(inverse_symmetry(sym), k, (j, q[j - 1]))
+                point = next(
+                    pt
+                    for pt in enumerate(p, start=1)
+                    if symmetry_square_ref(sym, k + 1, pt) == (j, q[j - 1])
+                )
                 out.append((point, candidate(point, direction), direction))
     order = list(to_spelled)
     return sorted(out, key=lambda t: (t[0], order.index(t[2])))
@@ -291,9 +326,9 @@ def enc_witness_oracle(pi, pi2):
 
     if orientation == "SE":
         image = insert_below(
-            apply_symmetry_perm("c", pi.perm), *apply_symmetry_square("c", k, anchor)
+            symmetry_perm_ref("c", pi.perm), *symmetry_square_ref("c", k, anchor)
         )
-        witness = apply_symmetry_perm("c", image)
+        witness = symmetry_perm_ref("c", image)
     else:
         witness = insert_below(pi.perm, *anchor)
     return witness, mesh_contains_brute(pi.perm, _squares(k, pi.mask), witness)

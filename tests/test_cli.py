@@ -388,8 +388,9 @@ class TestPartition:
 
     def test_out_path_in_a_missing_directory_exits_2(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "p1.jsonl"
-        code, _, err = run(capsys, "partition", "1", "--max-n", "4", "--out", str(out_file))
+        code, out, err = run(capsys, "partition", "1", "--max-n", "4", "--out", str(out_file))
         assert code == 2
+        assert out == ""  # nothing was computed before the path failed
         assert err.startswith("error: ")
         assert not out_file.exists()
 

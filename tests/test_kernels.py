@@ -176,7 +176,9 @@ def test_batch_order_duplicates_and_singletons():
     assert shading._frontier_moves(p, batch, {}) == want
     for mask in batch[:5]:
         assert _batch_split(p, [mask]) == [shading._option_vector(p, mask)]
-        assert shading._frontier_moves(p, [mask], {}) == [tuple(ssl_moves(MeshPattern(p, mask)))]
+        assert shading._frontier_moves(p, [mask], {}) == [
+            shading._moves(p, shading._option_vector(p, mask))
+        ]
 
 
 @pytest.mark.parametrize("p", [(2, 3, 1), (3, 1, 4, 2), (4, 2, 5, 1, 3)])

@@ -26,7 +26,7 @@ from meshcide.perm import (
     parse_perm,
     perm_text,
 )
-from oracles import occurrences_brute
+from oracles import occurrences_brute, symmetry_perm_ref
 
 perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -147,6 +147,10 @@ class TestClassicalOccurrences:
         assert not is_occurrence((2, 1, 3), w, (3, 1, 5))
 
 
+# the eight canonical names plus generator words that are not canonical
+WORDS = SYMMETRIES + ("ir", "rr", "cr", "irc", "cic", "rcirc")
+
+
 class TestSymmetries:
     def test_reverse_complement_fixtures(self):
         assert apply_symmetry_perm("r", (2, 3, 1)) == (1, 3, 2)
@@ -170,6 +174,11 @@ class TestSymmetries:
         assert canonical_symmetry("ir") in SYMMETRIES
         assert canonical_symmetry("rr") == "id"
         assert canonical_symmetry("cr") == canonical_symmetry("rc")
+        for s in WORDS:
+            canonical = canonical_symmetry(s)
+            assert canonical in SYMMETRIES
+            for w in all_perms(4):
+                assert symmetry_perm_ref(canonical, w) == symmetry_perm_ref(s, w)
 
     def test_inverse_symmetry_undoes(self):
         for s in SYMMETRIES:
@@ -180,9 +189,11 @@ class TestSymmetries:
                 )
 
     def test_point_action_matches_graph(self):
-        for s in SYMMETRIES:
+        # both actions against the definitions, one generator at a time
+        for s in WORDS:
             for w in all_perms(4):
-                image = apply_symmetry_perm(s, w)
+                image = symmetry_perm_ref(s, w)
+                assert apply_symmetry_perm(s, w) == image
                 graph = {(i, v) for i, v in enumerate(w, start=1)}
                 image_graph = {(i, v) for i, v in enumerate(image, start=1)}
                 assert {

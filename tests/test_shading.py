@@ -246,6 +246,51 @@ class TestRepairWalk:
         with pytest.raises(ValueError):
             ssl_repair_occurrence(pi, move, (2, 3, 1), (1, 2))
 
+    # One walk per case of its rule: (kind, direction, whether the single's
+    # flank above or below the candidate is shaded).  The region holds four
+    # distinct extremes (furthest east, west, north, south), and the walk
+    # steps once, to the extreme its case picks.  A pair's walk ends at the
+    # same occurrence from any of them, in more steps, so the step count
+    # pins its pick.
+    PINNED = [
+        # pattern, point, direction, flank shaded, host, occurrence, result
+        ("21:(1,1)(2,2)", (2, 1), "NE", False, (3, 7, 1, 4, 2, 6, 5), (2, 3), (2, 6)),
+        ("21:(1,0)(1,1)", (1, 2), "NE", True, (7, 2, 4, 6, 3, 5, 1), (2, 7), (6, 7)),
+        ("12:(0,2)(1,0)", (2, 2), "NW", False, (1, 5, 3, 6, 4, 2), (1, 6), (1, 4)),
+        ("12:(0,0)(1,0)(1,1)(2,0)", (2, 2), "NW", True, (1, 4, 6, 3, 5, 2), (1, 6), (1, 2)),
+        ("21:(2,0)", (1, 2), "SE", False, (7, 4, 6, 2, 5, 3, 1), (1, 7), (4, 7)),
+        ("21:(1,2)(2,1)", (1, 2), "SE", True, (7, 3, 4, 6, 2, 5, 1), (1, 7), (6, 7)),
+        ("21:(2,1)", (1, 2), "SW", False, (5, 6, 2, 3, 4, 7, 1), (6, 7), (3, 7)),
+        ("21:(0,0)(0,2)(2,0)", (1, 2), "SW", True, (4, 2, 5, 3, 6, 1), (5, 6), (1, 6)),
+        ("12", (1, 1), "E", None, (6, 3, 2, 1, 5, 4, 7), (1, 7), (6, 7)),
+        ("21:(2,2)", (1, 2), "N", None, (4, 2, 5, 7, 3, 6, 1), (2, 7), (4, 7)),
+        ("21", (1, 2), "W", None, (3, 6, 2, 5, 4, 1), (5, 6), (1, 6)),
+        ("12:(0,1)(0,2)", (2, 2), "S", None, (1, 7, 4, 2, 6, 3, 5), (1, 2), (1, 4)),
+    ]
+
+    @pytest.mark.parametrize("text, point, direction, shaded, w, occ, want", PINNED)
+    def test_pinned_choice(self, text, point, direction, shaded, w, occ, want, monkeypatch):
+        pi = parse_mesh_pattern(text)
+        ((assignment, bits),) = [
+            (a, bits)
+            for a, bits in shading.shadeable_assignments(pi.perm, pi.mask)
+            if a.point == point and a.direction == direction
+        ]
+        if assignment.kind == "single":
+            # that flank is the candidate of the corner across the point's row
+            across = {"NE": "SE", "SE": "NE", "NW": "SW", "SW": "NW"}[direction]
+            assert pi.has_square(*single_candidate(point, across)) == shaded
+        picks = []
+        pick = shading._pick_replacement
+
+        def recorded(*args):
+            picks.append(pick(*args))
+            return picks[-1]
+
+        monkeypatch.setattr(shading, "_pick_replacement", recorded)
+        out = ssl_repair_occurrence(pi, ShadeMove((assignment,), bits), w, occ)
+        assert (out, picks) == (want, [want[point[0] - 1]])
+
     def test_output_is_occurrence_of_enlarged_pattern(self):
         rng = random.Random(97)
         checked = 0
@@ -449,6 +494,11 @@ class TestGoal:
     def test_goal_must_be_seeds(self):
         with pytest.raises(ValueError, match="goal"):
             ssl_closure((1, 2), [0], goal=(0, 1))
+
+    @pytest.mark.parametrize("goal", [(), (0,), (0, 1, 2)])
+    def test_goal_must_be_a_pair(self, goal):
+        with pytest.raises(ValueError, match="goal"):
+            ssl_closure((1, 2), [0, 1, 2], goal=goal)
 
 
 class TestMoveSoundness:
