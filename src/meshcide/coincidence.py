@@ -11,6 +11,7 @@ stays UNDECIDED, because coincidences beyond these rules do exist.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -32,7 +33,6 @@ from .mesh import (
     contains,
     default_depth,
     first_separation,
-    full_grid_mask,
     square_bit,
     squares_to_mask,
     _square_tables,
@@ -63,60 +63,28 @@ class FamilyTags:
     sparse: bool
 
 
-@lru_cache(maxsize=64)
-def _family_masks(p: Perm) -> tuple:
-    """Masks the family predicates test, per pattern: each column, each row,
-    the squares that are not pointless, and for every square the union of
-    the two columns and two rows adjacent to it."""
-    k = len(p)
-    width = k + 1
-    columns = tuple(sum(square_bit(k, a, b) for b in range(width)) for a in range(width))
-    rows = tuple(sum(square_bit(k, a, b) for a in range(width)) for b in range(width))
-
-    def line(masks: tuple[int, ...], index: int) -> int:
-        return masks[index] if 0 <= index <= k else 0
-
-    adjacent = tuple(
-        line(columns, a - 1) | line(columns, a + 1) | line(rows, b - 1) | line(rows, b + 1)
-        for a in range(width)
-        for b in range(width)
-    )
-    return columns, rows, full_grid_mask(k) & ~pointless_mask(p), adjacent
-
-
 def classify_family(pi: MeshPattern) -> FamilyTags:
-    """Evaluate the mesh-shape predicates on the mask.
+    """Read the mesh-shape tags off the shaded squares, from the number of
+    them in each column and each row.
 
-    vincular: union of complete columns; bivincular: union of complete rows
-    and columns; isolating: no shaded square sits in a row or column adjacent
-    to a non-pointless shaded square; sparse: at most one shaded square per
-    row and per column.
+    vincular: every shaded square lies in a full column; bivincular: every
+    shaded square lies in a full column or a full row; isolating: no shaded
+    square that is not pointless has a shaded square in an adjacent column
+    or row; sparse: no column or row holds more than one shaded square.
     """
-    mask = pi.mask
-    columns, rows, pointed, adjacent = _family_masks(pi.perm)
-    full_columns = 0
-    sparse = True
-    for line in columns:
-        shaded = mask & line
-        if shaded == line:
-            full_columns |= line
-        sparse = sparse and shaded & (shaded - 1) == 0
-    full_rows = 0
-    for line in rows:
-        shaded = mask & line
-        if shaded == line:
-            full_rows |= line
-        sparse = sparse and shaded & (shaded - 1) == 0
-    vincular = mask & ~full_columns == 0
-    bivincular = mask & ~(full_columns | full_rows) == 0
-    isolating = True
-    rest = mask & pointed
-    while rest:
-        low = rest & -rest
-        if mask & adjacent[low.bit_length() - 1]:
-            isolating = False
-            break
-        rest ^= low
+    k = pi.k
+    squares = pi.squares
+    columns = Counter(a for a, _ in squares)
+    rows = Counter(b for _, b in squares)
+    vincular = all(columns[a] == k + 1 for a, _ in squares)
+    bivincular = all(columns[a] == k + 1 or rows[b] == k + 1 for a, b in squares)
+    pointless = pointless_mask(pi.perm)
+    isolating = not any(
+        columns[a - 1] or columns[a + 1] or rows[b - 1] or rows[b + 1]
+        for a, b in squares
+        if not pointless & square_bit(k, a, b)
+    )
+    sparse = all(count <= 1 for count in (*columns.values(), *rows.values()))
     return FamilyTags(vincular, bivincular, isolating, sparse)
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, symmetry_word
+from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, canonical_symmetry
 from .mesh import (
     MeshPattern,
     Square,
+    check_mask,
     contains,
+    mask_to_squares,
     squares_to_mask,
-    _square_tables,
 )
 
 
@@ -137,23 +138,10 @@ def apply_symmetry_square(name: str, k: int, square: Square) -> Square:
     return apply_symmetry_point(name, k - 1, square)
 
 
-@lru_cache(maxsize=256)
-def _symmetry_tables(word: str, k: int) -> tuple[tuple[int, ...], ...]:
-    """The action of a symmetry on masks over the (k+1) x (k+1) grid, as
-    byte tables: each entry of the square byte tables of ``mesh`` maps to
-    the mask of its squares' images.  Cached per generator word and grid
-    size."""
-    return tuple(
-        tuple(
-            squares_to_mask(k, [apply_symmetry_square(word, k, s) for s in squares])
-            for squares in table
-        )
-        for table in _square_tables(k)
-    )
-
-
 def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
-    """Image of a mesh mask under a symmetry.
+    """Image of a mesh mask under a symmetry: each shaded square moves by
+    :func:`apply_symmetry_square`.  An unknown name, even on the empty mesh,
+    and a mask outside the grid raise ``ValueError``.
 
     >>> from meshcide.mesh import mask_to_squares
     >>> mesh = squares_to_mask(2, [(0, 1), (2, 2)])
@@ -162,11 +150,11 @@ def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
     >>> mask_to_squares(2, apply_symmetry_mask("ir", 2, mesh))  # any word
     ((0, 2), (1, 0))
     """
-    out = 0
-    for table in _symmetry_tables(symmetry_word(name), k):
-        out |= table[mask & 0xFF]
-        mask >>= 8
-    return out
+    name = canonical_symmetry(name)
+    check_mask(k, mask)
+    return squares_to_mask(
+        k, [apply_symmetry_square(name, k, s) for s in mask_to_squares(k, mask)]
+    )
 
 
 def apply_symmetry_mesh(name: str, pi: MeshPattern) -> MeshPattern:

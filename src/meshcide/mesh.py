@@ -73,6 +73,12 @@ def full_grid_mask(k: int) -> int:
     return (1 << (k + 1) ** 2) - 1
 
 
+def check_mask(k: int, mask: int) -> None:
+    """Reject a mask with squares outside the (k+1) x (k+1) grid."""
+    if not 0 <= mask <= full_grid_mask(k):
+        raise ValueError(f"mesh mask {mask} out of range for a length-{k} pattern")
+
+
 @dataclass(frozen=True)
 class MeshPattern:
     """A classical pattern plus a set of shaded grid squares."""
@@ -82,8 +88,7 @@ class MeshPattern:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", make_perm(self.perm))
-        if not 0 <= self.mask <= full_grid_mask(self.k):
-            raise ValueError(f"mesh mask out of range for a length-{self.k} pattern")
+        check_mask(self.k, self.mask)
 
     @classmethod
     def of(cls, perm: str | Sequence[int], squares: Iterable[Square] = ()) -> "MeshPattern":
@@ -366,13 +371,18 @@ def _first_difference(rows: Iterable[Sequence[int]]) -> tuple[int, int] | None:
 def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[tuple[int, ...]]:
     """Fingerprints of several meshes over one shared sweep of the hosts: per
     mesh, one containment row per size n = 1..n_max, whose bit j covers the
-    j-th permutation of S_n in lexicographic order.
+    j-th permutation of S_n in lexicographic order.  A pattern that is not
+    a permutation, a mask outside its grid or a depth outside
+    ``1..MAX_DEPTH`` raises ``ValueError`` before any table is built.
 
     >>> fingerprints_many((1, 2), (0,), 3)
     [(0, 1, 31)]
     """
+    p = make_perm(p)
+    for mask in masks:
+        check_mask(len(p), mask)
     check_depth(n_max)
-    return list(zip(*_sweep(tuple(p), masks, n_max)))
+    return list(zip(*_sweep(p, masks, n_max)))
 
 
 def first_separation(p: Perm, a: int, b: int, n_max: int) -> tuple[int, int] | None:
@@ -380,14 +390,18 @@ def first_separation(p: Perm, a: int, b: int, n_max: int) -> tuple[int, int] | N
     contains exactly one of the meshes ``a`` and ``b`` over ``p``, or None.
 
     The same answer as ``_first_difference`` of the two fingerprints, but
-    the sweep stops at the first size that separates the pair.  A depth
-    outside ``1..MAX_DEPTH`` raises ``ValueError`` before any table is built.
+    the sweep stops at the first size that separates the pair.  A pattern
+    that is not a permutation, a mask outside its grid or a depth outside
+    ``1..MAX_DEPTH`` raises ``ValueError`` before any table is built.
 
     >>> first_separation((1, 2), 0, 1 << 6, 4)  # 12 against 12:(2,0)
     (3, 3)
     """
+    p = make_perm(p)
+    check_mask(len(p), a)
+    check_mask(len(p), b)
     check_depth(n_max)
-    return _first_difference(_sweep(tuple(p), (a, b), n_max))
+    return _first_difference(_sweep(p, (a, b), n_max))
 
 
 MAX_SIGNATURE_LENGTH = 3

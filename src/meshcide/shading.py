@@ -34,6 +34,7 @@ from .perm import (
 from .mesh import (
     MeshPattern,
     Square,
+    check_mask,
     mask_to_squares,
     mesh_pattern_to_json,
     occurrence_region_mask,
@@ -554,8 +555,7 @@ class ClosureResult:
 
 def _as_mask(k: int, mesh) -> int:
     if isinstance(mesh, int):
-        if not 0 <= mesh < 1 << (k + 1) ** 2:
-            raise ValueError(f"mesh mask {mesh} out of range for grid size {k}")
+        check_mask(k, mesh)
         return mesh
     return squares_to_mask(k, mesh)
 

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -400,3 +402,25 @@ class TestDeterminism:
         a = run(capsys, "enc", "231:(1,0)(3,2)", "--json")
         b = run(capsys, "enc", "231:(1,0)(3,2)", "--json")
         assert a == b
+
+
+def _readme_commands():
+    """The lines of README's "Command line" block, each with the output its
+    ``# -> ...`` comment promises, or None."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        comment = line.partition("#")[2].strip()
+        yield line, comment[2:].strip() if comment.startswith("->") else None
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line, promised", list(_readme_commands()))
+    def test_command_line_block_runs(self, capsys, tmp_path, monkeypatch, line, promised):
+        monkeypatch.chdir(tmp_path)  # partition --out writes here
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "meshcide"
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        if promised is not None:
+            assert promised in out.splitlines()

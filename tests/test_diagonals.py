@@ -13,6 +13,7 @@ from meshcide.mesh import (
 )
 from meshcide.diagonals import (
     DistinguishingWitness,
+    apply_symmetry_mask,
     apply_symmetry_mesh,
     apply_symmetry_square,
     diagonal_text,
@@ -311,6 +312,16 @@ class TestSymmetryAction:
             p = tuple(rng.sample(range(1, k + 1), k))
             pi = MeshPattern(p, rng.getrandbits((k + 1) ** 2))
             assert apply_symmetry_mesh("cc", pi) == pi
+
+    @pytest.mark.parametrize("mask", [1 << 9, 1 << 12, -1])
+    def test_mask_outside_the_grid_raises(self, mask):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_symmetry_mask("r", 2, mask)
+
+    @pytest.mark.parametrize("mask", [0, 5])
+    def test_unknown_name_raises_even_on_the_empty_mesh(self, mask):
+        with pytest.raises(ValueError, match="unknown symmetry"):
+            apply_symmetry_mask("bogus", 2, mask)
 
 
 class TestReporting:

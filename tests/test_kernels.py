@@ -1,7 +1,8 @@
-"""The mask-native mesh kernels and the bit-sliced fingerprint sweep against
-their definitions in ``tests/oracles.py``: exhaustively for every pattern of
-length at most 2, on seeded samples for every pattern of length 3 and for
-longer ones."""
+"""Mesh computations on masks (the symmetry action, shading probes and
+moves with their batch engine, enclosed diagonals and family tags) and the
+bit-sliced fingerprint sweep against their definitions in
+``tests/oracles.py``: exhaustively for every pattern of length at most 2, on
+seeded samples for every pattern of length 3 and for longer ones."""
 
 import itertools
 import random

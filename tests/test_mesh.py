@@ -398,6 +398,29 @@ class TestFirstSeparation:
         with pytest.raises(ValueError, match="MAX_DEPTH"):
             first_separation((1, 2, 3), 0, 1, depth)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: first_separation((1, 2), 0, 1 << 20, 4), "out of range"),
+            (lambda: first_separation((1, 2), 1 << 9, 0, 4), "out of range"),
+            (lambda: first_separation((1, 2), 0, -1, 4), "out of range"),
+            (lambda: fingerprints_many((1, 2), [0, 1 << 9], 3), "out of range"),
+            (lambda: fingerprints_many((1, 2), [-1], 3), "out of range"),
+            (lambda: first_separation((0, 5), 0, 1, 3), "not a permutation"),
+            (lambda: first_separation((1, 1), 0, 1, 3), "not a permutation"),
+            (lambda: fingerprints_many((2, 2), [0], 3), "not a permutation"),
+            (lambda: fingerprints_many((), [0], 3), "empty permutation"),
+        ],
+    )
+    def test_bad_pattern_or_mask_raises_before_any_table(self, call, error, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a host table was built")
+
+        for name in ("_less_sets", "_occurrence_tables", "_cached_occurrence_tables"):
+            monkeypatch.setattr(mesh, name, no_tables)
+        with pytest.raises(ValueError, match=error):
+            call()
+
     def test_reads_no_table_above_the_first_separating_size(self, monkeypatch):
         from meshcide.coincidence import decide_coincidence
 
