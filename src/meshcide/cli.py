@@ -2,8 +2,8 @@
 
 Boolean answers are printed, never encoded in the exit status; ``--json``
 switches any verb to a machine-readable report.  Exit status 2 flags a
-parse or validation problem, or an ``--out`` file that cannot be read or
-written; 0 anything else.
+parse or validation problem, or an ``--out`` file that cannot be written;
+0 anything else.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .coincidence import (
     classify_family,
     decide_coincidence,
     default_partition_depth,
-    load_partition_cache,
     partition_lines,
     partition_meshes,
     write_partition_cache,
@@ -247,16 +246,15 @@ def _cmd_partition(args) -> int:
         folder = Path(args.out).parent
         if not folder.is_dir():
             raise FileNotFoundError(f"no directory {str(folder)!r} for --out")
-        cached = load_partition_cache(args.out, p, n_max, use_gamma=not args.no_gamma)
-        if cached is not None:
-            sys.stdout.writelines(line + "\n" for line in cached)
-            return 0
     result = partition_meshes(p, n_max, use_gamma=not args.no_gamma)
-    lines = partition_lines(result)
-    # one line per write, so the report is never held twice as one string
-    sys.stdout.writelines(line + "\n" for line in lines)
     if args.out:
-        write_partition_cache(args.out, lines)
+        # the whole file is written before stdout gets any of it, so an
+        # --out that cannot be written leaves stdout empty
+        write_partition_cache(args.out, partition_lines(result))
+        with open(args.out, newline="") as report:
+            sys.stdout.writelines(report)
+    else:
+        sys.stdout.writelines(line + "\n" for line in partition_lines(result))
     return 0
 
 
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("partition", _cmd_partition, "partition all meshes over a pattern")
     sp.add_argument("perm")
     sp.add_argument("--max-n", type=int, default=None, help="fingerprint depth")
-    sp.add_argument("--out", default=None, help="cache the JSONL report here")
+    sp.add_argument("--out", default=None, help="also write the JSONL report here")
     sp.add_argument("--no-gamma", action="store_true", help="disable the gamma rule")
     # accepted for old scripts and ignored: the signature engine is serial
     sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)

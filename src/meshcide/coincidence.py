@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .perm import (
     SYMMETRIES,
@@ -443,10 +443,11 @@ def _square_text_tables(k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tables + (("",),) * (2 - len(tables))
 
 
-def partition_records(result: PartitionResult) -> list[str]:
-    """One JSON line per class, written as text: the keys ``p``, ``status``,
-    ``size``, ``representative``, ``meshes``, ``enc``, ``fingerprint`` and,
-    on CONJECTURED classes, ``blocks``, with ``json.dumps`` spacing."""
+def partition_records(result: PartitionResult) -> Iterator[str]:
+    """One JSON line per class, written as text and yielded one at a time:
+    the keys ``p``, ``status``, ``size``, ``representative``, ``meshes``,
+    ``enc``, ``fingerprint`` and, on CONJECTURED classes, ``blocks``, with
+    ``json.dumps`` spacing."""
     p = result.perm
     low, high = _square_text_tables(len(p))
     perm = json.dumps(list(p))
@@ -454,7 +455,6 @@ def partition_records(result: PartitionResult) -> list[str]:
     cuts = _row_cuts(result.n_max)
     sigs = result.signatures
 
-    records = []
     for cls in result.classes:
         meshes = cls.meshes
         rep = meshes[0]
@@ -468,13 +468,12 @@ def partition_records(result: PartitionResult) -> list[str]:
                 "[" + ", ".join(text_of[m] for m in block) + "]" for block in cls.blocks
             )
             blocks = f', "blocks": [{listed}]'
-        records.append(
+        yield (
             f'{{"p": {perm}, "status": "{cls.status}", "size": {len(meshes)}, '
             f'"representative": {{"perm": {perm}, "mesh": {texts[0]}}}, '
             f'"meshes": [{", ".join(texts)}], "enc": [{enc}], '
             f'"fingerprint": ["{rows}"]{blocks}}}'
         )
-    return records
 
 
 def _row_cuts(n_max: int) -> list[tuple[int, int]]:
@@ -507,17 +506,17 @@ def partition_summary(result: PartitionResult) -> dict:
     }
 
 
-def partition_lines(result: PartitionResult) -> list[str]:
-    """The partition report as JSON lines: one record per class, then the
-    summary footer."""
-    lines = partition_records(result)
-    lines.append(json.dumps({"summary": partition_summary(result)}))
-    return lines
+def partition_lines(result: PartitionResult) -> Iterator[str]:
+    """The partition report as JSON lines, yielded one at a time: one record
+    per class, then the summary footer.  No list of the lines is built, so
+    the report never sits in memory whole."""
+    yield from partition_records(result)
+    yield json.dumps({"summary": partition_summary(result)})
 
 
-def write_partition_cache(path: str | Path, lines: list[str]) -> None:
-    """Write report lines built by :func:`partition_lines` as a cache file,
-    one line at a time."""
+def write_partition_cache(path: str | Path, lines: Iterable[str]) -> None:
+    """Write report lines, such as those of :func:`partition_lines`, to a
+    file, one line at a time."""
     with open(path, "w") as out:
         out.writelines(line + "\n" for line in lines)
 
@@ -525,16 +524,18 @@ def write_partition_cache(path: str | Path, lines: list[str]) -> None:
 def load_partition_cache(
     path: str | Path, p: Perm, n_max: int, use_gamma: bool = True
 ) -> list[str] | None:
-    """Reload a cached report as its non-blank lines, to be printed as they
-    are, once one fresh signature table confirms every record: the meshes
-    cover the mesh cube exactly once, each record is one whole truncation
-    group with its fingerprint, enclosed diagonals, representative and
-    size, ``blocks`` appears exactly on CONJECTURED records and partitions
-    their meshes, and the summary counts the records.  Returns None if the
-    file is malformed (text that is not UTF-8 included), does not fit the
-    request or fails a check; a pattern or depth that
-    ``containment_signatures`` rejects still raises ``ValueError``, and a
-    file that cannot be opened ``OSError``."""
+    """Reload a report written by :func:`write_partition_cache` as its
+    non-blank lines, once one fresh signature table confirms every record.
+    No CLI path calls it: ``partition --out`` writes the report and never
+    reads it back.  It stays only until the benchmark's tracer stops
+    wrapping it.  The checks: the meshes cover the mesh cube exactly once,
+    each record is one whole truncation group with its fingerprint,
+    enclosed diagonals, representative and size, ``blocks`` appears exactly
+    on CONJECTURED records and partitions their meshes, and the summary
+    counts the records.  Returns None if the file is malformed (text that is
+    not UTF-8 included), does not fit the request or fails a check; a
+    pattern or depth that ``containment_signatures`` rejects still raises
+    ``ValueError``, and a file that cannot be opened ``OSError``."""
     p = make_perm(p)
     k = len(p)
     target = Path(path)

@@ -9,7 +9,7 @@ import pytest
 
 from meshcide import coincidence
 from meshcide.cli import main, render
-from meshcide.coincidence import default_partition_depth
+from meshcide.coincidence import default_partition_depth, partition_meshes
 from meshcide.mesh import MeshPattern, mesh_pattern_from_json, parse_mesh_pattern
 
 
@@ -333,13 +333,41 @@ class TestPartition:
         assert code == 0
         assert out.encode() == out_file.read_bytes()
 
-        def no_partition(*args, **kwargs):
-            raise AssertionError("the cache was not used")
+        calls = []
 
-        monkeypatch.setattr(cli, "partition_meshes", no_partition)
-        code, hit = partition_stdout(argv)
+        def counted_partition(*args, **kwargs):
+            calls.append(args)
+            return partition_meshes(*args, **kwargs)
+
+        # a rerun over the file recomputes; it never reads the file back
+        monkeypatch.setattr(cli, "partition_meshes", counted_partition)
+        code, again = partition_stdout(argv)
+        assert code == 0 and len(calls) == 1
+        assert again == out
+        assert again.encode() == out_file.read_bytes()
+
+    def test_forged_proven_record_is_not_trusted(self, capsys, tmp_path):
+        out_file = tmp_path / "p12.jsonl"
+        argv = ("partition", "12", "--max-n", "4", "--out", str(out_file))
+        code, fresh, _ = run(capsys, *argv)
         assert code == 0
-        assert hit.encode() == out_file.read_bytes()
+        *records, summary = [json.loads(line) for line in fresh.splitlines()]
+        # one CONJECTURED record passed off as PROVEN, the summary re-counted
+        forged = next(r for r in records if r["status"] == "CONJECTURED")
+        blocks = forged.pop("blocks")
+        forged["status"] = "PROVEN"
+        counts = summary["summary"]
+        counts["proven"] += 1
+        counts["conjectured"] -= 1
+        counts["undecided_pairs"] -= (
+            forged["size"] ** 2 - sum(len(block) ** 2 for block in blocks)
+        ) // 2
+        lines = [json.dumps(r) for r in records] + [json.dumps(summary)]
+        out_file.write_text("\n".join(lines) + "\n")
+        code, again, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert again == fresh  # freshly proved, not the forged record
+        assert out_file.read_text() == fresh
 
     @pytest.mark.parametrize("separator", [b"\r\n", b"\x0c"])
     def test_cache_line_breaks_still_hit(self, capsys, tmp_path, separator):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -695,7 +696,7 @@ class TestPartition:
         loaded = load_partition_cache(out, (1,), 5)
         assert loaded is not None
         assert json.loads(loaded[-1])["summary"]["classes"] == len(result.classes)
-        assert loaded == partition_lines(result)  # the lines as written
+        assert loaded == list(partition_lines(result))  # the lines as written
         # a different depth must not validate
         assert load_partition_cache(out, (1,), 6) is None
 
@@ -715,7 +716,7 @@ class TestPartition:
 
     def test_cache_rejects_corruption(self, tmp_path):
         result = partition_meshes((1,), 5)
-        good = partition_lines(result)
+        good = list(partition_lines(result))
         out = tmp_path / "part.jsonl"
         for line in (0, -2):  # the first and the last class
             lines = list(good)
@@ -736,7 +737,7 @@ class TestPartition:
     )
     def test_cache_malformed_is_discarded(self, tmp_path, corrupt):
         result = partition_meshes((1,), 5)
-        lines = partition_lines(result)
+        lines = list(partition_lines(result))
         record = json.loads(lines[0])
         lines[0] = json.dumps(corrupt(record) or record)
         out = tmp_path / "part.jsonl"
@@ -753,7 +754,7 @@ class TestPartition:
     @pytest.mark.parametrize("edit", sorted(CACHE_EDITS))
     def test_cache_rejects_edited_records(self, tmp_path, edit):
         out = tmp_path / "part.jsonl"
-        lines = partition_lines(partition_meshes((1, 2), 4))
+        lines = list(partition_lines(partition_meshes((1, 2), 4)))
         write_partition_cache(out, lines)
         assert load_partition_cache(out, (1, 2), 4) == lines
         records = [json.loads(line) for line in lines]
@@ -779,9 +780,9 @@ class TestPartition:
 def assert_records_match_oracle(result):
     """The text records are, byte for byte, ``json.dumps`` of the oracle's
     dicts, and they head the report lines."""
-    records = partition_records(result)
+    records = list(partition_records(result))
     assert records == [json.dumps(r) for r in partition_record_oracle(result)]
-    assert partition_lines(result)[:-1] == records
+    assert list(partition_lines(result))[:-1] == records
 
 
 @pytest.fixture(scope="module")
@@ -801,6 +802,18 @@ class TestPartitionLength3:
             959,
             6600310,
         )
+
+    def test_report_is_streamed(self, partition_123_depth_4):
+        lines = partition_lines(partition_123_depth_4)
+        assert iter(lines) is lines  # an iterator, not a list of the lines
+        tracemalloc.start()
+        try:
+            total = sum(len(line) + 1 for line in lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a line at a time is alive, never the whole 9 MB report
+        assert peak < total / 4
 
     def test_blocks_map_onto_blocks_under_the_stabilizer(self, partition_123_depth_4):
         p = (1, 2, 3)
