@@ -277,8 +277,8 @@ def decide_coincidence(
     shorter underlying permutation already separates them); distinct
     enclosed diagonals (constructive short witness); a truncated avoidance
     sweep to ``n_max`` (lexicographically least separating permutation),
-    which goes size by size and stops at the first size that separates the
-    pair, though the host tables are built through ``n_max`` first; then
+    which goes size by size, reads each size's host table only when it
+    gets there and stops at the first size that separates the pair; then
     the classical and gamma rules, and last the shading closure of the
     pair and its meet (the squares both shade), stopped as soon as it joins
     the pair.  Anything left is honestly

@@ -245,7 +245,7 @@ MAX_DEPTH = 9
 
 # Per-pattern occurrence tables are cached up to this size of host.  At S_7
 # a table holds at most 35 x 26 ints of 5,040 bits (0.6 MB), so the cache
-# stays below 40 MB; deeper tables are rebuilt on each call.
+# stays below 40 MB; deeper tables are streamed one entry at a time.
 _CACHED_TABLE_DEPTH = 7
 
 
@@ -287,7 +287,7 @@ def _less_sets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(less)
 
 
-def _occurrence_tables(p: Perm, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _occurrence_tables(p: Perm, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """One entry per position set t that is an occurrence of ``p`` in some
     host of S_n: ``(occ, cells)``, where ``occ`` holds the hosts with an
     occurrence at t and ``cells[a * (k + 1) + b]``, read inside ``occ``, the
@@ -297,7 +297,6 @@ def _occurrence_tables(p: Perm, n: int) -> tuple[tuple[int, tuple[int, ...]], ..
     less = _less_sets(n)
     everything = (1 << factorial(n)) - 1
     by_value = sorted(range(k), key=p.__getitem__)
-    tables = []
     for t in combinations(range(n), k):
         # q[b]: the position of the (b+1)-th smallest occurrence value
         q = [t[i] for i in by_value]
@@ -316,21 +315,20 @@ def _occurrence_tables(p: Perm, n: int) -> tuple[tuple[int, tuple[int, ...]], ..
                 for b in range(1, k):
                     cells[base + b] |= less[q[b - 1]][x] & below[b]
                 cells[base + k] |= less[q[-1]][x]
-        tables.append((occ, tuple(cells)))
-    return tuple(tables)
+        yield occ, tuple(cells)
 
 
-_cached_occurrence_tables = lru_cache(maxsize=64)(_occurrence_tables)
+@lru_cache(maxsize=64)
+def _cached_occurrence_tables(p: Perm, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple(_occurrence_tables(p, n))
 
 
-def _tables_through(p: Perm, n_max: int) -> list:
-    """The occurrence tables of ``p`` for S_1..S_{n_max}: cached up to
-    ``_CACHED_TABLE_DEPTH``, rebuilt above it."""
-    return [
-        _cached_occurrence_tables(p, n) if n <= _CACHED_TABLE_DEPTH
-        else _occurrence_tables(p, n)
-        for n in range(1, n_max + 1)
-    ]
+def _table(p: Perm, n: int) -> Iterable[tuple[int, tuple[int, ...]]]:
+    """The occurrence table of ``p`` for S_n: cached up to
+    ``_CACHED_TABLE_DEPTH``, streamed above it."""
+    if n <= _CACHED_TABLE_DEPTH:
+        return _cached_occurrence_tables(p, n)
+    return _occurrence_tables(p, n)
 
 
 def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
@@ -339,22 +337,20 @@ def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
     All of S_n is handled at once: a set of hosts is a bitset, and a host
     contains a mesh iff some occurrence ``t`` of ``p`` in it has no other
     point in a shaded square, so row n is the union over t of ``occ_t``
-    minus the union of the shaded ``cells_t``.  The tables for every size
-    are built before the first row; a row is computed only when asked for.
+    minus the union of the shaded ``cells_t``.  The table of S_n is read
+    only when row n is asked for, one entry at a time for every mesh, so a
+    streamed entry is dropped once it is used.
     """
     nbits = (len(p) + 1) ** 2
-    tables = _tables_through(p, n_max)
     shaded = [[c for c in range(nbits) if mesh >> c & 1] for mesh in masks]
-    for table in tables:
-        row = []
-        for squares in shaded:
-            hit = 0
-            for occ, cells in table:
+    for n in range(1, n_max + 1):
+        row = [0] * len(shaded)
+        for occ, cells in _table(p, n):
+            for i, squares in enumerate(shaded):
                 blocked = 0
                 for c in squares:
                     blocked |= cells[c]
-                hit |= occ & ~blocked
-            row.append(hit)
+                row[i] |= occ ^ (occ & blocked)  # occ & ~blocked, without a negative int
         yield row
 
 
@@ -368,7 +364,7 @@ def _first_difference(rows: Iterable[Sequence[int]]) -> tuple[int, int] | None:
     return None
 
 
-def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[tuple[int, ...]]:
+def fingerprints_many(p: Perm, masks: Iterable[int], n_max: int) -> list[tuple[int, ...]]:
     """Fingerprints of several meshes over one shared sweep of the hosts: per
     mesh, one containment row per size n = 1..n_max, whose bit j covers the
     j-th permutation of S_n in lexicographic order.  A pattern that is not
@@ -379,6 +375,7 @@ def fingerprints_many(p: Perm, masks: Sequence[int], n_max: int) -> list[tuple[i
     [(0, 1, 31)]
     """
     p = make_perm(p)
+    masks = tuple(masks)
     for mask in masks:
         check_mask(len(p), mask)
     check_depth(n_max)
@@ -451,8 +448,8 @@ def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
     size = 1 << nbits
     by_mask = [0] * size
     offset = 0
-    for n, tables in enumerate(_tables_through(p, n_max), start=1):
-        for occ, cells in tables:
+    for n in range(1, n_max + 1):
+        for occ, cells in _table(p, n):
             parts = [(0, occ)]
             for c, cell in enumerate(cells):
                 split = []

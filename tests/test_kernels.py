@@ -6,6 +6,7 @@ seeded samples for every pattern of length 3 and for longer ones."""
 
 import itertools
 import random
+from math import factorial
 
 import pytest
 
@@ -335,16 +336,34 @@ DEEP_PAIRS = (
 )
 
 
+def _check_deepest_rows(pair, n, samples):
+    """Seeded bits of the S_n rows of a pair against ``host_region_masks``."""
+    first, second = (parse_mesh_pattern(text) for text in pair)
+    p = first.perm
+    rows = [fp[n - 1] for fp in fingerprints_many(p, (first.mask, second.mask), n)]
+    rng = random.Random(pair[0])
+    for rank in rng.sample(range(factorial(n)), samples):
+        host = host_region_masks(p, lex_unrank(n, rank))
+        for row, mesh in zip(rows, (first.mask, second.mask)):
+            want = any(m & mesh == 0 for m in host)
+            assert (row >> rank) & 1 == want, (pair, rank)
+
+
 @pytest.mark.parametrize("pair", DEEP_PAIRS)
 def test_depth_8_rows_match_host_region_masks(pair):
     # host_region_masks over all 40,320 hosts of S_8 takes 4-6 s per
     # pattern, so the reference checks a seeded tenth of the row
-    first, second = (parse_mesh_pattern(text) for text in pair)
-    p = first.perm
-    rows = [fp[7] for fp in fingerprints_many(p, (first.mask, second.mask), 8)]
-    rng = random.Random(pair[0])
-    for rank in rng.sample(range(40320), 4032):
-        host = host_region_masks(p, lex_unrank(8, rank))
-        for row, mesh in zip(rows, (first.mask, second.mask)):
-            want = any(m & mesh == 0 for m in host)
-            assert (row >> rank) & 1 == want, (pair, rank)
+    _check_deepest_rows(pair, 8, 4032)
+
+
+# S_9 tables are streamed rather than cached; the rows of these pairs differ
+# on 11,164 and 2,346 of the 362,880 hosts
+DEPTH_9_PAIRS = (
+    ("231:(1,0)(3,1)(3,2)", "231:(1,0)(3,2)"),
+    ("2413:(0,0)(1,2)(2,2)(4,4)", "2413:(0,0)(1,2)(2,2)(3,1)(4,4)"),
+)
+
+
+@pytest.mark.parametrize("pair", DEPTH_9_PAIRS)
+def test_depth_9_rows_match_host_region_masks(pair):
+    _check_deepest_rows(pair, 9, 4000)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,24 @@ class TestFingerprints:
         with pytest.raises(ValueError, match=limit):
             containment_signatures(p, depth)
 
+    def test_masks_may_be_an_iterator_or_a_range(self):
+        want = [(0, 1, 31), (0, 1, 31)]
+        assert fingerprints_many((1, 2), [0, 1], 3) == want
+        assert fingerprints_many((1, 2), (m for m in (0, 1)), 3) == want
+        assert fingerprints_many((1, 2), range(2), 3) == want
+
+    def test_depth_9_sweep_holds_no_whole_table(self):
+        # the S_9 table of 1324 would take about 88 MB; streamed, the sweep
+        # holds one entry of it and the rows
+        mask = squares_to_mask(4, [(0, 0), (2, 2), (4, 4)])
+        tracemalloc.start()
+        try:
+            fingerprints_many((1, 3, 2, 4), (0, mask), 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_max_depth_is_accepted(self):
         # the unshaded point is in every host; fully shaded, only in S_1
         empty, full = fingerprints_many((1,), (0, 0b1111), MAX_DEPTH)
@@ -421,27 +441,28 @@ class TestFirstSeparation:
         with pytest.raises(ValueError, match=error):
             call()
 
-    def test_reads_no_table_above_the_first_separating_size(self, monkeypatch):
+    def test_reads_and_builds_no_table_above_the_first_separating_size(self, monkeypatch):
         from meshcide.coincidence import decide_coincidence
 
-        read = set()
+        read, built = set(), set()
+        table, occurrence_tables = mesh._table, mesh._occurrence_tables
 
-        class Watched:
-            """The occurrence table of S_n, recording when it is read."""
+        def watched_table(p, n):
+            read.add(n)
+            return table(p, n)
 
-            def __init__(self, n, table):
-                self.n, self.table = n, table
+        def watched_build(p, n):
+            built.add(n)
+            return occurrence_tables(p, n)
 
-            def __iter__(self):
-                read.add(self.n)
-                return iter(self.table)
-
-        tables_through = mesh._tables_through
-
-        def watched(p, n_max):
-            return [Watched(n, t) for n, t in enumerate(tables_through(p, n_max), start=1)]
-
-        monkeypatch.setattr(mesh, "_tables_through", watched)
+        monkeypatch.setattr(mesh, "_table", watched_table)
+        monkeypatch.setattr(mesh, "_occurrence_tables", watched_build)
+        # an empty cache, so that every table read below is built here
+        monkeypatch.setattr(
+            mesh,
+            "_cached_occurrence_tables",
+            lru_cache(maxsize=64)(mesh._cached_occurrence_tables.__wrapped__),
+        )
         first = parse_mesh_pattern("1:(0,1)(1,0)")
         second = parse_mesh_pattern("1:(0,0)(0,1)(1,0)")  # same enclosed diagonals
         v = decide_coincidence(first, second, 7)
@@ -450,6 +471,13 @@ class TestFirstSeparation:
         read.clear()  # the full sweep reads every size
         fingerprints_many((1,), (first.mask, second.mask), 7)
         assert read == set(range(1, 8))
+        read.clear()
+        built.clear()
+        first = parse_mesh_pattern("123:(0,1)(1,0)(1,1)(1,3)(2,0)(2,2)(3,2)")
+        second = parse_mesh_pattern("123:(0,1)(1,0)(1,1)(1,3)(2,0)(2,2)(3,2)(3,3)")
+        v = decide_coincidence(first, second, 8)
+        assert v.status == "REFUTED" and len(v.witness) == 5
+        assert read == built == set(range(1, 6))  # nothing of S_6..S_8
 
 
 class TestHostMasks:
