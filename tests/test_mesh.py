@@ -441,7 +441,7 @@ class TestFirstSeparation:
         with pytest.raises(ValueError, match=error):
             call()
 
-    def test_reads_and_builds_no_table_above_the_first_separating_size(self, monkeypatch):
+    def test_reads_no_table_above_the_first_separating_size(self, monkeypatch):
         from meshcide.coincidence import decide_coincidence
 
         read, built = set(), set()
