@@ -242,23 +242,21 @@ def _proof_search(
     pi: MeshPattern, pi2: MeshPattern
 ) -> tuple[list[TraceStep] | None, tuple[str, int] | None]:
     """Proof steps joining the pair, or None with the reason the closure
-    gave up."""
-    for rule in (classical_rule, gamma_rule):
-        steps = rule(pi, pi2)
-        if steps is not None:
-            return steps, None
-    # Simultaneous shading and sandwiching connect the two meshes directly;
-    # the move set is symmetry-equivariant, so one orientation suffices.
-    # It also joins the column-union and row-union pairs, the only pairs a
-    # rule proved just in another orientation, so the rules above run in
-    # this one (gamma_rule checks every orientation itself).  The meet is a
-    # seed too: single-square shading grows it to both meshes of an
-    # isolating pair, which the closure of the two meshes alone may miss.
-    # The closure stops at the merge that joins the pair, so the proof is
-    # the pair's class log at that moment.
+    gave up.  The closure is the only proof path: a classical or gamma step
+    for the pair, in its own orientation, is its one given step, and as the
+    pair is its goal, that step alone is then the proof.  Otherwise
+    simultaneous shading and sandwiching connect the two meshes directly;
+    the move set is symmetry-equivariant, so one orientation suffices, and
+    it joins the column-union and row-union pairs, the only pairs a rule
+    proved just in another orientation (gamma_rule checks every orientation
+    itself).  The meet is a seed too: single-square shading grows it to both
+    meshes of an isolating pair, which the closure of the two meshes alone
+    may miss.  The closure stops at the merge that joins the pair, so the
+    proof is the pair's class log at that moment."""
     seeds = (pi.mask, pi2.mask, pi.mask & pi2.mask)
+    given = classical_rule(pi, pi2) or gamma_rule(pi, pi2) or ()
     closure = ssl_closure(
-        pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET, goal=(pi.mask, pi2.mask)
+        pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET, given=given, goal=(pi.mask, pi2.mask)
     )
     cls = closure.class_of(pi.mask)
     if cls is not None and pi2.mask in cls.meshes:
@@ -279,10 +277,10 @@ def decide_coincidence(
     sweep to ``n_max`` (lexicographically least separating permutation),
     which goes size by size, reads each size's host table only when it
     gets there and stops at the first size that separates the pair; then
-    the classical and gamma rules, and last the shading closure of the
-    pair and its meet (the squares both shade), stopped as soon as it joins
-    the pair.  Anything left is honestly
-    UNDECIDED at the reported depth, with the reason the closure gave up.
+    the shading closure of the pair and its meet (the squares both shade),
+    given the pair's classical or gamma step when one applies and stopped
+    as soon as it joins the pair.  Anything left is honestly UNDECIDED at
+    the reported depth, with the reason the closure gave up.
     A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
     if n_max is None:

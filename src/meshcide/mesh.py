@@ -41,7 +41,7 @@ def squares_to_mask(k: int, squares: Iterable[Square]) -> int:
     for a, b in squares:
         if not (0 <= a <= k and 0 <= b <= k):
             raise ParseError(f"square ({a},{b}) lies outside the {k + 1}x{k + 1} grid")
-        mask |= 1 << (a * (k + 1) + b)  # square_bit, inlined for the cache loader
+        mask |= 1 << (a * (k + 1) + b)  # square_bit, inlined
     return mask
 
 
@@ -74,9 +74,10 @@ def full_grid_mask(k: int) -> int:
 
 
 def check_mask(k: int, mask: int) -> None:
-    """Reject a mask with squares outside the (k+1) x (k+1) grid."""
-    if not 0 <= mask <= full_grid_mask(k):
-        raise ValueError(f"mesh mask {mask} out of range for a length-{k} pattern")
+    """Reject a mask that is not an int, or that has squares outside the
+    (k+1) x (k+1) grid."""
+    if not (isinstance(mask, int) and 0 <= mask <= full_grid_mask(k)):
+        raise ValueError(f"mesh mask {mask!r} out of range for a length-{k} pattern")
 
 
 @dataclass(frozen=True)

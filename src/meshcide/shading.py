@@ -553,13 +553,6 @@ class ClosureResult:
         return None
 
 
-def _as_mask(k: int, mesh) -> int:
-    if isinstance(mesh, int):
-        check_mask(k, mesh)
-        return mesh
-    return squares_to_mask(k, mesh)
-
-
 def _extremes(members: list[int]) -> list[tuple[int, int]]:
     """Every pair (minimal member, maximal member above it) of a set of
     meshes.  A member is minimal when no earlier member by size lies below
@@ -589,63 +582,80 @@ class _GoalJoined(Exception):
 
 def ssl_closure(
     p: Perm,
-    seeds: Iterable,
+    seeds: Iterable[int],
     budget: int | None = None,
     given: Iterable[TraceStep] = (),
-    goal: tuple | None = None,
+    goal: tuple[int, int] | None = None,
 ) -> ClosureResult:
     """Partition every mesh reachable from the seeds into proven-coincident
     groups.
 
-    The ``given`` steps, which the caller has justified by other rules, are
-    joined first and their meshes become seeds too; a given step over
-    another pattern, or with a mesh outside the grid, is a ``ValueError``.
-    Then two inferences alternate until neither moves: every
-    simultaneous-shading move joins a mesh with its enlargement, and every
-    mesh between a minimal and a maximal member of one group joins that
-    group (a mesh between any two members lies between such a pair).
-    Sandwiched meshes not seen before are expanded in turn.  ``budget`` caps
-    the number of meshes expanded; exceeding it returns the partial
-    partition flagged incomplete, and a negative budget is a ``ValueError``.
-    A ``goal``, a pair of seed meshes, stops the closure at the first merge
-    that gives both one root (or before any work, if the given steps join
-    them); the partition as it stands then is returned, also flagged
-    incomplete, and the goal's class carries its steps so far, which replay
-    in order.  A goal that is not two meshes, or a goal mesh that is not a
-    seed, is a ``ValueError``.  Each class carries the steps that joined its
-    meshes, in the order they were taken: a step is kept only when it merges
-    two groups, so a class of n meshes has n - 1 steps.
+    Every mesh the caller names, the seeds, the ``before`` and ``after`` of
+    each given step and the goal meshes, is an int mask over ``p``'s grid;
+    anything else, a mesh outside the grid included, is a ``ValueError``
+    before any work, and so is a given step over another pattern.  The
+    ``given`` steps, which the caller has justified by other rules, are
+    joined first and their meshes become seeds too.  Then two inferences
+    alternate until neither moves: every simultaneous-shading move joins a
+    mesh with its enlargement, and every mesh between a minimal and a
+    maximal member of one group joins that group (a mesh between any two
+    members lies between such a pair).  Sandwiched meshes not seen before
+    are expanded in turn.  Given, shading and sandwich steps all join
+    through one merge, the only place groups are linked and steps logged.
+    ``budget`` caps the number of meshes expanded; exceeding it returns the
+    partial partition flagged incomplete, and a negative budget is a
+    ``ValueError``.  A ``goal``, a pair of seed meshes, stops the closure at
+    the first merge that gives both one root (or before any expansion, if
+    the given steps join them); the partition as it stands then is
+    returned, also flagged incomplete, and the goal's class carries its
+    steps so far, which replay in order.  A goal that is not two meshes, or
+    a goal mesh that is not a seed, is a ``ValueError``.  Each class carries
+    the steps that joined its meshes, in the order they were taken: a step
+    is kept only when it merges two groups, so a class of n meshes has
+    n - 1 steps.
     """
     p = make_perm(p)
     k = len(p)
     if budget is not None and budget < 0:
         raise ValueError(f"closure budget must be at least 0, not {budget}")
-    known = {_as_mask(k, s) for s in seeds}
-    if not known:
+    seeds, given = list(seeds), list(given)
+    if not seeds:
         raise ValueError("at least one seed mesh is required")
+    for step in given:
+        if step.perm != p:  # the log rebuilds each step over p
+            raise ValueError(f"a given step over {step.perm} in a closure over {p}")
     if goal is not None:
-        goal = tuple(_as_mask(k, mesh) for mesh in goal)
+        goal = tuple(goal)
         if len(goal) != 2:
             raise ValueError(f"a goal is a pair of meshes, not {len(goal)}")
-        if not known.issuperset(goal):
-            raise ValueError("the goal meshes must be seeds")
+    ends = [mesh for step in given for mesh in (step.before, step.after)]
+    for mesh in (*seeds, *ends, *(goal or ())):
+        check_mask(k, mesh)
+    known = set(seeds)
+    if goal is not None and not known.issuperset(goal):
+        raise ValueError("the goal meshes must be seeds")
+    # the seeds in order, then the given steps' new meshes as they appear
     frontier = deque(sorted(known))
+    frontier.extend(dict.fromkeys(mesh for mesh in ends if mesh not in known))
+    known.update(ends)
     uf = UnionFind()
     find = uf.find
     log: list[TraceStep] = []  # one step per merge: a spanning forest
 
-    def check_goal() -> None:
+    def merge(root: int, rule: str, before: int, after: int, detail: tuple) -> int:
+        # join after (queued for expansion if it is new) to the group of
+        # before, whose root the caller passes; returns the joined root
+        if after not in known:
+            known.add(after)
+            frontier.append(after)
+        other = find(after)
+        if other == root:
+            return root
+        root = uf.link(root, other)
+        log.append(TraceStep(rule, p, before, after, detail))
         if goal is not None and find(goal[0]) == find(goal[1]):
             raise _GoalJoined
-
-    def join(rule: str, before: int, after: int, detail: tuple) -> None:
-        for mesh in (before, after):
-            if mesh not in known:
-                known.add(mesh)
-                frontier.append(mesh)
-        if uf.union(before, after):
-            log.append(TraceStep(rule, p, before, after, detail))
-            check_goal()
+        return root
 
     spent = 0
     # the moves of each option vector met and their union, for this
@@ -663,21 +673,10 @@ def ssl_closure(
             batch = [frontier.popleft() for _ in range(size)]
             spent += size
             for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
-                if not moves:
-                    continue
-                # join, with the expanded mesh's root found once: most moves
-                # land in its own group and merge nothing
-                root = find(mesh)
-                for move in moves:
-                    after = mesh | move.added
-                    if after not in known:
-                        known.add(after)
-                        frontier.append(after)
-                    other = find(after)
-                    if other != root:
-                        root = uf.link(root, other)
-                        log.append(TraceStep("SSL", p, mesh, after, move.assignments))
-                        check_goal()
+                if moves:
+                    root = find(mesh)
+                    for move in moves:
+                        root = merge(root, "SSL", mesh, mesh | move.added, move.assignments)
         return True
 
     def sandwich(dirty: set[int]) -> None:
@@ -688,21 +687,15 @@ def ssl_closure(
                 diff = hi & ~lo
                 sub = diff
                 root = find(lo)
-                while True:
-                    mid = lo | sub
-                    if find(mid) != root:
-                        join("CLOSURE", lo, mid, (lo, hi))
-                        root = find(lo)
-                    if sub == 0:
-                        break
+                while sub:
+                    root = merge(root, "CLOSURE", lo, lo | sub, (lo, hi))
                     sub = (sub - 1) & diff
 
     try:
         for step in given:
-            if step.perm != p:  # the log rebuilds each step over p
-                raise ValueError(f"a given step over {step.perm} in a closure over {p}")
-            join(step.rule, _as_mask(k, step.before), _as_mask(k, step.after), step.detail)
-        check_goal()
+            merge(find(step.before), step.rule, step.before, step.after, step.detail)
+        if goal is not None and goal[0] == goal[1]:
+            raise _GoalJoined  # a goal of one mesh twice is joined from the start
         complete = expand()
         swept = 0
         while complete and swept < len(log):

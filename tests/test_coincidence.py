@@ -367,9 +367,14 @@ class TestDecide:
         assert v.witness == (1, 3, 2)
 
     def test_gamma_proven(self):
-        v = decide_coincidence(GAMMA_1, GAMMA_2, 7)
-        assert v.status == "PROVEN_COINCIDENT"
-        assert any(s.rule == "GAMMA" for s in v.trace.steps)
+        # in each of its orientations the pair is proven by its gamma step alone
+        orientations = coincidence._gamma_orientations()
+        assert len(orientations) == 8
+        for sym, g1, g2 in orientations:
+            v = decide_coincidence(g1, g2, 7)
+            assert v.status == "PROVEN_COINCIDENT", sym
+            assert [s.rule for s in v.trace.steps] == ["GAMMA"], sym
+            assert verify_trace(v.trace), sym
 
     def test_rule_transfer_through_symmetry(self):
         # full rows over 312, which are not column unions (their shared

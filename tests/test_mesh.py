@@ -426,6 +426,8 @@ class TestFirstSeparation:
             (lambda: first_separation((1, 2), 0, -1, 4), "out of range"),
             (lambda: fingerprints_many((1, 2), [0, 1 << 9], 3), "out of range"),
             (lambda: fingerprints_many((1, 2), [-1], 3), "out of range"),
+            (lambda: first_separation((1, 2), 0, 1.5, 4), "out of range"),
+            (lambda: fingerprints_many((1, 2), [0, 1.5], 3), "out of range"),
             (lambda: first_separation((0, 5), 0, 1, 3), "not a permutation"),
             (lambda: first_separation((1, 1), 0, 1, 3), "not a permutation"),
             (lambda: fingerprints_many((2, 2), [0], 3), "not a permutation"),
@@ -538,8 +540,9 @@ class TestText:
 
 class TestMeshPattern:
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            MeshPattern((1, 2), 1 << 9)
+        for mask in (1 << 9, 1.5):
+            with pytest.raises(ValueError, match="out of range"):
+                MeshPattern((1, 2), mask)
 
     def test_full_grid(self):
         pi = MeshPattern((1, 2), full_grid_mask(2))

@@ -383,13 +383,33 @@ class TestClosure:
         with pytest.raises(ValueError, match="given step"):
             ssl_closure((1, 2), [0], given=[step])
 
-    @pytest.mark.parametrize("after", [-3, 1 << 9, 1 << 20])
+    @pytest.mark.parametrize("after", [-3, 1 << 9, 1 << 20, 1.5])
     def test_given_step_outside_the_grid_is_an_error(self, after):
         # a 3x3 grid has masks 0 .. 2**9 - 1; unchecked, these closures
         # returned classes holding meshes outside it
         step = TraceStep("GAMMA", (1, 2), 0, after, ("id",))
         with pytest.raises(ValueError, match="out of range"):
             ssl_closure((1, 2), [0], budget=3, given=[step])
+
+    @pytest.mark.parametrize(
+        "seeds, given, goal",
+        [
+            ([0, [(0, 0)]], (), None),
+            ([0, 1.0], (), None),
+            ([0, 1], (), (0, 1.0)),
+            ([0], [TraceStep("GAMMA", (1, 2), 0, 2.5, ("id",))], None),
+        ],
+        ids=["squares seed", "float seed", "float goal", "float given after"],
+    )
+    def test_a_mesh_that_is_not_an_int_mask_is_rejected_before_any_expansion(
+        self, seeds, given, goal, monkeypatch
+    ):
+        def no_expansion(*args):
+            raise AssertionError("a mesh was expanded")
+
+        monkeypatch.setattr(shading, "_frontier_moves", no_expansion)
+        with pytest.raises(ValueError, match="out of range"):
+            ssl_closure((1, 2), seeds, given=given, goal=goal)
 
     def test_large_class_sandwiches_from_its_extremes(self):
         # sandwiching every pair of members, not just the extremes, took
