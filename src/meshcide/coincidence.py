@@ -29,6 +29,7 @@ from .perm import (
 from .mesh import (
     MeshPattern,
     check_depth,
+    check_mask,
     containment_signatures,
     contains,
     default_depth,
@@ -119,14 +120,20 @@ def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
 
 
+def _gamma_symmetries(p: Perm, before: int, after: int) -> tuple[str, ...]:
+    """Every symmetry under which the two meshes over ``p`` are the gamma
+    pair, in ``SYMMETRIES`` order."""
+    want = (p, {before, after})
+    return tuple(
+        sym for sym, g1, g2 in _gamma_orientations() if (g1.perm, {g1.mask, g2.mask}) == want
+    )
+
+
 def gamma_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     """The one length-2 coincidence beyond shading: the pair of meshes whose
     containment means sum-decomposability, in any symmetric orientation."""
-    want = {(pi.perm, pi.mask), (pi2.perm, pi2.mask)}
-    for sym, g1, g2 in _gamma_orientations():
-        if want == {(g1.perm, g1.mask), (g2.perm, g2.mask)}:
-            return [TraceStep("GAMMA", pi.perm, pi.mask, pi2.mask, (sym,))]
-    return None
+    syms = _gamma_symmetries(pi.perm, pi.mask, pi2.mask) if pi.perm == pi2.perm else ()
+    return [TraceStep("GAMMA", pi.perm, pi.mask, pi2.mask, syms[:1])] if syms else None
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +143,11 @@ def _well_formed(perm, *masks) -> bool:
     """Is ``perm`` a permutation tuple, and is every mask one over its grid?"""
     try:
         make_perm(perm)
+        for m in masks:
+            check_mask(len(perm), m)
     except (TypeError, ValueError):
         return False
-    size = 1 << (len(perm) + 1) ** 2
-    return isinstance(perm, tuple) and all(isinstance(m, int) and 0 <= m < size for m in masks)
+    return isinstance(perm, tuple)
 
 
 def verify_trace(trace: ProofTrace) -> bool:
@@ -197,10 +205,15 @@ def verify_trace(trace: ProofTrace) -> bool:
                 return False
             if uf.find((step.perm, lo)) != uf.find((step.perm, hi)):
                 return False
-        elif step.rule in ("CLASSICAL", "GAMMA"):
-            rule = classical_rule if step.rule == "CLASSICAL" else gamma_rule
+        elif step.rule == "CLASSICAL":
             pair = MeshPattern(step.perm, step.before), MeshPattern(step.perm, step.after)
-            if rule(*pair) is None:
+            if [step] != classical_rule(*pair):
+                return False
+        elif step.rule == "GAMMA":
+            # the partition logs the pair once per orientation, so any of
+            # them is a valid detail
+            syms = _gamma_symmetries(step.perm, step.before, step.after)
+            if step.detail not in [(sym,) for sym in syms]:
                 return False
         else:
             return False
@@ -458,7 +471,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
         rep = meshes[0]
         texts = [f"[{(low[m & 0xFF] + high[m >> 8])[:-2]}]" for m in meshes]
         enc = ", ".join(text for m, text in candidates if rep & m == m)
-        rows = '", "'.join(_hex_rows(sigs[rep], cuts))
+        rows = '", "'.join(hex(sigs[rep] >> shift & mask) for shift, mask in cuts)
         blocks = ""
         if cls.status == "CONJECTURED":
             text_of = dict(zip(meshes, texts))
@@ -484,12 +497,6 @@ def _row_cuts(n_max: int) -> list[tuple[int, int]]:
         cuts.append((shift, (1 << width) - 1))
         shift += width
     return cuts
-
-
-def _hex_rows(sig: int, cuts: list[tuple[int, int]]) -> list[str]:
-    """A signature's fingerprint rows as the report writes them, cut at
-    :func:`_row_cuts`."""
-    return [hex(sig >> shift & mask) for shift, mask in cuts]
 
 
 def partition_summary(result: PartitionResult) -> dict:
@@ -523,19 +530,12 @@ def load_partition_cache(
     path: str | Path, p: Perm, n_max: int, use_gamma: bool = True
 ) -> list[str] | None:
     """Reload a report written by :func:`write_partition_cache` as its
-    non-blank lines, once one fresh signature table confirms every record.
-    No CLI path calls it: ``partition --out`` writes the report and never
-    reads it back.  It stays only until the benchmark's tracer stops
-    wrapping it.  The checks: the meshes cover the mesh cube exactly once,
-    each record is one whole truncation group with its fingerprint,
-    enclosed diagonals, representative and size, ``blocks`` appears exactly
-    on CONJECTURED records and partitions their meshes, and the summary
-    counts the records.  Returns None if the file is malformed (text that is
-    not UTF-8 included), does not fit the request or fails a check; a
-    pattern or depth that ``containment_signatures`` rejects still raises
-    ``ValueError``, and a file that cannot be opened ``OSError``."""
-    p = make_perm(p)
-    k = len(p)
+    non-blank lines, only when they are exactly the lines of a fresh
+    :func:`partition_lines` run, so no PROVEN is taken on trust and a load
+    costs one partition; otherwise None (a missing file and text that is
+    not UTF-8 included).  No CLI path calls it.  A request that
+    :func:`partition_meshes` rejects raises ``ValueError``, and a file that
+    cannot be opened ``OSError``."""
     target = Path(path)
     if not target.exists():
         return None
@@ -546,50 +546,5 @@ def load_partition_cache(
             lines = [line for raw in f for line in raw.splitlines() if line.strip()]
     except UnicodeDecodeError:
         return None
-    if not lines:
-        return None
-    keys = ("p", "n_max", "gamma", "classes", "proven", "conjectured", "undecided_pairs")
-    try:
-        summary = json.loads(lines[-1])["summary"]
-        *head, proven, conjectured, undecided = (summary[key] for key in keys)
-        if head != [list(p), n_max, use_gamma, len(lines) - 1]:
-            return None
-    except (ValueError, TypeError, KeyError, AttributeError):
-        return None
-    sigs = containment_signatures(p, n_max)
-    candidates = [(m, diagonal_to_json(d)) for m, d in _diagonal_candidates(p)]
-    cuts = _row_cuts(n_max)
-    seen, groups = set(), set()
-    # the summary's counts, counted down to zero record by record
-    tally = {"PROVEN": proven, "CONJECTURED": conjectured}
-    try:
-        # one record at a time, so the decoded records never pile up
-        for line in lines[:-1]:
-            rec = json.loads(line)
-            meshes, rep = rec["meshes"], rec["representative"]
-            masks = [squares_to_mask(k, m) for m in meshes]
-            if rep["perm"] != list(p) or rep["mesh"] != meshes[0] or rec["size"] != len(masks):
-                return None
-            sig, covered = sigs[masks[0]], len(seen)
-            seen.update(masks)
-            groups.add(sig)
-            if len(seen) != covered + len(masks) or any(sigs[m] != sig for m in masks):
-                return None
-            if _hex_rows(sig, cuts) != rec["fingerprint"]:
-                return None
-            if rec["enc"] != [d for m, d in candidates if masks[0] & m == m]:
-                return None
-            if rec["status"] == "CONJECTURED":
-                blocks = [[squares_to_mask(k, m) for m in block] for block in rec["blocks"]]
-                members = [m for block in blocks for m in block]
-                if not all(blocks) or len(members) != len(masks) or set(members) != set(masks):
-                    return None
-                undecided -= (len(masks) ** 2 - sum(len(block) ** 2 for block in blocks)) // 2
-            elif "blocks" in rec:
-                return None
-            tally[rec["status"]] -= 1  # a KeyError for any other status
-    except (ValueError, TypeError, KeyError, AttributeError, IndexError):
-        return None
-    if len(seen) != len(sigs) or len(groups) != len(lines) - 1:
-        return None
-    return lines if undecided == 0 and set(tally.values()) == {0} else None
+    fresh = partition_lines(partition_meshes(p, n_max, use_gamma))
+    return lines if lines == list(fresh) else None

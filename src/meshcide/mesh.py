@@ -251,10 +251,10 @@ _CACHED_TABLE_DEPTH = 7
 
 
 def check_depth(n_max: int) -> None:
-    """Reject a fingerprint depth outside ``1..MAX_DEPTH``."""
-    if not 1 <= n_max <= MAX_DEPTH:
+    """Reject a fingerprint depth that is not an int in ``1..MAX_DEPTH``."""
+    if not (isinstance(n_max, int) and 1 <= n_max <= MAX_DEPTH):
         raise ValueError(
-            f"fingerprint depth {n_max} is outside 1..{MAX_DEPTH} (MAX_DEPTH)"
+            f"fingerprint depth {n_max!r} is not an int in 1..{MAX_DEPTH} (MAX_DEPTH)"
         )
 
 

@@ -93,6 +93,19 @@ def _duplicate_block_member(records):
     blocks[1].append(blocks[0][0])
 
 
+def _conjectured_called_proven(records):
+    # a CONJECTURED record passed off as PROVEN, the summary recounted to agree
+    forged = _conjectured(records)
+    blocks = forged.pop("blocks")
+    forged["status"] = "PROVEN"
+    counts = records[-1]["summary"]
+    counts["proven"] += 1
+    counts["conjectured"] -= 1
+    counts["undecided_pairs"] -= (
+        forged["size"] ** 2 - sum(len(block) ** 2 for block in blocks)
+    ) // 2
+
+
 # edits of a 12@4 report that the cache loader must reject
 CACHE_EDITS = {
     "cut to one mesh": _cut_to_one_mesh,
@@ -110,6 +123,7 @@ CACHE_EDITS = {
     "proven record called conjectured": lambda records: records[0].update(
         status="CONJECTURED", blocks=[records[0]["meshes"]]
     ),
+    "conjectured record called proven": _conjectured_called_proven,
     "summary miscounts": lambda records: records[-1]["summary"].update(undecided_pairs=0),
     "enc edited": lambda records: records[0]["enc"].append(
         {"orientation": "NE", "squares": [[9, 9]]}
@@ -276,7 +290,7 @@ class TestDecide:
         pi = MeshPattern.of("231", [(1, 0)])
         assert decide_coincidence(pi, pi, 5).status == "PROVEN_EQUAL"
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0])
     @pytest.mark.parametrize(
         "first, second",
         [("12", "12"), ("12", "123"), ("12:(2,0)", "12"), ("12:(0,0)", "12:(0,0)(1,1)")],
@@ -491,6 +505,21 @@ class TestVerifyTrace:
             step = TraceStep("CLOSURE", (1, 2), lo, lo, detail)
             assert self._one_step(step) is False, detail
 
+    def test_malformed_rule_detail_is_false(self):
+        pair = (GAMMA_1.perm, GAMMA_1.mask, GAMMA_2.mask)
+        # the partition logs the gamma pair once per orientation
+        for sym in ("id", "rci"):
+            assert self._one_step(TraceStep("GAMMA", *pair, (sym,)))
+        for detail in (5, ("bogus",), ("r",), (), None, ["id"], ("id", "id")):
+            step = TraceStep("GAMMA", *pair, detail)
+            assert self._one_step(step) is False, detail
+        (classical,) = classical_rule(
+            MeshPattern.of("231"), MeshPattern.of("231", [(2, 0), (2, 1), (2, 2), (2, 3)])
+        )
+        assert self._one_step(classical)
+        for detail in ("junk", ("id",), (0, 0), None):
+            assert self._one_step(classical._replace(detail=detail)) is False, detail
+
     def test_malformed_ssl_detail_is_false(self):
         pi = MeshPattern.of("12", [(2, 0)])
         point, pair, direction = shadeable_pairs(pi)[0]
@@ -659,7 +688,7 @@ class TestPartition:
         with pytest.raises(AssertionError, match="truncated signatures differ"):
             partition_meshes((1, 2), 4)
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0])
     def test_rejects_depth_outside_limits_before_any_work(self, depth, monkeypatch):
         def no_signatures(*args):
             raise AssertionError("signatures were computed")
@@ -704,6 +733,10 @@ class TestPartition:
         assert loaded == list(partition_lines(result))  # the lines as written
         # a different depth must not validate
         assert load_partition_cache(out, (1,), 6) is None
+        # nor may the same records with other JSON spacing
+        respaced = [json.dumps(json.loads(line), separators=(",", ":")) for line in loaded]
+        write_partition_cache(out, respaced)
+        assert load_partition_cache(out, (1,), 5) is None
 
     @pytest.mark.parametrize(
         "p, depth, use_gamma",
