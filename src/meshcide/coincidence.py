@@ -51,6 +51,7 @@ from .shading import (
     ProofTrace,
     TraceStep,
     UnionFind,
+    _collector_paused,
     shadeable_assignments,
     ssl_closure,
 )
@@ -143,8 +144,7 @@ def _well_formed(perm, *masks) -> bool:
     """Is ``perm`` a permutation tuple, and is every mask one over its grid?"""
     try:
         make_perm(perm)
-        for m in masks:
-            check_mask(len(perm), m)
+        check_mask(len(perm), *masks)
     except (TypeError, ValueError):
         return False
     return isinstance(perm, tuple)
@@ -385,6 +385,7 @@ def _gamma_steps(p: Perm) -> list[TraceStep]:
     ]
 
 
+@_collector_paused
 def partition_meshes(
     p: Perm,
     n_max: int | None = None,
@@ -405,6 +406,9 @@ def partition_meshes(
     A proof block that spans two truncations is an ``AssertionError``.  A
     depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work,
     and so does a pattern or depth that ``containment_signatures`` rejects.
+    Like the closure, it runs with the cyclic garbage collector paused and
+    leaves it as the caller had it: the signature table and the classes
+    are acyclic tuples of ints, which reference counting frees.
     """
     p = make_perm(p)
     k = len(p)

@@ -73,11 +73,13 @@ def full_grid_mask(k: int) -> int:
     return (1 << (k + 1) ** 2) - 1
 
 
-def check_mask(k: int, mask: int) -> None:
-    """Reject a mask that is not an int, or that has squares outside the
-    (k+1) x (k+1) grid."""
-    if not (isinstance(mask, int) and 0 <= mask <= full_grid_mask(k)):
-        raise ValueError(f"mesh mask {mask!r} out of range for a length-{k} pattern")
+def check_mask(k: int, *masks: int) -> None:
+    """Reject any mask that is not an int (a ``bool`` is not a mask), or
+    that has squares outside the (k+1) x (k+1) grid."""
+    full = full_grid_mask(k)
+    for mask in masks:
+        if isinstance(mask, bool) or not (isinstance(mask, int) and 0 <= mask <= full):
+            raise ValueError(f"mesh mask {mask!r} out of range for a length-{k} pattern")
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,9 @@ _CACHED_TABLE_DEPTH = 7
 
 
 def check_depth(n_max: int) -> None:
-    """Reject a fingerprint depth that is not an int in ``1..MAX_DEPTH``."""
-    if not (isinstance(n_max, int) and 1 <= n_max <= MAX_DEPTH):
+    """Reject a fingerprint depth that is not an int in ``1..MAX_DEPTH``; a
+    ``bool`` is not a depth."""
+    if isinstance(n_max, bool) or not (isinstance(n_max, int) and 1 <= n_max <= MAX_DEPTH):
         raise ValueError(
             f"fingerprint depth {n_max!r} is not an int in 1..{MAX_DEPTH} (MAX_DEPTH)"
         )
@@ -377,8 +380,7 @@ def fingerprints_many(p: Perm, masks: Iterable[int], n_max: int) -> list[tuple[i
     """
     p = make_perm(p)
     masks = tuple(masks)
-    for mask in masks:
-        check_mask(len(p), mask)
+    check_mask(len(p), *masks)
     check_depth(n_max)
     return list(zip(*_sweep(p, masks, n_max)))
 
@@ -396,8 +398,7 @@ def first_separation(p: Perm, a: int, b: int, n_max: int) -> tuple[int, int] | N
     (3, 3)
     """
     p = make_perm(p)
-    check_mask(len(p), a)
-    check_mask(len(p), b)
+    check_mask(len(p), a, b)
     check_depth(n_max)
     return _first_difference(_sweep(p, (a, b), n_max))
 

@@ -290,7 +290,7 @@ class TestDecide:
         pi = MeshPattern.of("231", [(1, 0)])
         assert decide_coincidence(pi, pi, 5).status == "PROVEN_EQUAL"
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0, True])
     @pytest.mark.parametrize(
         "first, second",
         [("12", "12"), ("12", "123"), ("12:(2,0)", "12"), ("12:(0,0)", "12:(0,0)(1,1)")],
@@ -688,7 +688,7 @@ class TestPartition:
         with pytest.raises(AssertionError, match="truncated signatures differ"):
             partition_meshes((1, 2), 4)
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0, True])
     def test_rejects_depth_outside_limits_before_any_work(self, depth, monkeypatch):
         def no_signatures(*args):
             raise AssertionError("signatures were computed")

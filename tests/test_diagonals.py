@@ -313,7 +313,7 @@ class TestSymmetryAction:
             pi = MeshPattern(p, rng.getrandbits((k + 1) ** 2))
             assert apply_symmetry_mesh("cc", pi) == pi
 
-    @pytest.mark.parametrize("mask", [1 << 9, 1 << 12, -1, 1.5])
+    @pytest.mark.parametrize("mask", [1 << 9, 1 << 12, -1, 1.5, True])
     def test_mask_outside_the_grid_raises(self, mask):
         with pytest.raises(ValueError, match="out of range"):
             apply_symmetry_mask("r", 2, mask)

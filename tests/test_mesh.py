@@ -322,7 +322,7 @@ class TestFingerprints:
         n, rank = mesh._first_difference(zip(fps[0], fps[1]))
         assert (n, rank) == (5, lex_rank((4, 2, 5, 1, 3)))
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0, True])
     def test_depth_outside_limits_raises_before_any_table(self, depth, monkeypatch):
         def no_tables(*args):
             raise AssertionError("a host table was built")
@@ -408,7 +408,7 @@ class TestFirstSeparation:
                     seen.add(expected and expected[0])
         assert {None, 4, 5, 6, 7} <= seen  # every size the pairs separate at, and none
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0, True])
     def test_depth_outside_limits_raises_before_any_table(self, depth, monkeypatch):
         def no_tables(*args):
             raise AssertionError("a host table was built")
@@ -540,7 +540,7 @@ class TestText:
 
 class TestMeshPattern:
     def test_grid_validation(self):
-        for mask in (1 << 9, 1.5):
+        for mask in (1 << 9, 1.5, True):
             with pytest.raises(ValueError, match="out of range"):
                 MeshPattern((1, 2), mask)
 

@@ -1,5 +1,8 @@
+import functools
+import gc
 import hashlib
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -18,7 +21,7 @@ from meshcide.mesh import (
     squares_to_mask,
 )
 from meshcide import shading
-from meshcide.coincidence import decide_coincidence, verify_trace
+from meshcide.coincidence import decide_coincidence, partition_meshes, verify_trace
 from meshcide.diagonals import apply_symmetry_mesh, apply_symmetry_square
 from meshcide.shading import (
     Assignment,
@@ -383,7 +386,7 @@ class TestClosure:
         with pytest.raises(ValueError, match="given step"):
             ssl_closure((1, 2), [0], given=[step])
 
-    @pytest.mark.parametrize("after", [-3, 1 << 9, 1 << 20, 1.5])
+    @pytest.mark.parametrize("after", [-3, 1 << 9, 1 << 20, 1.5, True])
     def test_given_step_outside_the_grid_is_an_error(self, after):
         # a 3x3 grid has masks 0 .. 2**9 - 1; unchecked, these closures
         # returned classes holding meshes outside it
@@ -633,6 +636,23 @@ SEEDED_DIGESTS = {
     ((4, 5, 1, 2, 3), 300): "1310b81b1382bef0e3eec5980dbd9f3d649343a8ee586ae3e047b905d5dca488",
 }
 
+BIVINCULAR_2413_DIGEST = "3793498c85f0e472b274771f7575f6d483e42fdb34a61c84ba66c802fd49b11c"
+
+
+def bivincular_seeds(k):
+    """Every mesh over a length-k pattern that shades a union of full
+    columns and full rows."""
+    n = k + 1
+    lines = [msk(k, [(c, r) for r in range(n)]) for c in range(n)]
+    lines += [msk(k, [(c, r) for c in range(n)]) for r in range(n)]
+    return sorted(
+        {
+            functools.reduce(operator.or_, chosen, 0)
+            for size in range(len(lines) + 1)
+            for chosen in itertools.combinations(lines, size)
+        }
+    )
+
 
 def assert_spanning_forest(result):
     """Each class's steps join its meshes in ``len(meshes) - 1`` merges,
@@ -676,3 +696,85 @@ class TestClosureEngine:
             for cls in result.classes:
                 trace = ProofTrace(p, cls.meshes[0], cls.meshes[-1], cls.steps)
                 assert verify_trace(trace), (p, cls.meshes[0])
+
+    def test_bivincular_family_closure_matches_recorded(self):
+        # a family closure at k = 4 whose classes grow mostly by sandwiching
+        seeds = bivincular_seeds(4)
+        result = ssl_closure((2, 4, 1, 3), seeds)
+        assert (len(seeds), result.size, len(result.classes)) == (962, 14090, 810)
+        assert result.complete
+        assert closure_digest(result) == BIVINCULAR_2413_DIGEST
+        assert_spanning_forest(result)
+
+
+def collections_inside(func, call):
+    """The generations of the collections that start while a frame of
+    ``func`` runs during ``call()``."""
+    code = getattr(func, "__wrapped__", func).__code__
+    seen = []
+
+    def callback(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            seen.append(info["generation"])
+
+    gc.callbacks.append(callback)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(callback)
+    return seen
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+PAUSED_CALLS = {
+    "closure": (ssl_closure, lambda: ssl_closure((1, 2, 3), range(1 << 16))),
+    "partition": (partition_meshes, lambda: partition_meshes((1, 2), 5)),
+}
+
+
+class TestCollectorPause:
+    """The closure and the partition run with the cyclic garbage collector
+    paused, and leave it as they found it."""
+
+    @pytest.fixture(params=["enabled", "disabled", "raising"])
+    def collector(self, request, monkeypatch):
+        was = gc.isenabled()
+        set_collector(request.param != "disabled")
+        if request.param == "raising":
+
+            def fail(*args):
+                raise RuntimeError("no expansion")
+
+            monkeypatch.setattr(shading, "_frontier_moves", fail)
+        yield request.param
+        set_collector(was)
+
+    @pytest.mark.parametrize("name", PAUSED_CALLS)
+    def test_no_collection_runs_inside(self, name):
+        func, call = PAUSED_CALLS[name]
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            assert collections_inside(func, call) == []
+        finally:
+            set_collector(was)
+
+    @pytest.mark.parametrize("name", PAUSED_CALLS)
+    def test_collector_state_is_restored(self, name, collector):
+        _, call = PAUSED_CALLS[name]
+        before = gc.isenabled()
+        if collector == "raising":
+            with pytest.raises(RuntimeError, match="no expansion"):
+                call()
+        else:
+            call()
+        assert gc.isenabled() == before
