@@ -30,11 +30,12 @@ from .diagonals import (
     same_enc,
     sorted_diagonals,
 )
-from .shading import shadeable_pairs, shadeable_singles, ssl_closure, trace_to_json
+from .shading import (
+    _collector_paused, shadeable_pairs, shadeable_singles, ssl_closure, trace_to_json
+)
 from .coincidence import (
     classify_family,
     decide_coincidence,
-    default_partition_depth,
     partition_lines,
     partition_meshes,
     write_partition_cache,
@@ -236,23 +237,24 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+# the collector stays paused over the report too: the partition leaves tens
+# of thousands of acyclic objects behind, which a collection would walk
+@_collector_paused
 def _cmd_partition(args) -> int:
     p = parse_perm(args.perm)
-    n_max = args.max_n
-    if n_max is None:
-        n_max = default_partition_depth(len(p))
     if args.out:
         # fail before the work, without creating or truncating the file
-        folder = Path(args.out).parent
-        if not folder.is_dir():
-            raise FileNotFoundError(f"no directory {str(folder)!r} for --out")
-    result = partition_meshes(p, n_max, use_gamma=not args.no_gamma)
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise OSError(f"--out {args.out!r} is not a file in an existing directory")
+    result = partition_meshes(p, args.max_n, use_gamma=not args.no_gamma)
     if args.out:
         # the whole file is written before stdout gets any of it, so an
-        # --out that cannot be written leaves stdout empty
+        # --out that cannot be written leaves stdout empty; the report is
+        # ASCII with "\n" breaks, so its bytes decode line by line as is
         write_partition_cache(args.out, partition_lines(result))
-        with open(args.out, newline="") as report:
-            sys.stdout.writelines(report)
+        with open(args.out, "rb") as report:
+            sys.stdout.writelines(map(bytes.decode, report))
     else:
         sys.stdout.writelines(line + "\n" for line in partition_lines(result))
     return 0

@@ -445,48 +445,65 @@ def partition_meshes(
 # Partition report (JSON lines) and its cache file.
 
 @lru_cache(maxsize=16)
-def _square_text_tables(k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The JSON text of the squares in the low and the high byte of a mask,
-    each square followed by ``", "``: byte 0x05 of a k=3 mask gives
-    ``"[0, 0], [0, 2], "``.  A partition's masks have at most 16 bits, as
-    its pattern is at most ``MAX_SIGNATURE_LENGTH`` long, so the two
-    tables cover them."""
-    tables = tuple(
-        tuple("".join(f"[{a}, {b}], " for a, b in squares) for squares in table)
-        for table in _square_tables(k)
+def _square_text_tables(k: int) -> tuple[tuple[str, ...], ...]:
+    """The JSON text of a mask's squares from three byte tables: a mask
+    below 0x100 is its low byte alone (0x05 gives ``"[[0, 0], [0, 2]]"`` at
+    k=3), any other one its low byte opened (``"[[0, 0], [0, 2], "``) and its
+    high byte closed (``"[3, 3]]"``).  A partition's masks have at most 16
+    bits, as its pattern is at most ``MAX_SIGNATURE_LENGTH`` long."""
+    low, high = (
+        [json.dumps(squares)[1:-1] for squares in table]
+        for table in (*_square_tables(k), ((),))[:2]
     )
-    return tables + (("",),) * (2 - len(tables))
+    return (
+        tuple(f"[{text}]" for text in low),
+        tuple(f"[{text}, " if text else "[" for text in low),
+        tuple(f"{text}]" for text in high),
+    )
 
 
 def partition_records(result: PartitionResult) -> Iterator[str]:
     """One JSON line per class, written as text and yielded one at a time:
     the keys ``p``, ``status``, ``size``, ``representative``, ``meshes``,
     ``enc``, ``fingerprint`` and, on CONJECTURED classes, ``blocks``, with
-    ``json.dumps`` spacing."""
+    ``json.dumps`` spacing.  The texts of squares, enclosed diagonals and
+    fingerprint rows 1-3 (the low 9 bits) come from tables built once."""
     p = result.perm
-    low, high = _square_text_tables(len(p))
+    alone, opened, closed = _square_text_tables(len(p))
     perm = json.dumps(list(p))
-    candidates = [(m, json.dumps(diagonal_to_json(d))) for m, d in _diagonal_candidates(p)]
+    candidates = _diagonal_candidates(p)
+    # bit i of inside[h][b]: candidate i's squares in mask byte h (0 low, 1 high) lie in b
+    inside = [[sum(1 << i for i, (m, _) in enumerate(candidates) if not m >> j & ~b & 0xFF)
+               for b in range(256)] for j in (0, 8)]
+    encs = [""]  # entry s joins the texts of the candidates in bitset s
+    for _, d in candidates:
+        text = json.dumps(diagonal_to_json(d))
+        encs += [f"{t}, {text}" if t else text for t in encs]
     cuts = _row_cuts(result.n_max)
+    small, deep = cuts[:3], cuts[3:]
+    row_text = ['", "'.join(hex(v >> shift & mask) for shift, mask in small) for v in range(512)]
     sigs = result.signatures
+
+    def texts(meshes):
+        return [alone[m] if m < 0x100 else opened[m & 0xFF] + closed[m >> 8] for m in meshes]
 
     for cls in result.classes:
         meshes = cls.meshes
         rep = meshes[0]
-        texts = [f"[{(low[m & 0xFF] + high[m >> 8])[:-2]}]" for m in meshes]
-        enc = ", ".join(text for m, text in candidates if rep & m == m)
-        rows = '", "'.join(hex(sigs[rep] >> shift & mask) for shift, mask in cuts)
+        sig = sigs[rep]
+        listed = texts(meshes)
+        enc = encs[inside[0][rep & 0xFF] & inside[1][rep >> 8]]
+        rows = row_text[sig & 0x1FF]
+        for shift, mask in deep:
+            rows += '", "' + hex(sig >> shift & mask)
         blocks = ""
         if cls.status == "CONJECTURED":
-            text_of = dict(zip(meshes, texts))
-            listed = ", ".join(
-                "[" + ", ".join(text_of[m] for m in block) + "]" for block in cls.blocks
-            )
-            blocks = f', "blocks": [{listed}]'
+            inner = "], [".join(map(", ".join, map(texts, cls.blocks)))
+            blocks = f', "blocks": [[{inner}]]'
         yield (
             f'{{"p": {perm}, "status": "{cls.status}", "size": {len(meshes)}, '
-            f'"representative": {{"perm": {perm}, "mesh": {texts[0]}}}, '
-            f'"meshes": [{", ".join(texts)}], "enc": [{enc}], '
+            f'"representative": {{"perm": {perm}, "mesh": {listed[0]}}}, '
+            f'"meshes": [{", ".join(listed)}], "enc": [{enc}], '
             f'"fingerprint": ["{rows}"]{blocks}}}'
         )
 
@@ -494,13 +511,8 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
 def _row_cuts(n_max: int) -> list[tuple[int, int]]:
     """(shift, mask) of each fingerprint row of a signature: row n is the
     next n! bits from the low end."""
-    cuts = []
-    shift = 0
-    for n in range(1, n_max + 1):
-        width = factorial(n)
-        cuts.append((shift, (1 << width) - 1))
-        shift += width
-    return cuts
+    widths = [factorial(n) for n in range(1, n_max + 1)]
+    return [(sum(widths[:i]), (1 << width) - 1) for i, width in enumerate(widths)]
 
 
 def partition_summary(result: PartitionResult) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ from meshcide import coincidence
 from meshcide.cli import main, render
 from meshcide.coincidence import default_partition_depth, partition_meshes
 from meshcide.mesh import MeshPattern, mesh_pattern_from_json, parse_mesh_pattern
+from test_shading import collections_inside, set_collector
 
 
 def run(capsys, *argv):
@@ -410,19 +412,56 @@ class TestPartition:
         assert again == fresh
         assert out_file.read_text() == fresh  # the cache was rewritten
 
-    def test_out_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
+    @pytest.fixture
+    def no_partition(self, monkeypatch):
+        """Fail the test if the command starts the partition."""
+        import meshcide.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the partition ran")
+
+        monkeypatch.setattr(cli, "partition_meshes", fail)
+
+    def test_out_path_that_is_a_directory_exits_2(self, capsys, tmp_path, no_partition):
         code, out, err = run(capsys, "partition", "1", "--max-n", "4", "--out", str(tmp_path))
         assert code == 2
-        assert out == ""
+        assert out == ""  # nothing was computed before the path failed
         assert err.startswith("error: ")
+        assert tmp_path.is_dir()
 
-    def test_out_path_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+    def test_out_path_in_a_missing_directory_exits_2(self, capsys, tmp_path, no_partition):
         out_file = tmp_path / "missing" / "p1.jsonl"
         code, out, err = run(capsys, "partition", "1", "--max-n", "4", "--out", str(out_file))
         assert code == 2
         assert out == ""  # nothing was computed before the path failed
         assert err.startswith("error: ")
         assert not out_file.exists()
+
+
+class TestPartitionCollector:
+    """The partition command, report writing included, runs with the cyclic
+    garbage collector paused, and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        set_collector(was)
+
+    def test_no_collection_runs_inside(self, capsys, tmp_path):
+        import meshcide.cli as cli
+
+        argv = ("partition", "123", "--max-n", "3", "--out", str(tmp_path / "r123.jsonl"))
+        assert run(capsys, *argv)[0] == 0  # warm-up: tables and caches
+        gc.enable()
+        assert collections_inside(cli._cmd_partition, lambda: run(capsys, *argv)) == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, code", [("partition 12 --max-n 3", 0), ("partition 1234", 2)])
+    def test_collector_state_is_restored(self, capsys, enabled, argv, code):
+        set_collector(enabled)
+        assert run(capsys, *argv.split())[0] == code
+        assert gc.isenabled() == enabled
 
 
 class TestDeterminism:

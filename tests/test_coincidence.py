@@ -747,6 +747,13 @@ class TestPartition:
             ((2, 1), 5, True),
             ((2, 1), 5, False),
             ((1, 3, 2), 3, True),
+            # fingerprint rows narrower than the 9-bit row table, no deep row
+            ((1, 2), 1, True),
+            ((1, 2), 2, True),
+            # a deep row of 9! bits
+            ((1,), 9, True),
+            # 10 diagonal candidates, and blocks with masks on both sides of 0xFF
+            ((2, 1, 3), 2, True),
         ],
     )
     def test_records_are_the_oracle_dumped(self, p, depth, use_gamma):
