@@ -8,8 +8,6 @@ from .perm import (
     all_perms,
     apply_symmetry_perm,
     classical_occurrences,
-    direct_sum,
-    is_sum_decomposable,
     make_perm,
     parse_perm,
     perm_text,
@@ -35,11 +33,17 @@ from .diagonals import (
     is_coincident_with_classical,
     same_enc,
 )
+from .certify import (
+    GAMMA_1,
+    GAMMA_2,
+    ProofTrace,
+    TraceStep,
+    gamma_rule,
+    verify_trace,
+)
 from .shading import (
     Assignment,
-    ProofTrace,
     ShadeMove,
-    TraceStep,
     shadeable_pairs,
     shadeable_singles,
     ssl_closure,
@@ -47,16 +51,11 @@ from .shading import (
     ssl_repair_occurrence,
 )
 from .coincidence import (
-    GAMMA_1,
-    GAMMA_2,
     CoincidenceVerdict,
     FamilyTags,
     classify_family,
-    contains_gamma_oracle,
     decide_coincidence,
-    gamma_rule,
     partition_meshes,
-    verify_trace,
 )
 
 __version__ = "0.1.0"

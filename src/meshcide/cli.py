@@ -30,9 +30,8 @@ from .diagonals import (
     same_enc,
     sorted_diagonals,
 )
-from .shading import (
-    _collector_paused, shadeable_pairs, shadeable_singles, ssl_closure, trace_to_json
-)
+from .shading import _collector_paused, shadeable_pairs, shadeable_singles, ssl_closure
+from .certify import trace_to_json
 from .coincidence import (
     classify_family,
     decide_coincidence,

@@ -18,43 +18,26 @@ from math import factorial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .perm import (
-    SYMMETRIES,
-    Perm,
-    is_sum_decomposable,
-    lex_unrank,
-    make_perm,
-    perm_text,
-)
+from .perm import Perm, lex_unrank, make_perm, perm_text
 from .mesh import (
     MeshPattern,
     check_depth,
-    check_mask,
     containment_signatures,
     contains,
     default_depth,
     first_separation,
     square_bit,
-    squares_to_mask,
     _square_tables,
 )
 from .diagonals import (
-    apply_symmetry_mesh,
     diagonal_to_json,
-    enc_core_mask,
     enc_witness,
     pointless_mask,
     same_enc,
     _diagonal_candidates,
 )
-from .shading import (
-    ProofTrace,
-    TraceStep,
-    UnionFind,
-    _collector_paused,
-    shadeable_assignments,
-    ssl_closure,
-)
+from .certify import ProofTrace, TraceStep, classical_rule, gamma_rule, gamma_steps, verify_trace
+from .shading import _collector_paused, ssl_closure
 
 
 @dataclass(frozen=True)
@@ -88,137 +71,6 @@ def classify_family(pi: MeshPattern) -> FamilyTags:
     )
     sparse = all(count <= 1 for count in (*columns.values(), *rows.values()))
     return FamilyTags(vincular, bivincular, isolating, sparse)
-
-
-GAMMA_1 = MeshPattern((1, 2), squares_to_mask(2, ((0, 1), (0, 2), (1, 1), (1, 2), (2, 0))))
-GAMMA_2 = MeshPattern((1, 2), squares_to_mask(2, ((0, 2), (1, 0), (1, 1), (2, 0), (2, 1))))
-
-
-@lru_cache(maxsize=1)
-def _gamma_orientations() -> tuple[tuple[str, MeshPattern, MeshPattern], ...]:
-    return tuple(
-        (sym, apply_symmetry_mesh(sym, GAMMA_1), apply_symmetry_mesh(sym, GAMMA_2))
-        for sym in SYMMETRIES
-    )
-
-
-def contains_gamma_oracle(w: Perm) -> bool:
-    """Independent containment test for both gamma patterns: either one is
-    contained exactly in the sum-decomposable permutations."""
-    return is_sum_decomposable(w)
-
-
-# ---------------------------------------------------------------------------
-# Pairwise proof rules.  Each returns trace steps or None; None never means
-# "not coincident", only "this rule does not apply".
-
-def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
-    """Both meshes entirely superfluous: each pattern equals its classical core."""
-    if pi.perm != pi2.perm:
-        return None
-    if enc_core_mask(pi) or enc_core_mask(pi2):
-        return None
-    return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
-
-
-def _gamma_symmetries(p: Perm, before: int, after: int) -> tuple[str, ...]:
-    """Every symmetry under which the two meshes over ``p`` are the gamma
-    pair, in ``SYMMETRIES`` order."""
-    want = (p, {before, after})
-    return tuple(
-        sym for sym, g1, g2 in _gamma_orientations() if (g1.perm, {g1.mask, g2.mask}) == want
-    )
-
-
-def gamma_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
-    """The one length-2 coincidence beyond shading: the pair of meshes whose
-    containment means sum-decomposability, in any symmetric orientation."""
-    syms = _gamma_symmetries(pi.perm, pi.mask, pi2.mask) if pi.perm == pi2.perm else ()
-    return [TraceStep("GAMMA", pi.perm, pi.mask, pi2.mask, syms[:1])] if syms else None
-
-
-# ---------------------------------------------------------------------------
-# Trace verification: replay every step, rechecking its precondition.
-
-def _well_formed(perm, *masks) -> bool:
-    """Is ``perm`` a permutation tuple, and is every mask one over its grid?"""
-    try:
-        make_perm(perm)
-        check_mask(len(perm), *masks)
-    except (TypeError, ValueError):
-        return False
-    return isinstance(perm, tuple)
-
-
-def verify_trace(trace: ProofTrace) -> bool:
-    """Recheck every step of a proof trace and its final connectivity.  A
-    malformed trace or step (not a ``ProofTrace``, steps that are not
-    ``TraceStep``s, no permutation, a mesh outside the grid, or a detail of
-    the wrong shape) fails like any unsound one."""
-    if not isinstance(trace, ProofTrace) or not _well_formed(
-        trace.perm, trace.source, trace.target
-    ):
-        return False
-    try:
-        steps = iter(trace.steps)
-    except TypeError:  # no steps at all, not even an empty tuple
-        return False
-    uf = UnionFind()
-    # the assignments each (perm, mesh) licenses, with their masks, probed once
-    licensed: dict[tuple[Perm, int], dict] = {}
-
-    for step in steps:
-        # a plain tuple compares equal to a TraceStep but has no fields
-        if not isinstance(step, TraceStep):
-            return False
-        if not _well_formed(step.perm, step.before, step.after):
-            return False
-        if step.rule == "SSL":
-            if not isinstance(step.detail, tuple):
-                return False
-            # every assignment must be one the mesh licenses, whole
-            at = (step.perm, step.before)
-            if at not in licensed:
-                licensed[at] = dict(shadeable_assignments(*at))
-            valid = licensed[at]
-            union = 0
-            points = set()
-            for a in step.detail:
-                try:
-                    bits = valid.get(a)
-                except TypeError:  # an unhashable look-alike
-                    return False
-                if bits is None or a.point in points:
-                    return False
-                points.add(a.point)
-                union |= bits
-            if union != step.after & ~step.before or step.after != step.before | union:
-                return False
-        elif step.rule == "CLOSURE":
-            detail = step.detail
-            if not (isinstance(detail, tuple) and len(detail) == 2):
-                return False
-            if not _well_formed(step.perm, *detail):
-                return False
-            lo, hi = detail
-            if lo & step.after != lo or step.after & hi != step.after:
-                return False
-            if uf.find((step.perm, lo)) != uf.find((step.perm, hi)):
-                return False
-        elif step.rule == "CLASSICAL":
-            pair = MeshPattern(step.perm, step.before), MeshPattern(step.perm, step.after)
-            if [step] != classical_rule(*pair):
-                return False
-        elif step.rule == "GAMMA":
-            # the partition logs the pair once per orientation, so any of
-            # them is a valid detail
-            syms = _gamma_symmetries(step.perm, step.before, step.after)
-            if step.detail not in [(sym,) for sym in syms]:
-                return False
-        else:
-            return False
-        uf.union((step.perm, step.before), (step.perm, step.after))
-    return uf.find((trace.perm, trace.source)) == uf.find((trace.perm, trace.target))
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +228,6 @@ def default_partition_depth(k: int) -> int:
     return 7 if k <= 2 else 6
 
 
-def _gamma_steps(p: Perm) -> list[TraceStep]:
-    """The gamma pairs over ``p``, one step per symmetric orientation."""
-    return [
-        TraceStep("GAMMA", p, g1.mask, g2.mask, (sym,))
-        for sym, g1, g2 in _gamma_orientations()
-        if g1.perm == p
-    ]
-
-
 @_collector_paused
 def partition_meshes(
     p: Perm,
@@ -416,7 +259,7 @@ def partition_meshes(
         n_max = default_partition_depth(k)
     check_depth(n_max)
     sigs = containment_signatures(p, n_max)
-    closure = ssl_closure(p, range(len(sigs)), given=_gamma_steps(p) if use_gamma else ())
+    closure = ssl_closure(p, range(len(sigs)), given=gamma_steps(p) if use_gamma else ())
 
     # blocks come sorted by least member, so groups do too
     groups: dict[int, list[tuple[int, ...]]] = {}

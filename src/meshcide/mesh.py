@@ -150,7 +150,7 @@ def corresponding_region(w: Perm, occ: Occurrence, square: Square) -> OpenBox:
         raise ValueError(
             f"square ({a},{b}) does not fit the grid of a length-{k} occurrence"
         )
-    if any(occ[i] >= occ[i + 1] for i in range(k - 1)) or not (
+    if not occ or any(occ[i] >= occ[i + 1] for i in range(k - 1)) or not (
         1 <= occ[0] and occ[-1] <= n
     ):
         raise ValueError(f"invalid occurrence positions {occ!r}")
@@ -211,9 +211,10 @@ def contains(pi: MeshPattern, w: Perm) -> bool:
 
 
 def avoiders(pi: MeshPattern, n: int) -> list[Perm]:
-    """All w in S_n avoiding ``pi``, in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """All w in S_n avoiding ``pi``, in lexicographic order.  An ``n`` that
+    is not an int of at least 1 (a ``bool`` included) is a ``ValueError``."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an int of at least 1, not {n!r}")
     return [w for w in all_perms(n) if not contains(pi, w)]
 
 

@@ -89,7 +89,9 @@ def lex_rank(w: Sequence[int]) -> int:
 
 
 def lex_unrank(n: int, rank: int) -> Perm:
-    """Inverse of :func:`lex_rank`."""
+    """Inverse of :func:`lex_rank`; a rank outside ``0..n! - 1`` is a ``ValueError``."""
+    if not 0 <= rank < factorial(n):
+        raise ValueError(f"rank {rank} is outside 0..{factorial(n) - 1}, the ranks of S_{n}")
     avail = list(range(1, n + 1))
     out = []
     for i in range(n):
@@ -228,10 +230,6 @@ def classical_occurrences(p: Perm, w: Perm) -> list[Occurrence]:
     return list(iter_classical_occurrences(p, w))
 
 
-def contains_classical(p: Perm, w: Perm) -> bool:
-    return next(iter_classical_occurrences(p, w), None) is not None
-
-
 def is_occurrence(p: Perm, w: Perm, positions: Sequence[int]) -> bool:
     """Do the given positions select a subsequence of ``w`` order isomorphic to ``p``?"""
     k, n = len(p), len(w)
@@ -325,24 +323,3 @@ def canonical_symmetry(name: str) -> str:
     """Fold an arbitrary generator word onto one of the eight canonical names."""
     form = _symmetry_form(name)
     return next(s for s in SYMMETRIES if _symmetry_form(s) == form)
-
-
-def direct_sum(u: Perm, v: Perm) -> Perm:
-    """Concatenate ``u`` and ``v`` with ``v`` shifted above ``u``.
-
-    >>> direct_sum((1,), (2, 1))
-    (1, 3, 2)
-    """
-    m = len(u)
-    return tuple(u) + tuple(x + m for x in v)
-
-
-def is_sum_decomposable(w: Perm) -> bool:
-    """True iff ``w = u (+) v`` for nonempty ``u``, ``v``; i.e. some proper
-    prefix of ``w`` uses exactly the values ``1..m``."""
-    top = 0
-    for m in range(1, len(w)):
-        top = max(top, w[m - 1])
-        if top == m:
-            return True
-    return False

@@ -36,13 +36,12 @@ from .mesh import (
     MeshPattern,
     Square,
     check_mask,
-    mask_to_squares,
-    mesh_pattern_to_json,
     occurrence_region_mask,
     squares_to_mask,
     _host_cells,
 )
 from .diagonals import apply_symmetry_square
+from .certify import TraceStep, UnionFind
 
 SINGLE_DIRECTIONS = ("NE", "NW", "SE", "SW")
 PAIR_DIRECTIONS = ("E", "N", "W", "S")
@@ -432,104 +431,7 @@ def ssl_repair_occurrence(
 
 
 # ---------------------------------------------------------------------------
-# Machine-checkable proof steps.
-
-class TraceStep(NamedTuple):
-    """One re-checkable inference.  ``before``/``after`` are mesh masks over
-    ``perm``'s grid; the pair is asserted coincident by ``rule``."""
-
-    rule: str  # SSL | CLOSURE | GAMMA | CLASSICAL
-    perm: Perm
-    before: int
-    after: int
-    detail: tuple = ()
-
-
-@dataclass(frozen=True)
-class ProofTrace:
-    perm: Perm
-    source: int
-    target: int
-    steps: tuple[TraceStep, ...]
-
-
-def trace_step_to_json(step: TraceStep) -> dict:
-    k = len(step.perm)
-    sq = lambda mask: [[a, b] for a, b in mask_to_squares(k, mask)]
-    obj: dict = {"rule": step.rule}
-    if step.rule == "SSL":
-        obj["from"] = mesh_pattern_to_json(MeshPattern(step.perm, step.before))
-        obj["added"] = sq(step.after & ~step.before)
-        obj["assignments"] = [
-            {
-                "point": list(a.point),
-                "shape": a.kind,
-                "dir": a.direction,
-                "squares": [[x, y] for x, y in a.squares],
-            }
-            for a in step.detail
-        ]
-    elif step.rule == "CLOSURE":
-        lo, hi = step.detail
-        obj["mesh"] = sq(step.after)
-        obj["between"] = [sq(lo), sq(hi)]
-    else:  # GAMMA / CLASSICAL relate a pair directly
-        obj["pair"] = [sq(step.before), sq(step.after)]
-        if step.detail:
-            obj["detail"] = list(step.detail)
-    return obj
-
-
-def trace_to_json(trace: ProofTrace) -> list[dict]:
-    return [trace_step_to_json(s) for s in trace.steps]
-
-
-# ---------------------------------------------------------------------------
 # Closure of a set of meshes under simultaneous shading and sandwiching.
-
-class UnionFind:
-    """Dict-backed union-find over comparable hashable items, rooted at each
-    class's least item.  A root whose class has two or more items also keeps
-    their list in ``members``; a singleton has none, so it costs nothing
-    until it first merges."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-        self.members: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        if root == x:
-            return x
-        up = parent[root]
-        while up != root:
-            root, up = up, parent[up]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.link(rx, ry)
-        return True
-
-    def link(self, rx, ry):
-        """Merge the classes of two distinct roots; returns the new root."""
-        if ry < rx:  # keep the smaller representative, for determinism
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        members = self.members
-        kept = members.pop(rx, None) or [rx]
-        merged = members.pop(ry, None) or [ry]
-        if len(kept) < len(merged):
-            kept, merged = merged, kept
-        kept += merged  # the shorter list moves into the longer
-        members[rx] = kept
-        return rx
-
 
 class ClosureClass(NamedTuple):
     meshes: tuple[int, ...]

@@ -80,6 +80,37 @@ def first_distinguisher_brute(p, squares1, squares2, n_max):
     return None
 
 
+def contains_classical(p, w):
+    return bool(occurrences_brute(p, w))
+
+
+def direct_sum(u, v):
+    """Concatenate ``u`` and ``v`` with ``v`` shifted above ``u``.
+
+    >>> direct_sum((1,), (2, 1))
+    (1, 3, 2)
+    """
+    m = len(u)
+    return tuple(u) + tuple(x + m for x in v)
+
+
+def is_sum_decomposable(w):
+    """True iff ``w = u (+) v`` for nonempty ``u``, ``v``; i.e. some proper
+    prefix of ``w`` uses exactly the values ``1..m``."""
+    top = 0
+    for m in range(1, len(w)):
+        top = max(top, w[m - 1])
+        if top == m:
+            return True
+    return False
+
+
+def contains_gamma_oracle(w):
+    """Independent containment test for both gamma patterns: either one is
+    contained exactly in the sum-decomposable permutations."""
+    return is_sum_decomposable(w)
+
+
 # ---------------------------------------------------------------------------
 # The grid symmetries from their definitions, one generator at a time: a
 # symmetry is a word over r (reverse), c (complement) and i (inverse),

@@ -9,7 +9,7 @@ import contextlib
 import itertools
 import random
 
-from meshcide.perm import all_perms, is_sum_decomposable, lex_rank
+from meshcide.perm import all_perms, lex_rank
 from meshcide.mesh import (
     MeshPattern,
     OpenBox,
@@ -23,14 +23,13 @@ from meshcide.mesh import (
 from meshcide.perm import classical_occurrences
 from meshcide.diagonals import enc_witness, enclosed_diagonals, same_enc
 from meshcide.shading import ssl_closure, ssl_moves, ssl_repair_occurrence
+from meshcide.certify import GAMMA_1, GAMMA_2
 from meshcide.coincidence import (
-    GAMMA_1,
-    GAMMA_2,
     containment_signatures,
     decide_coincidence,
     partition_meshes,
 )
-from oracles import first_distinguisher_brute, mesh_contains_brute
+from oracles import first_distinguisher_brute, is_sum_decomposable, mesh_contains_brute
 
 K3_PATTERNS = tuple(itertools.permutations((1, 2, 3)))
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from meshcide.perm import SYMMETRIES, all_perms, apply_symmetry_perm, lex_rank
-from meshcide import coincidence, shading
+from meshcide import certify, coincidence, shading
 from meshcide.mesh import (
     MAX_DEPTH,
     MeshPattern,
@@ -28,34 +28,36 @@ from meshcide.diagonals import (
 from meshcide.shading import (
     Assignment,
     ClosureClass,
-    ProofTrace,
     ShadeMove,
-    TraceStep,
     shadeable_pairs,
     shadeable_singles,
     ssl_closure,
     ssl_moves,
 )
-from meshcide.coincidence import (
+from meshcide.certify import (
     GAMMA_1,
     GAMMA_2,
-    PartitionClass,
+    ProofTrace,
+    TraceStep,
     classical_rule,
+    gamma_rule,
+    verify_trace,
+)
+from meshcide.coincidence import (
+    PartitionClass,
     classify_family,
     containment_signatures,
-    contains_gamma_oracle,
     decide_coincidence,
-    gamma_rule,
     load_partition_cache,
     partition_lines,
     partition_meshes,
     partition_records,
     partition_summary,
-    verify_trace,
     write_partition_cache,
 )
 
 from oracles import (
+    contains_gamma_oracle,
     enc_square_sets,
     fingerprints_brute,
     partition_record_oracle,
@@ -382,10 +384,10 @@ class TestDecide:
 
     def test_gamma_proven(self):
         # in each of its orientations the pair is proven by its gamma step alone
-        orientations = coincidence._gamma_orientations()
-        assert len(orientations) == 8
-        for sym, g1, g2 in orientations:
-            v = decide_coincidence(g1, g2, 7)
+        steps = certify.gamma_steps((1, 2)) + certify.gamma_steps((2, 1))
+        assert len(steps) == 8
+        for _, p, g1, g2, (sym,) in steps:
+            v = decide_coincidence(MeshPattern(p, g1), MeshPattern(p, g2), 7)
             assert v.status == "PROVEN_COINCIDENT", sym
             assert [s.rule for s in v.trace.steps] == ["GAMMA"], sym
             assert verify_trace(v.trace), sym
@@ -930,7 +932,7 @@ class TestShapeRulesSubsumed:
 def test_partition_steps_replay(p, use_gamma):
     # the whole-cube closure partition_meshes runs: every class's own steps
     # prove each member coincident with its representative
-    given = coincidence._gamma_steps(p) if use_gamma else ()
+    given = certify.gamma_steps(p) if use_gamma else ()
     closure = ssl_closure(p, range(1 << (len(p) + 1) ** 2), given=given)
     result = partition_meshes(p, 4, use_gamma)
     assert {c.meshes for c in closure.classes} == {b for c in result.classes for b in c.blocks}

@@ -70,6 +70,8 @@ class TestRegions:
     def test_bad_occurrence(self):
         with pytest.raises(ValueError):
             corresponding_region(W42135, (3, 1, 5), (0, 0))
+        with pytest.raises(ValueError, match="invalid occurrence positions"):
+            corresponding_region((2, 1, 3), (), (0, 0))
 
     def test_matches_inverse_value_formulation(self):
         rng = random.Random(7)
@@ -291,6 +293,13 @@ class TestAvoiders:
         vinc = MeshPattern.of("231", [(2, y) for y in range(4)])
         assert avoiders(vinc, 4) == avoiders(MeshPattern.of("231"), 4)
         assert len(avoiders(vinc, 4)) == 14
+
+    @pytest.mark.parametrize("n", [True, 2.0, 0, -1])
+    def test_rejects_n_that_is_not_a_size(self, n, monkeypatch):
+        # rejected before a single host is listed
+        monkeypatch.setattr(mesh, "all_perms", lambda size: pytest.fail("hosts listed"))
+        with pytest.raises(ValueError, match="n must be an int of at least 1"):
+            avoiders(MeshPattern((1,)), n)
 
 
 class TestFingerprints:

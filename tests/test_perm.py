@@ -15,18 +15,21 @@ from meshcide.perm import (
     apply_symmetry_point,
     canonical_symmetry,
     classical_occurrences,
-    contains_classical,
-    direct_sum,
     inverse_symmetry,
     is_occurrence,
-    is_sum_decomposable,
     lex_rank,
     lex_unrank,
     make_perm,
     parse_perm,
     perm_text,
 )
-from oracles import occurrences_brute, symmetry_perm_ref
+from oracles import (
+    contains_classical,
+    direct_sum,
+    is_sum_decomposable,
+    occurrences_brute,
+    symmetry_perm_ref,
+)
 
 perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -249,6 +252,10 @@ class TestLexOrder:
             for j, w in enumerate(all_perms(n)):
                 assert lex_rank(w) == j
                 assert lex_unrank(n, j) == w
+            # a rank outside 0..n! - 1 names no permutation
+            for rank in (-1, factorial(n)):
+                with pytest.raises(ValueError, match="outside"):
+                    lex_unrank(n, rank)
 
     @given(perms)
     @settings(max_examples=40)

@@ -21,13 +21,12 @@ from meshcide.mesh import (
     squares_to_mask,
 )
 from meshcide import shading
-from meshcide.coincidence import decide_coincidence, partition_meshes, verify_trace
+from meshcide.certify import ProofTrace, TraceStep, gamma_steps, verify_trace
+from meshcide.coincidence import decide_coincidence, partition_meshes
 from meshcide.diagonals import apply_symmetry_mesh, apply_symmetry_square
 from meshcide.shading import (
     Assignment,
-    ProofTrace,
     ShadeMove,
-    TraceStep,
     pair_candidate,
     shadeable_pairs,
     shadeable_singles,
@@ -567,10 +566,8 @@ def closure_digest(result, steps=True):
 
 
 def whole_cube_closure(p, gamma):
-    from meshcide.coincidence import _gamma_steps
-
     cube = range(1 << (len(p) + 1) ** 2)
-    return ssl_closure(p, cube, given=_gamma_steps(p) if gamma else ())
+    return ssl_closure(p, cube, given=gamma_steps(p) if gamma else ())
 
 
 def seeded_closures():
@@ -685,9 +682,6 @@ class TestClosureEngine:
 
     @pytest.mark.parametrize("budget", [None, 0, 5, 300])
     def test_seeded_closures_match_recorded(self, budget):
-        from meshcide.coincidence import verify_trace
-        from meshcide.shading import ProofTrace
-
         for p, seeds in seeded_closures():
             result = ssl_closure(p, seeds, budget=budget)
             assert closure_digest(result, steps=False) == SEEDED_DIGESTS[p, budget], p
