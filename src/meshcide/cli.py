@@ -17,6 +17,7 @@ from .perm import ParseError, parse_perm, perm_text
 from .mesh import (
     MeshPattern,
     avoiders,
+    iter_mesh_occurrences,
     mesh_occurrences,
     mesh_pattern_from_json,
     mesh_pattern_to_json,
@@ -109,12 +110,11 @@ def _pattern(text: str) -> MeshPattern:
 
 def _cmd_contains(args) -> int:
     pi = _pattern(args.pattern)
-    w = parse_perm(args.perm)
-    occs = mesh_occurrences(pi, w)
+    count = sum(1 for _ in iter_mesh_occurrences(pi, parse_perm(args.perm)))  # never held
     _emit(
         args,
-        {"contains": bool(occs), "occurrences": len(occs)},
-        [str(bool(occs)).lower(), f"occurrences: {len(occs)}"],
+        {"contains": count > 0, "occurrences": count},
+        [str(count > 0).lower(), f"occurrences: {count}"],
     )
     return 0
 

@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import factorial
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +39,8 @@ def square_bit(k: int, a: int, b: int) -> int:
 def squares_to_mask(k: int, squares: Iterable[Square]) -> int:
     mask = 0
     for a, b in squares:
+        if type(a) is not int or type(b) is not int:  # a bool is not one
+            raise ParseError(f"square {(a, b)!r} is not a pair of ints")
         if not (0 <= a <= k and 0 <= b <= k):
             raise ParseError(f"square ({a},{b}) lies outside the {k + 1}x{k + 1} grid")
         mask |= 1 << (a * (k + 1) + b)  # square_bit, inlined
@@ -211,11 +213,11 @@ def contains(pi: MeshPattern, w: Perm) -> bool:
 
 
 def avoiders(pi: MeshPattern, n: int) -> list[Perm]:
-    """All w in S_n avoiding ``pi``, in lexicographic order.  An ``n`` that
-    is not an int of at least 1 (a ``bool`` included) is a ``ValueError``."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an int of at least 1, not {n!r}")
-    return [w for w in all_perms(n) if not contains(pi, w)]
+    """All w in S_n avoiding ``pi``, in lexicographic order: the clear bits of
+    row n of its fingerprint.  An ``n`` outside ``1..MAX_DEPTH`` (a ``bool``
+    included) raises ``ValueError`` before any host is listed."""
+    row = fingerprints_many(pi.perm, (pi.mask,), n)[0][-1]
+    return list(compress(all_perms(n), map("0".__eq__, f"{row:0{factorial(n)}b}"[::-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ class ParseError(ValueError):
 
 
 def make_perm(values: Sequence[int]) -> Perm:
-    """Validate one-line notation: the entries must be a bijection on 1..n.
+    """Validate one-line notation: int entries that form a bijection on 1..n.
 
     >>> make_perm([4, 2, 1, 3, 5])
     (4, 2, 1, 3, 5)
@@ -34,6 +34,8 @@ def make_perm(values: Sequence[int]) -> Perm:
     n = len(word)
     seen: set[int] = set()
     for v in word:
+        if type(v) is not int:
+            raise ParseError(f"permutation entry {v!r} is not an int")
         if v in seen:
             raise ParseError(f"not a permutation of 1..{n}: value {v} appears twice")
         seen.add(v)

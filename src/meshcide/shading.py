@@ -525,12 +525,13 @@ def ssl_closure(
     are expanded in turn.  Given, shading and sandwich steps all join
     through one merge, the only place groups are linked and steps logged.
     ``budget`` caps the number of meshes expanded; exceeding it returns the
-    partial partition flagged incomplete, and a negative budget is a
-    ``ValueError``.  A ``goal``, a pair of seed meshes, stops the closure at
-    the first merge that gives both one root (or before any expansion, if
-    the given steps join them); the partition as it stands then is
-    returned, also flagged incomplete, and the goal's class carries its
-    steps so far, which replay in order.  A goal that is not two meshes, or
+    partial partition flagged incomplete, and a budget that is not an int
+    of at least 0 (``True`` and ``1.5`` included) is a ``ValueError``.  A
+    ``goal``, a pair of seed meshes, stops the closure at the first merge
+    that gives both one root (or before any expansion, if the given steps
+    join them); the partition as it stands then is returned, also flagged
+    incomplete, and the goal's class carries its steps so far, which
+    replay in order.  A goal that is not two meshes, or
     a goal mesh that is not a seed, is a ``ValueError``.  Each class carries
     the steps that joined its meshes, in the order they were taken: a step
     is kept only when it merges two groups, so a class of n meshes has
@@ -544,8 +545,8 @@ def ssl_closure(
     """
     p = make_perm(p)
     k = len(p)
-    if budget is not None and budget < 0:
-        raise ValueError(f"closure budget must be at least 0, not {budget}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"closure budget must be an int of at least 0, not {budget!r}")
     seeds, given = list(seeds), list(given)
     if not seeds:
         raise ValueError("at least one seed mesh is required")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from meshcide import coincidence
+from meshcide import cli, coincidence
 from meshcide.cli import main, render
 from meshcide.coincidence import default_partition_depth, partition_meshes
 from meshcide.mesh import MeshPattern, mesh_pattern_from_json, parse_mesh_pattern
@@ -37,6 +37,16 @@ class TestContains:
             capsys, "contains", "213:(0,3)(1,2)(1,3)(3,0)", "42135", "--json"
         )
         assert json.loads(out) == {"contains": True, "occurrences": 4}
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [((), "true\noccurrences: 4\n"), (("--json",), '{"contains": true, "occurrences": 4}\n')],
+    )
+    def test_counts_without_listing(self, capsys, monkeypatch, flags, expected):
+        # the occurrences are counted as they stream, never collected in a list
+        monkeypatch.setattr(cli, "mesh_occurrences", lambda *a: pytest.fail("listed"))
+        code, out, _ = run(capsys, "contains", "213:(0,3)(1,2)(1,3)(3,0)", "42135", *flags)
+        assert (code, out) == (0, expected)
 
 
 class TestErrors:

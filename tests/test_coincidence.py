@@ -540,6 +540,8 @@ class TestVerifyTrace:
             ((1, 2), "0", 0),
             ((1, 2), 0.0, 0),
             ((1, 1), 0, 0),
+            ((True,), 0, 0),
+            ((1.0, 2.0), 0, 0),
             ([1, 2], 0, 0),
             ("12", 0, 0),
             (12, 0, 0),

@@ -294,12 +294,25 @@ class TestAvoiders:
         assert avoiders(vinc, 4) == avoiders(MeshPattern.of("231"), 4)
         assert len(avoiders(vinc, 4)) == 14
 
-    @pytest.mark.parametrize("n", [True, 2.0, 0, -1])
+    @pytest.mark.parametrize("n", [True, 2.0, 0, -1, MAX_DEPTH + 1])
     def test_rejects_n_that_is_not_a_size(self, n, monkeypatch):
         # rejected before a single host is listed
         monkeypatch.setattr(mesh, "all_perms", lambda size: pytest.fail("hosts listed"))
-        with pytest.raises(ValueError, match="n must be an int of at least 1"):
+        with pytest.raises(ValueError, match=rf"is not an int in 1\.\.{MAX_DEPTH} \(MAX_DEPTH\)"):
             avoiders(MeshPattern((1,)), n)
+
+    def test_matches_the_oracle_up_to_s7(self):
+        # one seeded mesh per length 1..5, so k > n is covered too
+        rng = random.Random(30)
+        for k in range(1, 6):
+            p = tuple(rng.sample(range(1, k + 1), k))
+            squares = rng.sample(
+                [(a, b) for a in range(k + 1) for b in range(k + 1)], rng.randint(0, 3)
+            )
+            pi = MeshPattern.of(p, squares)
+            for n in range(1, 8):
+                brute = [w for w in all_perms(n) if not mesh_contains_brute(p, squares, w)]
+                assert avoiders(pi, n) == brute, (pi.text(), n)
 
 
 class TestFingerprints:
@@ -526,6 +539,10 @@ class TestText:
     def test_out_of_grid_square_named(self):
         with pytest.raises(ParseError, match=r"\(4,1\)"):
             parse_mesh_pattern("231:(4,1)")
+        # True == 1, but a square is a pair of ints
+        for square in ((True, 0), (1.0, 0), (0, False)):
+            with pytest.raises(ParseError, match="not a pair of ints"):
+                MeshPattern.of("12", [square])
 
     def test_bad_token_named(self):
         with pytest.raises(ParseError, match="oops"):

@@ -60,6 +60,10 @@ class TestParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError, match="1x3"):
             parse_perm("1x3")
+        # True == 1 and 1.0 == 1, but neither is an int entry
+        for values in ([True], [1.0, 2.0], [1, 2.0]):
+            with pytest.raises(ParseError, match="is not an int"):
+                make_perm(values)
 
     def test_text_round_trip(self):
         for w in ((4, 2, 1, 3, 5), (4, 8, 2, 9, 5, 1, 10, 3, 7, 6)):

@@ -379,6 +379,9 @@ class TestClosure:
     def test_negative_budget_is_an_error(self):
         with pytest.raises(ValueError, match="budget"):
             ssl_closure((1, 2), [0], budget=-3)
+        for budget in (True, 1.5, 2.0):  # not ints, rejected before any work
+            with pytest.raises(ValueError, match="budget"):
+                ssl_closure((1, 2), [0], budget=budget)
 
     def test_given_step_over_another_pattern_is_an_error(self):
         step = TraceStep("GAMMA", (2, 1), 0, 1, ("id",))
