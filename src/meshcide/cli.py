@@ -167,6 +167,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_shade(args) -> int:
+    if args.budget is not None and not args.closure:
+        raise ValueError("--budget bounds the closure, so it needs --closure")
     pi = _pattern(args.pattern)
     singles = shadeable_singles(pi)
     pairs = shadeable_pairs(pi)
@@ -242,10 +244,13 @@ def _cmd_witness(args) -> int:
 def _cmd_partition(args) -> int:
     p = parse_perm(args.perm)
     if args.out:
-        # fail before the work, without creating or truncating the file
+        # fail before the work, without creating or truncating the file; a
+        # device or a fifo would swallow the report that stdout reads back
         out = Path(args.out)
-        if out.is_dir() or not out.parent.is_dir():
-            raise OSError(f"--out {args.out!r} is not a file in an existing directory")
+        if out.exists() and not out.is_file() or not out.parent.is_dir():
+            raise OSError(
+                f"--out {args.out!r} is not a regular file in an existing directory"
+            )
     result = partition_meshes(p, args.max_n, use_gamma=not args.no_gamma)
     if args.out:
         # the whole file is written before stdout gets any of it, so an
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("shade", _cmd_shade, "shadeable squares and pairs")
     sp.add_argument("pattern")
     sp.add_argument("--closure", action="store_true", help="emit reachable meshes")
-    sp.add_argument("--budget", type=int, default=None, help="closure step bound")
+    sp.add_argument("--budget", type=int, default=None, help="--closure step bound")
 
     sp = add("coincident", _cmd_coincident, "decide coincidence of two patterns")
     sp.add_argument("first")

@@ -154,11 +154,9 @@ def decide_coincidence(
     if pi.perm == pi2.perm and pi.mask == pi2.mask:
         return CoincidenceVerdict("PROVEN_EQUAL", n_max)
     if pi.perm != pi2.perm:
-        first, second = sorted((pi, pi2), key=lambda m: m.k)
-        for w in (first.perm, second.perm):
-            if contains(pi, w) != contains(pi2, w):
-                return _verified_refutation(pi, pi2, w, n_max)
-        raise RuntimeError("distinct underlying patterns must be separable")
+        # the shorter perm contains its own pattern, never the other one
+        shorter = min(pi, pi2, key=lambda m: m.k)
+        return _verified_refutation(pi, pi2, shorter.perm, n_max)
     if not same_enc(pi, pi2):
         witness = enc_witness(pi, pi2)
         return CoincidenceVerdict(
@@ -224,10 +222,6 @@ class PartitionResult:
         return total
 
 
-def default_partition_depth(k: int) -> int:
-    return 7 if k <= 2 else 6
-
-
 @_collector_paused
 def partition_meshes(
     p: Perm,
@@ -246,9 +240,10 @@ def partition_meshes(
     under :func:`verify_trace`.  A class is PROVEN when the relation
     connects all of its members, and CONJECTURED otherwise, with its
     proven sub-blocks reported.
-    A proof block that spans two truncations is an ``AssertionError``.  A
-    depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work,
-    and so does a pattern or depth that ``containment_signatures`` rejects.
+    A proof block that spans two truncations is an ``AssertionError``.  The
+    depth defaults to :func:`default_depth`, as for decide; a depth outside
+    ``1..MAX_DEPTH`` raises ``ValueError`` before any work, and so does a
+    pattern or depth that ``containment_signatures`` rejects.
     Like the closure, it runs with the cyclic garbage collector paused and
     leaves it as the caller had it: the signature table and the classes
     are acyclic tuples of ints, which reference counting frees.
@@ -256,7 +251,7 @@ def partition_meshes(
     p = make_perm(p)
     k = len(p)
     if n_max is None:
-        n_max = default_partition_depth(k)
+        n_max = default_depth(k)
     check_depth(n_max)
     sigs = containment_signatures(p, n_max)
     closure = ssl_closure(p, range(len(sigs)), given=gamma_steps(p) if use_gamma else ())

@@ -3,16 +3,16 @@ the constructive occurrence-repair walk, and closure of meshes under all of
 these.
 
 Adding a square next to a graph point keeps the avoidance set unchanged when
-the mesh around that point is permissive enough.  Only the northeast
-single-square conditions and the east pair conditions are spelled out; the
+the mesh around that point is permissive enough.  Only the northeast single
+square and the east pair are spelled out, candidates and conditions; the
 other directions are obtained by conjugating the pattern with the grid
 symmetry that maps the direction onto the spelled one.  That is both shorter
-and safer than transcribing four condition tables by hand.  Conjugation
-happens once per pattern, when its probes are compiled: every condition is
-pulled back into the pattern's own grid, where it is a few masks.  A mesh's
-moves depend only on which probes pass, so a closure memoises them on that
-vector, and it tests the probes for a whole frontier of meshes at once on
-bit-slices, one big integer per grid square.
+and safer than transcribing four tables by hand.  Conjugation happens once
+per pattern, when its probes are compiled: every candidate and every
+condition is pulled back into the pattern's own grid, where they are a few
+masks.  A mesh's moves depend only on which probes pass, so a closure
+memoises them on that vector, and it tests the probes for a whole frontier
+of meshes at once on bit-slices, one big integer per grid square.
 """
 
 from __future__ import annotations
@@ -43,34 +43,10 @@ from .mesh import (
 from .diagonals import apply_symmetry_square
 from .certify import TraceStep, UnionFind
 
-SINGLE_DIRECTIONS = ("NE", "NW", "SE", "SW")
-PAIR_DIRECTIONS = ("E", "N", "W", "S")
-
-# Symmetry conjugating each direction onto the one with explicit conditions.
+# Symmetry conjugating each direction onto the one with explicit conditions,
+# in probe order.
 _SINGLE_TO_NE = {"NE": "id", "NW": "r", "SE": "c", "SW": "rc"}
-_PAIR_TO_E = {"E": "id", "W": "r", "N": "i", "S": "ci"}
-
-
-def single_candidate(point: tuple[int, int], direction: str) -> Square:
-    """The square incident to a graph point on the given corner."""
-    i, v = point
-    return {
-        "NE": (i, v),
-        "NW": (i - 1, v),
-        "SE": (i, v - 1),
-        "SW": (i - 1, v - 1),
-    }[direction]
-
-
-def pair_candidate(point: tuple[int, int], direction: str) -> tuple[Square, Square]:
-    """The two squares incident to a graph point on the given side."""
-    i, v = point
-    return {
-        "E": ((i, v), (i, v - 1)),
-        "W": ((i - 1, v), (i - 1, v - 1)),
-        "N": ((i - 1, v), (i, v)),
-        "S": ((i - 1, v - 1), (i, v - 1)),
-    }[direction]
+_PAIR_TO_E = {"E": "id", "N": "i", "W": "r", "S": "ci"}
 
 
 @dataclass(frozen=True)
@@ -107,28 +83,31 @@ def _offsets(k: int) -> tuple[int, int, int, int]:
 
 
 def _ne_single_conditions(k: int, i: int, v: int) -> tuple:
-    """The northeast single-square conditions at the point (i, v), square by
-    square: neither the candidate nor the square opposite it is shaded, the
-    two flanks are not both shaded, a shaded square of row v-1 has its upper
-    neighbour shaded, and a shaded square of column i-1 has its right
-    neighbour shaded (outside the four squares around the point)."""
+    """The northeast single at the point (i, v): its candidate square (i, v),
+    and its conditions square by square: neither the candidate nor the
+    square opposite it is shaded, the two flanks are not both shaded, a
+    shaded square of row v-1 has its upper neighbour shaded, and a shaded
+    square of column i-1 has its right neighbour shaded (outside the four
+    squares around the point)."""
     blocked = [(i, v), (i - 1, v - 1)]
     flanks = [(i, v - 1), (i - 1, v)]
     row = [(x, v - 1) for x in range(k + 1) if x not in (i - 1, i)]
     column = [(i - 1, y) for y in range(k + 1) if y not in (v - 1, v)]
-    return blocked, flanks, ((row, (0, 1)), (column, (1, 0)))
+    return [(i, v)], blocked, flanks, ((row, (0, 1)), (column, (1, 0)))
 
 
 def _e_pair_conditions(k: int, i: int, v: int) -> tuple:
-    """The east pair conditions at the point (i, v): no square around the
-    point is shaded, rows v-1 and v agree (a shaded square of either has its
-    neighbour in the other shaded), and a shaded square of column i-1 has
-    its right neighbour shaded."""
+    """The east pair at the point (i, v): its candidate squares (i, v) and
+    (i, v-1), and its conditions: no square around the point is shaded,
+    rows v-1 and v agree (a shaded square of either has its neighbour in the
+    other shaded), and a shaded square of column i-1 has its right
+    neighbour shaded."""
     blocked = [(i, v), (i - 1, v), (i, v - 1), (i - 1, v - 1)]
     lower = [(x, v - 1) for x in range(k + 1)]
     upper = [(x, v) for x in range(k + 1)]
     column = [(i - 1, y) for y in range(k + 1)]
-    return blocked, [], ((lower, (0, 1)), (upper, (0, -1)), (column, (1, 0)))
+    lines = ((lower, (0, 1)), (upper, (0, -1)), (column, (1, 0)))
+    return [(i, v), (i, v - 1)], blocked, [], lines
 
 
 def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
@@ -163,8 +142,9 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def _compiled(p: Perm) -> tuple[tuple, ...]:
     """Every probe of ``p`` in output order (by graph point; singles, then
-    pairs; by direction), with its conditions pulled back from the
-    spelled-out direction into ``p``'s own grid.
+    pairs; by direction), with its candidate squares and its conditions
+    pulled back from the spelled-out direction into ``p``'s own grid.  A
+    pair's two squares are listed by row from the top, then by column.
 
     A probe is ``(assignment, added, forbid, flanks, forbid_at,
     flanks_at)``: the assignment it licenses and its mask, the state bits
@@ -173,29 +153,23 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
     """
     k = len(p)
     keyed = []
-    for rank, (kind, directions, to_spelled, conditions) in enumerate(
+    for rank, (kind, to_spelled, conditions) in enumerate(
         (
-            ("single", SINGLE_DIRECTIONS, _SINGLE_TO_NE, _ne_single_conditions),
-            ("pair", PAIR_DIRECTIONS, _PAIR_TO_E, _e_pair_conditions),
+            ("single", _SINGLE_TO_NE, _ne_single_conditions),
+            ("pair", _PAIR_TO_E, _e_pair_conditions),
         )
     ):
-        for d, direction in enumerate(directions):
-            sym = to_spelled[direction]
+        for d, (direction, sym) in enumerate(to_spelled.items()):
             back = inverse_symmetry(sym)
-            pull = lambda squares: squares_to_mask(
-                k, [apply_symmetry_square(back, k, s) for s in squares]
-            )
+            pull = lambda squares: [apply_symmetry_square(back, k, s) for s in squares]
             for j, v in enumerate(apply_symmetry_perm(sym, p), 1):
                 point = apply_symmetry_point(back, k, (j, v))
-                if kind == "pair":
-                    squares = pair_candidate(point, direction)
-                else:
-                    squares = (single_candidate(point, direction),)
-                blocked, flanks, lines = conditions(k, j, v)
-                forbid = pull(blocked)
+                candidate, blocked, flanks, lines = conditions(k, j, v)
+                squares = tuple(sorted(pull(candidate), key=lambda s: (-s[1], s[0])))
+                forbid = squares_to_mask(k, pull(blocked))
                 for line, offset in lines:
                     forbid |= _pull_back(k, back, line, offset)
-                flank_mask = pull(flanks)
+                flank_mask = squares_to_mask(k, pull(flanks))
                 indices = (_bit_indices(forbid), _bit_indices(flank_mask))
                 assignment = Assignment(point, kind, direction, squares)
                 probe = (assignment, squares_to_mask(k, squares), forbid, flank_mask, *indices)

@@ -230,32 +230,33 @@ def _conjugated(p, mask, to_spelled, ok, candidate):
     return sorted(out, key=lambda t: (t[0], order.index(t[2])))
 
 
+def single_candidate_ref(point, direction):
+    """The square incident to a graph point on the given corner."""
+    i, v = point
+    return {"NE": (i, v), "NW": (i - 1, v), "SE": (i, v - 1), "SW": (i - 1, v - 1)}[direction]
+
+
+def pair_candidate_ref(point, direction):
+    """The two squares incident to a graph point on the given side, by row
+    from the top, then by column."""
+    i, v = point
+    return {
+        "E": ((i, v), (i, v - 1)),
+        "W": ((i - 1, v), (i - 1, v - 1)),
+        "N": ((i - 1, v), (i, v)),
+        "S": ((i - 1, v - 1), (i, v - 1)),
+    }[direction]
+
+
 def shadeable_singles_brute(p, mask):
     """(point, square, direction) for every shadeable single square: each
     corner is conjugated onto the northeast one by a symmetry."""
-
-    def candidate(point, direction):
-        i, v = point
-        return {"NE": (i, v), "NW": (i - 1, v), "SE": (i, v - 1), "SW": (i - 1, v - 1)}[
-            direction
-        ]
-
-    return _conjugated(p, mask, _SINGLE_TO_NE, ne_single_ok_brute, candidate)
+    return _conjugated(p, mask, _SINGLE_TO_NE, ne_single_ok_brute, single_candidate_ref)
 
 
 def shadeable_pairs_brute(p, mask):
     """(point, square pair, direction) for every shadeable adjacent pair."""
-
-    def candidate(point, direction):
-        i, v = point
-        return {
-            "E": ((i, v), (i, v - 1)),
-            "W": ((i - 1, v), (i - 1, v - 1)),
-            "N": ((i - 1, v), (i, v)),
-            "S": ((i - 1, v - 1), (i, v - 1)),
-        }[direction]
-
-    return _conjugated(p, mask, _PAIR_TO_E, e_pair_ok_brute, candidate)
+    return _conjugated(p, mask, _PAIR_TO_E, e_pair_ok_brute, pair_candidate_ref)
 
 
 def single_shading_chain(p, start, target):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 from meshcide import cli, coincidence
 from meshcide.cli import main, render
-from meshcide.coincidence import default_partition_depth, partition_meshes
-from meshcide.mesh import MeshPattern, mesh_pattern_from_json, parse_mesh_pattern
+from meshcide.coincidence import partition_meshes
+from meshcide.mesh import MeshPattern, default_depth, mesh_pattern_from_json, parse_mesh_pattern
 from test_shading import collections_inside, set_collector
 
 
@@ -177,6 +178,12 @@ class TestShade:
         assert code == 2 and out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "3"])
+    def test_budget_without_closure_exits_2(self, capsys, budget):
+        code, out, err = run(capsys, "shade", "12", "--budget", budget)
+        assert code == 2 and out == ""
+        assert "--closure" in err
+
 
 class TestWitness:
     def test_witness(self, capsys):
@@ -282,10 +289,12 @@ class TestPartition:
         assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
     def test_default_depth(self, capsys):
-        code, out, _ = run(capsys, "partition", "1", "--threads", "1")
-        assert code == 0
-        summary = json.loads(out.splitlines()[-1])["summary"]
-        assert summary["n_max"] == default_partition_depth(1)
+        # the partition's default is decide's: 4 for length 1, 5 for length 2
+        for perm, depth in (("1", 4), ("12", 5)):
+            code, out, _ = run(capsys, "partition", perm, "--threads", "1")
+            assert code == 0
+            summary = json.loads(out.splitlines()[-1])["summary"]
+            assert summary["n_max"] == default_depth(len(perm)) == depth
 
     @pytest.mark.parametrize(
         "argv",
@@ -446,6 +455,14 @@ class TestPartition:
         assert out == ""  # nothing was computed before the path failed
         assert err.startswith("error: ")
         assert not out_file.exists()
+
+
+    def test_out_path_that_is_a_device_exits_2(self, capsys, no_partition):
+        # a device swallows the report, so reading it back would print nothing
+        code, out, err = run(capsys, "partition", "1", "--max-n", "2", "--out", os.devnull)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestPartitionCollector:

@@ -338,6 +338,30 @@ class TestDecide:
         assert v.witness == (1, 2)
         assert v.witness_contains_first is True
 
+    @pytest.mark.parametrize(
+        "first, second, witness, contains_first",
+        [
+            ("12", "123", (1, 2), True),
+            ("231:(1,0)(3,2)", "21:(0,0)", (2, 1), False),
+            ("12:(0,0)", "21", (1, 2), True),
+        ],
+    )
+    def test_distinct_perms_refuted_by_the_shorter_perm_alone(
+        self, monkeypatch, first, second, witness, contains_first
+    ):
+        # the shorter perm contains its own pattern and never the other one,
+        # so the refutation is two containment checks, both on that host
+        calls = []
+        real = coincidence.contains
+        monkeypatch.setattr(
+            coincidence, "contains", lambda pi, w: calls.append(w) or real(pi, w)
+        )
+        v = decide_coincidence(parse_mesh_pattern(first), parse_mesh_pattern(second), 5)
+        assert (v.status, v.witness, v.witness_contains_first) == (
+            "REFUTED", witness, contains_first
+        )
+        assert calls == [witness, witness]
+
     def test_enc_difference_refuted_with_short_witness(self):
         v = decide_coincidence(
             MeshPattern.of("12", [(2, 0)]), MeshPattern.of("12"), 6

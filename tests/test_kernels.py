@@ -28,8 +28,10 @@ from oracles import (
     enclosed_diagonals_brute,
     fingerprints_brute,
     mesh_contains_brute,
+    pair_candidate_ref,
     shadeable_pairs_brute,
     shadeable_singles_brute,
+    single_candidate_ref,
     symmetry_mask_brute,
 )
 
@@ -229,6 +231,21 @@ def test_probe_indices_rebuild_the_masks(p):
         for mask, at in ((forbid, forbid_at), (flanks, flanks_at)):
             assert list(at) == sorted(set(at))
             assert sum(1 << i for i in at) == mask
+
+
+def test_probe_candidates_are_the_corner_and_side_squares():
+    # each candidate is pulled back from the spelled-out direction; the
+    # oracle writes the four corners and the four sides out by hand
+    for k in range(1, 6):
+        for p in all_perms(k):
+            for assignment, added, *_ in shading._compiled(p):
+                point, direction = assignment.point, assignment.direction
+                if assignment.kind == "single":
+                    want = (single_candidate_ref(point, direction),)
+                else:
+                    want = pair_candidate_ref(point, direction)
+                assert assignment.squares == want, (p, assignment)
+                assert added == squares_to_mask(k, want)
 
 
 def test_compile_rejects_a_non_uniform_neighbour_shift(monkeypatch):
