@@ -209,7 +209,7 @@ def mesh_occurrences(pi: MeshPattern, w: Perm) -> list[Occurrence]:
 def contains(pi: MeshPattern, w: Perm) -> bool:
     """Mesh containment; stops at the first valid occurrence.  A host that
     is not a permutation of 1..n raises ``ValueError``."""
-    return next(iter_mesh_occurrences(pi, w), None) is not None
+    return next(occurrence_search(pi.perm, w, pi.mask), None) is not None
 
 
 def avoiders(pi: MeshPattern, n: int) -> list[Perm]:
@@ -526,8 +526,12 @@ def _int_list(value) -> bool:
 
 def mesh_pattern_from_json(obj: dict) -> MeshPattern:
     """Inverse of :func:`mesh_pattern_to_json`.  A missing or non-list
-    ``perm``, or a ``mesh`` entry that is not a pair of ints, is a
-    ``ParseError`` that names the key."""
+    ``perm``, a ``mesh`` entry that is not a pair of ints, or any other key
+    is a ``ParseError`` that names the key."""
+    unknown = [key for key in obj if key not in ("perm", "mesh")]
+    if unknown:
+        names = ", ".join(f'"{key}"' for key in unknown)
+        raise ParseError(f'unknown JSON key {names}: a pattern has only "perm" and "mesh"')
     perm = obj.get("perm")
     if not _int_list(perm):
         raise ParseError(f'JSON key "perm" must be a list of ints, not {perm!r}')

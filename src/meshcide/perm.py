@@ -103,7 +103,7 @@ def lex_unrank(n: int, rank: int) -> Perm:
 
 
 @lru_cache(maxsize=1024)
-def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple]:
+def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
     """The placement steps of :func:`occurrence_search` for ``p`` when the
     mesh's first shaded square is bit ``first`` (-1 for none): the letters
     that bound that square first, the rest left to right.  Letters are named
@@ -124,36 +124,49 @@ def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple]:
 
 
 @lru_cache(maxsize=1024)
-def _letter_plan(p: Perm, letters: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple]:
-    """The plan that places the letters of ``p`` in the order ``letters``,
-    as four tuples indexed by step: ``letters``, ``values``, ``bounds``,
-    ``done``.  ``0`` and ``k + 1`` name the grid's edges.  Step d places
-    letter ``letters[d]`` of value ``values[d]``; ``bounds[d]`` is ``(left,
-    right, below, above)``: its nearest placed letters in position and the
-    values of its nearest placed letters in value.  ``done[d]`` holds the
-    squares whose four bounds are first all placed at step d.
+def _letter_plan(p: Perm, letters: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The plan that places the letters of ``p`` in the order ``letters``:
+    ``letters``, ``values`` and ``bounds`` indexed by step, ``settled`` and
+    ``squares`` indexed by square bit.  ``0`` and ``k + 1`` name the grid's
+    edges.  Step d places letter ``letters[d]`` of value ``values[d]``;
+    ``bounds[d]`` is ``(left, right, below, above)``: its nearest placed
+    letters in position and the values of its nearest placed letters in
+    value.
+
+    Square s = (a, b) is settled at step d, which places the last of its two
+    column and two row bounds.  Most squares test that letter once it is
+    placed: ``settled[s]`` is d and ``squares[s]`` is ``(a, a + 1, b, b +
+    1)``.  A square that the letter bounds by column only cuts its
+    candidates instead: ``settled[s]`` is ``~d`` and ``squares[s]`` is ``(c,
+    b, b + 1, after)``, its other column bound, its row bounds, and whether
+    the letter is its right bound.
     """
     k = len(p)
-    values = [p[i - 1] for i in letters]
-    placed, placed_values = {0, k + 1}, {0, k + 1}
-    bounds, done, bounded = [], [], 0
-    for i, v in zip(letters, values):
-        bounds.append((
-            max(j for j in placed if j < i),
-            min(j for j in placed if j > i),
-            max(u for u in placed_values if u < v),
-            min(u for u in placed_values if u > v),
-        ))
-        placed.add(i)
-        placed_values.add(v)
-        now = sum(
-            1 << (a * (k + 1) + b)
-            for a in range(k + 1) if {a, a + 1} <= placed
-            for b in range(k + 1) if {b, b + 1} <= placed_values
+    values = tuple(p[i - 1] for i in letters)
+    # the step that places each letter, and each value; the edges come first
+    column = {0: -1, k + 1: -1, **{i: d for d, i in enumerate(letters)}}
+    row = {0: -1, k + 1: -1, **{v: d for d, v in enumerate(values)}}
+    bounds = tuple(
+        (
+            max(j for j, e in column.items() if e < d and j < i),
+            min(j for j, e in column.items() if e < d and j > i),
+            max(u for u, e in row.items() if e < d and u < v),
+            min(u for u, e in row.items() if e < d and u > v),
         )
-        done.append(now & ~bounded)
-        bounded = now
-    return letters, tuple(values), tuple(bounds), tuple(done)
+        for d, (i, v) in enumerate(zip(letters, values))
+    )
+    settled, squares = [], []
+    for a in range(k + 1):
+        for b in range(k + 1):
+            d = max(column[a], column[a + 1], row[b], row[b + 1])
+            i = letters[d]
+            if i in (a, a + 1) and values[d] not in (b, b + 1):
+                settled.append(~d)
+                squares.append((a + 1 if i == a else a, b, b + 1, i == a + 1))
+            else:
+                settled.append(d)
+                squares.append((a, a + 1, b, b + 1))
+    return letters, values, bounds, tuple(settled), tuple(squares)
 
 
 def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
@@ -165,10 +178,15 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
     holds the positions of the values at most ``y``.  The next letter's
     candidates lie strictly between its placed neighbours in position and
     in value: one AND of a position range with ``le[hi - 1] ^ le[lo]``, so
-    every partial placement is order isomorphic to its letters of ``p``.  A
-    shaded square is tested by the same AND as soon as its two column and
-    two row bounds are placed.  With ``mask == 0`` letters go left to right
-    and occurrences come out in lexicographic order.
+    every partial placement is order isomorphic to its letters of ``p``.
+
+    A shaded square is settled by the last of its four bounds to be placed
+    (:func:`_letter_plan`).  If that letter bounds it by column only, the
+    square cuts the letter's candidates to one side of the nearest host
+    point in its row band; otherwise the same AND tests it once the letter
+    is placed.  A cut drops only candidates that the test would reject, so
+    the order of occurrences does not change.  With ``mask == 0`` letters go
+    left to right and occurrences come out in lexicographic order.
 
     A host that is not a permutation of 1..n raises ``ValueError``.
     """
@@ -182,22 +200,28 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
         return
     # bit 0 (from at[0]) is in every le[y], so it cancels in each XOR
     le = list(itertools.accumulate([1 << x for x in at], or_))
-    letters, values, bounds, done = _search_plan(tuple(p), (mask & -mask).bit_length() - 1)
-    boxes = []  # boxes[d]: the shaded squares to test at step d, by their bounds
-    for squares in done:
-        squares &= mask
-        here = []
-        while squares:
-            a, b = divmod((squares & -squares).bit_length() - 1, k + 1)
-            here.append((a, a + 1, b, b + 1))
-            squares &= squares - 1
-        boxes.append(here)
+    letters, values, bounds, settled, squares = _search_plan(
+        tuple(p), (mask & -mask).bit_length() - 1
+    )
+    boxes = [()] * k  # boxes[d]: the shaded squares that test step d's letter
+    cuts = [()] * k  # cuts[d]: the shaded squares that cut step d's candidates
+    shaded = mask & ((1 << len(settled)) - 1)  # the grid's bits; a negative mask never empties
+    while shaded:
+        s = (shaded & -shaded).bit_length() - 1
+        d = settled[s]
+        if d < 0:
+            cuts[~d] += (squares[s],)
+        else:
+            boxes[d] += (squares[s],)
+        shaded &= shaded - 1
     pos = [0] * (k + 2)  # pos[i]: host position of letter i
     val = [0] * (k + 2)  # val[v]: host value of the letter of value v
     pos[k + 1] = val[k + 1] = n + 1
     last = k - 1
     todo = [0] * k  # todo[d]: the candidates of step d not yet tried
-    todo[0] = (1 << (n + 1)) - 2  # the first letter may sit anywhere
+    # the first letter may sit anywhere: a square it settles has it for a
+    # row bound as well as a column bound, so none cuts step 0
+    todo[0] = (1 << (n + 1)) - 2
     d = 0
     while d >= 0:
         cand = todo[d]
@@ -218,7 +242,18 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
                 continue
             d += 1
             left, right, below, above = bounds[d]
-            todo[d] = ((1 << pos[right]) - (2 << pos[left])) & (le[val[above] - 1] ^ le[val[below]])
+            cand = ((1 << pos[right]) - (2 << pos[left])) & (le[val[above] - 1] ^ le[val[below]])
+            for c, b, b1, after in cuts[d]:
+                if not cand:
+                    break
+                band = le[val[b1] - 1] ^ le[val[b]]
+                if after:  # at most the band's first position past pos[c]
+                    band &= -(2 << pos[c])
+                    cand &= (band & -band) - 1
+                else:  # past the band's last position before pos[c]
+                    band &= (1 << pos[c]) - 1
+                    cand &= -(1 << band.bit_length())
+            todo[d] = cand
 
 
 def iter_classical_occurrences(p: Perm, w: Perm) -> Iterator[Occurrence]:
@@ -233,11 +268,13 @@ def classical_occurrences(p: Perm, w: Perm) -> list[Occurrence]:
 
 
 def is_occurrence(p: Perm, w: Perm, positions: Sequence[int]) -> bool:
-    """Do the given positions select a subsequence of ``w`` order isomorphic to ``p``?"""
+    """Do the given positions select a subsequence of ``w`` order isomorphic
+    to ``p``?  Positions are ints; any other entry, ``bool`` included, is
+    not a position."""
     k, n = len(p), len(w)
     if len(positions) != k:
         return False
-    if any(not 1 <= x <= n for x in positions):
+    if any(type(x) is not int or not 1 <= x <= n for x in positions):
         return False
     if any(positions[i] >= positions[i + 1] for i in range(k - 1)):
         return False

@@ -73,6 +73,8 @@ class TestErrors:
             ('{"perm": 12}', "perm"),
             ('{"perm": [1,2], "mesh": [1]}', "mesh"),
             ('{"perm": [1,2], "mesh": [[1]]}', "mesh"),
+            # a misspelled "mesh" would otherwise read as the classical 21
+            ('{"perm": [2, 1], "squares": [[0, 0]]}', "squares"),
         ],
     )
     def test_malformed_json_pattern_exits_2(self, capsys, text, key):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshcide.perm import ParseError, all_perms, apply_symmetry_perm, is_occurrence, lex_rank
+from meshcide.perm import (
+    ParseError,
+    _search_plan,
+    all_perms,
+    apply_symmetry_perm,
+    is_occurrence,
+    lex_rank,
+)
 from meshcide import mesh
 from meshcide.mesh import (
     MAX_DEPTH,
@@ -193,6 +200,20 @@ def planted_host(n, seed):
     return (1, *rest)
 
 
+class CountingHost(tuple):
+    """A host that counts its reads: the search reads the host once for each
+    letter it places, to learn the value at the chosen position."""
+
+    def __new__(cls, w):
+        host = super().__new__(cls, w)
+        host.reads = 0
+        return host
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 class TestOccurrenceSearch:
     """The pruned search against the definition-level oracles."""
 
@@ -221,6 +242,38 @@ class TestOccurrenceSearch:
             assert sorted(iter_mesh_occurrences(pi, w)) == want
             assert contains(pi, w) == bool(want)
 
+    def test_seeded_long_hosts_against_region_oracle(self):
+        # long enough hosts that the squares' column cuts drop candidates;
+        # comb(n, k) stays within the brute-force oracle's reach
+        rng = random.Random(2016)
+        longest = {1: 40, 2: 40, 3: 40, 4: 24, 5: 20}
+        for case in range(120):
+            k = rng.randint(1, 5)
+            n = rng.randint(16, longest[k])
+            p = tuple(rng.sample(range(1, k + 1), k))
+            w = tuple(rng.sample(range(1, n + 1), n))
+            drawn = rng.getrandbits((k + 1) ** 2)
+            for _ in range(case % 3 + 1):
+                drawn &= rng.getrandbits((k + 1) ** 2)
+            pi = MeshPattern(p, drawn)
+            want = mesh_occurrences_brute(p, pi.squares, w)
+            # the search places letters in its plan's order, and tries each
+            # letter's positions in increasing order
+            letters = _search_plan(p, (drawn & -drawn).bit_length() - 1)[0]
+            want.sort(key=lambda occ: [occ[i - 1] for i in letters])
+            assert list(iter_mesh_occurrences(pi, w)) == want, (pi.text(), w)
+            assert contains(pi, w) == bool(want)
+
+    @pytest.mark.parametrize("sym", ["id", "r", "c", "rc"])
+    def test_planted_avoidance_4321_is_near_linear(self, sym):
+        # a letter that bounds a shaded square by column only is cut to one
+        # side of the nearest host point in the square's row band, so the
+        # search no longer tries about n^2 / 4 placements (9,373-10,826)
+        pi = apply_symmetry_mesh(sym, MeshPattern.of("4321", [(0, 0), (4, 4)]))
+        w = CountingHost(apply_symmetry_perm(sym, planted_host(200, sym)))
+        assert not contains(pi, w)
+        assert w.reads <= 2000, w.reads
+
     def test_pattern_longer_than_host(self):
         for mask in (0, 1, full_grid_mask(3)):
             assert mesh_occurrences(MeshPattern((2, 3, 1), mask), (2, 1)) == []
@@ -244,9 +297,13 @@ class TestOccurrenceSearch:
         assert mesh_occurrences(pi, w) == []
 
     def test_planted_avoidance_54321_at_n_200(self):
-        w = planted_host(200, 5)
+        w = CountingHost(planted_host(200, 5))
         assert contains(MeshPattern.of("54321"), w)
+        w.reads = 0
         assert not contains(MeshPattern.of("54321", [(0, 0), (5, 5)]), w)
+        # square (5,5) cuts letter 5, placed second, to the right of the
+        # last point above letter 1: 465 placements, not 9,923
+        assert w.reads <= 2000, w.reads
 
     def test_large_host_occurrence_is_valid(self):
         # moving the planted minimum to the end leaves square (0,0) of some

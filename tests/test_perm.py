@@ -113,11 +113,16 @@ class TestClassicalOccurrences:
 
     def test_search_places_the_first_shaded_square_first(self):
         # 54321:(0,0)(5,5): letters 1 and 5 bound both squares, so both are
-        # tested once two letters are placed
-        letters, values, bounds, done = _search_plan((5, 4, 3, 2, 1), 0)
+        # settled once two letters are placed
+        letters, values, bounds, settled, squares = _search_plan((5, 4, 3, 2, 1), 0)
         assert letters == (1, 5, 2, 3, 4) and values == (5, 1, 4, 3, 2)
-        both = 1 << 0 | 1 << 35
-        assert done[0] & both == 0 and done[1] & both == both
+        # letter 5, placed at step 1, settles (0,0), bit 0, as its upper row
+        # bound, so that square tests it once placed
+        assert settled[0] == 1 and squares[0] == (0, 1, 0, 1)
+        # it settles (5,5), bit 35, as its left column bound only, so that
+        # square cuts its candidates: the right edge 6 and the rows 5 and 6
+        # are the square's other bounds
+        assert settled[35] == ~1 and squares[35] == (6, 5, 6, False)
         # the letter of value 4 sits between letters 1 and 5 in both senses
         assert bounds[2] == (1, 5, 1, 5)
         # with no shaded square the letters go left to right
@@ -152,6 +157,10 @@ class TestClassicalOccurrences:
         assert is_occurrence((2, 1, 3), w, (1, 3, 5))
         assert not is_occurrence((2, 1, 3), w, (1, 2, 3))
         assert not is_occurrence((2, 1, 3), w, (3, 1, 5))
+        # (1, 3, 5) is an occurrence, but positions are ints: neither a float
+        # nor True is one
+        assert not is_occurrence((2, 1, 3), w, (1.0, 3.0, 5.0))
+        assert not is_occurrence((2, 1, 3), w, (True, 3, 5))
 
 
 # the eight canonical names plus generator words that are not canonical

@@ -240,6 +240,9 @@ class TestRepairWalk:
     def test_rejects_non_occurrence(self):
         with pytest.raises(ValueError):
             ssl_repair_occurrence(EX_PATTERN, ex_move(), self.W, (1, 2, 3, 4))
+        # (6, 7, 8, 9) needs no repair, but float positions are no occurrence
+        with pytest.raises(ValueError, match="not a mesh occurrence"):
+            ssl_repair_occurrence(EX_PATTERN, ex_move(), self.W, (6.0, 7.0, 8.0, 9.0))
 
     def test_rejects_blocked_occurrence(self):
         pi = MeshPattern.of("12", [(2, 0)])
