@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("shade", _cmd_shade, "shadeable squares and pairs")
     sp.add_argument("pattern")
     sp.add_argument("--closure", action="store_true", help="emit reachable meshes")
-    sp.add_argument("--budget", type=int, default=None, help="--closure step bound")
+    sp.add_argument("--budget", type=int, default=None, help="most meshes --closure may add")
 
     sp = add("coincident", _cmd_coincident, "decide coincidence of two patterns")
     sp.add_argument("first")

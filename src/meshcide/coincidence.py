@@ -83,8 +83,8 @@ class CoincidenceVerdict:
     trace: ProofTrace | None = None
     witness: Perm | None = None
     witness_contains_first: bool | None = None
-    # why an UNDECIDED pair stayed open: ("budget", meshes expanded) when the
-    # closure ran out of budget, ("disconnected", closure size) when it
+    # why an UNDECIDED pair stayed open: ("budget", meshes added) when the
+    # closure stopped at its budget, ("disconnected", closure size) when it
     # finished without joining the pair
     reason: tuple[str, int] | None = None
 
@@ -128,7 +128,7 @@ def _proof_search(
         return list(cls.steps), None
     if closure.complete:
         return None, ("disconnected", closure.size)
-    return None, ("budget", closure.expanded)
+    return None, ("budget", _DECIDE_CLOSURE_BUDGET)
 
 
 def decide_coincidence(

@@ -188,9 +188,13 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
     the order of occurrences does not change.  With ``mask == 0`` letters go
     left to right and occurrences come out in lexicographic order.
 
-    A host that is not a permutation of 1..n raises ``ValueError``.
+    A host that is not a permutation of 1..n, or a mask with a square
+    outside the (k+1) x (k+1) grid (a negative mask included), raises
+    ``ValueError``.
     """
     k, n = len(p), len(w)
+    if mask >> (k + 1) ** 2:
+        raise ValueError(f"mask {mask!r} out of range for a length-{k} pattern")
     at = [0] * (n + 1)  # at[v]: the position of value v
     for x, v in enumerate(w, 1):
         if not 0 < v <= n or at[v]:
@@ -205,15 +209,14 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
     )
     boxes = [()] * k  # boxes[d]: the shaded squares that test step d's letter
     cuts = [()] * k  # cuts[d]: the shaded squares that cut step d's candidates
-    shaded = mask & ((1 << len(settled)) - 1)  # the grid's bits; a negative mask never empties
-    while shaded:
-        s = (shaded & -shaded).bit_length() - 1
+    while mask:
+        s = (mask & -mask).bit_length() - 1
         d = settled[s]
         if d < 0:
             cuts[~d] += (squares[s],)
         else:
             boxes[d] += (squares[s],)
-        shaded &= shaded - 1
+        mask &= mask - 1
     pos = [0] * (k + 2)  # pos[i]: host position of letter i
     val = [0] * (k + 2)  # val[v]: host value of the letter of value v
     pos[k + 1] = val[k + 1] = n + 1
@@ -294,22 +297,15 @@ def is_occurrence(p: Perm, w: Perm, positions: Sequence[int]) -> bool:
 
 SYMMETRIES = ("id", "r", "c", "rc", "i", "ri", "ci", "rci")
 
-_LONG_NAMES = {
-    "identity": "id",
-    "reverse": "r",
-    "complement": "c",
-    "inverse": "i",
-}
-
 
 def symmetry_word(name: str) -> str:
-    """Normalize a symmetry name to its generator word ('' for the identity)."""
-    s = _LONG_NAMES.get(name.strip().lower(), name.strip().lower())
-    if s in ("id", "e", ""):
+    """The generator word of a symmetry name: '' for the identity, named
+    ``id`` or ``""``, and otherwise the name, a word over r, c and i."""
+    if name == "id":
         return ""
-    if any(ch not in "rci" for ch in s):
+    if name.strip("rci"):
         raise ValueError(f"unknown symmetry {name!r}")
-    return s
+    return name
 
 
 @lru_cache(maxsize=256)

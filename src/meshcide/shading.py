@@ -18,7 +18,6 @@ of meshes at once on bit-slices, one big integer per grid square.
 from __future__ import annotations
 
 import gc
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Iterable, NamedTuple, Sequence
@@ -453,8 +452,9 @@ def _extremes(members: list[int]) -> list[tuple[int, int]]:
     return [(lo, hi) for lo in minimal for hi in maximal if lo & hi == lo]
 
 
-class _GoalJoined(Exception):
-    """Raised inside :func:`ssl_closure` by the merge that joins its goal."""
+class _Stop(Exception):
+    """Raised inside :func:`ssl_closure` by the merge that joins its goal or
+    would add a mesh past its budget."""
 
 
 def _collector_paused(func):
@@ -498,13 +498,15 @@ def ssl_closure(
     members lies between such a pair).  Sandwiched meshes not seen before
     are expanded in turn.  Given, shading and sandwich steps all join
     through one merge, the only place groups are linked and steps logged.
-    ``budget`` caps the number of meshes expanded; exceeding it returns the
-    partial partition flagged incomplete, and a budget that is not an int
+    The closure ends at its fixpoint, flagged complete, or at a stop,
+    flagged incomplete, with the partition as it stands then.  There are
+    two stops.  ``budget`` caps the meshes the closure adds beyond the seeds
+    and the given steps' meshes: the merge that would add one more stops
+    it, so a budget bounds the meshes held; a budget that is not an int
     of at least 0 (``True`` and ``1.5`` included) is a ``ValueError``.  A
     ``goal``, a pair of seed meshes, stops the closure at the first merge
     that gives both one root (or before any expansion, if the given steps
-    join them); the partition as it stands then is returned, also flagged
-    incomplete, and the goal's class carries its steps so far, which
+    join them), and the goal's class carries its steps so far, which
     replay in order.  A goal that is not two meshes, or
     a goal mesh that is not a seed, is a ``ValueError``.  Each class carries
     the steps that joined its meshes, in the order they were taken: a step
@@ -537,9 +539,10 @@ def ssl_closure(
     if goal is not None and not known.issuperset(goal):
         raise ValueError("the goal meshes must be seeds")
     # the seeds in order, then the given steps' new meshes as they appear
-    frontier = deque(sorted(known))
+    frontier = sorted(known)
     frontier.extend(dict.fromkeys(mesh for mesh in ends if mesh not in known))
     known.update(ends)
+    cap = None if budget is None else len(known) + budget  # most meshes known
     uf = UnionFind()
     find, parent = uf.find, uf.parent
     log: list[TraceStep] = []  # one step per merge: a spanning forest
@@ -550,6 +553,8 @@ def ssl_closure(
         # Callers skip an after whose parent or grandparent is that root
         # already: most edges join meshes of one group.
         if after not in known:
+            if len(known) == cap:
+                raise _Stop
             known.add(after)
             frontier.append(after)
         other = find(after)
@@ -558,7 +563,7 @@ def ssl_closure(
         root = uf.link(root, other)
         log.append(TraceStep(rule, p, before, after, detail))
         if goal is not None and find(goal[0]) == find(goal[1]):
-            raise _GoalJoined
+            raise _Stop
         return root
 
     spent = 0
@@ -566,16 +571,14 @@ def ssl_closure(
     # closure only
     memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]] = {}
 
-    def expand() -> bool:
-        # the frontier is taken in FIFO batches, so the meshes are expanded
-        # and their steps joined in the order one at a time would take
+    def expand() -> None:
+        # the whole frontier is one batch, so the meshes are expanded and
+        # their steps joined in the order one at a time would take
         nonlocal spent
         while frontier:
-            size = len(frontier) if budget is None else min(len(frontier), budget - spent)
-            if size == 0:
-                return False
-            batch = [frontier.popleft() for _ in range(size)]
-            spent += size
+            batch = frontier.copy()
+            frontier.clear()
+            spent += len(batch)
             for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
                 if moves:
                     root = find(mesh)
@@ -584,7 +587,6 @@ def ssl_closure(
                         up = parent.get(after)
                         if up != root and parent.get(up) != root:
                             root = merge(root, "SSL", mesh, after, move.assignments)
-        return True
 
     def sandwich(dirty: set[int]) -> None:
         # the groups as they stand before this sweep joins anything
@@ -610,16 +612,17 @@ def ssl_closure(
         for step in given:
             merge(find(step.before), step.rule, step.before, step.after, step.detail)
         if goal is not None and goal[0] == goal[1]:
-            raise _GoalJoined  # a goal of one mesh twice is joined from the start
-        complete = expand()
+            raise _Stop  # a goal of one mesh twice is joined from the start
+        expand()
         swept = 0
-        while complete and swept < len(log):
+        while swept < len(log):
             # a group that no step has joined since the last sweep is closed
             dirty = {find(step.before) for step in log[swept:]}
             swept = len(log)
             sandwich(dirty)
-            complete = expand()
-    except _GoalJoined:
+            expand()
+        complete = True
+    except _Stop:
         complete = False
 
     steps: dict[int, list[TraceStep]] = {}

@@ -20,6 +20,7 @@ from meshcide.perm import (
     lex_rank,
     lex_unrank,
     make_perm,
+    occurrence_search,
     parse_perm,
     perm_text,
 )
@@ -110,6 +111,13 @@ class TestClassicalOccurrences:
     def test_host_must_be_a_permutation(self, w):
         with pytest.raises(ValueError, match="not a permutation"):
             classical_occurrences((1, 2), w)
+
+    @pytest.mark.parametrize("mask", [1 << 9, 513, -1])
+    def test_mask_outside_the_grid_is_an_error(self, mask):
+        # 12 has a 3 x 3 grid, bits 0 .. 8; unchecked, 1 << 9 raised
+        # IndexError, 513 answered as mask 1 and -1 found no occurrence
+        with pytest.raises(ValueError, match="out of range"):
+            next(occurrence_search((1, 2), (2, 1, 3), mask))
 
     def test_search_places_the_first_shaded_square_first(self):
         # 54321:(0,0)(5,5): letters 1 and 5 bound both squares, so both are
@@ -230,6 +238,11 @@ class TestSymmetries:
     def test_unknown_symmetry(self):
         with pytest.raises(ValueError):
             apply_symmetry_perm("q", (1, 2))
+
+    @pytest.mark.parametrize("name", ["reverse", "identity", "e", "R", " r"])
+    def test_only_id_and_generator_words_are_names(self, name):
+        with pytest.raises(ValueError, match="unknown symmetry"):
+            apply_symmetry_perm(name, (1, 2))
 
 
 class TestSums:

@@ -379,6 +379,12 @@ class TestClosure:
         result = ssl_closure((1, 2), [seed], budget=1)
         assert not result.complete
 
+    def test_budget_bounds_the_meshes_added(self):
+        # the empty mesh alone has 92,582 moves; when the budget capped the
+        # meshes expanded, this closure held them all, 92,583 meshes
+        result = ssl_closure((1, 2, 3, 4, 5, 6), (0,), budget=4096)
+        assert (result.complete, result.size) == (False, 1 + 4096)
+
     def test_negative_budget_is_an_error(self):
         with pytest.raises(ValueError, match="budget"):
             ssl_closure((1, 2), [0], budget=-3)
@@ -493,14 +499,13 @@ class TestGoal:
         assert joined >= 10 and saved >= 10
 
     def test_pinned_k5_pair_stops_after_its_seeds(self):
-        # without the goal this closure spends the whole budget decide gives
-        # it, and the pair's class log runs to 5,183 steps
+        # without the goal this closure adds the whole budget decide gives
+        # it: its seeds and 4096 meshes more
         a = parse_mesh_pattern("42513:(5,0)(5,3)(5,5)")
         b = parse_mesh_pattern("42513:(3,0)(5,0)(5,5)")
         seeds = (a.mask, b.mask, a.mask & b.mask)
         full = ssl_closure(a.perm, seeds, budget=4096)
-        assert (full.complete, full.expanded) == (False, 4096)
-        assert len(full.class_of(a.mask).steps) == 5183
+        assert (full.complete, full.size) == (False, 3 + 4096)
         stopped = ssl_closure(a.perm, seeds, budget=4096, goal=(a.mask, b.mask))
         assert (stopped.complete, stopped.expanded) == (False, 3)
         cls = stopped.class_of(a.mask)
@@ -602,40 +607,40 @@ WHOLE_CUBE_DIGESTS = {
 SEEDED_DIGESTS = {
     # (pattern, budget): closure_digest(..., steps=False)
     ((2, 1, 3), None): "ed657576ae94a74a29ae759305ce1044e7f1d2ee05937b71c17fe78ed5dcfe77",
-    ((2, 1, 3), 0): "d48badea4c629e85c854fa8c79fb1ce27b98514bfa6e1627678f0b020be48345",
-    ((2, 1, 3), 5): "a59e0bae0e038aef5dcff645564f3cd30185c0e8388457808a305e2fe0f889bb",
-    ((2, 1, 3), 300): "60c611875af5dcb6155bcdde1e04f1c24fae5374b01d28310fa453c3c0c4fde8",
+    ((2, 1, 3), 0): "d2125db9ff5bb7c8a1c262d2ce64bcaadbf338c336fafd79a4ada0fddf5f835e",
+    ((2, 1, 3), 5): "3ad1c1eb8f8485a307d7c587869dc9d9905deed066ff43e25ae9287528a48db3",
+    ((2, 1, 3), 300): "15b3978d2941b2b8b2d206c01f6c169a0dfb288ec23979ca65382930d10bf862",
     ((3, 2, 1), None): "c7589cd4820c73d35b2d045161dbcf4c4b17da024bee9827ccd8c33013ebe587",
-    ((3, 2, 1), 0): "60ee1eeec1b9374638b5013b023a4f4156b83c2a2cabb5e6df46b62ef602544e",
-    ((3, 2, 1), 5): "2bca576e9bce6c8ebd882c647a29777170e71b8b7aead94d59ae3ef83cbffd44",
+    ((3, 2, 1), 0): "f033842fe8412d99be69dc8380db344f6d0bd6e2cbded8205abb479338b4b43e",
+    ((3, 2, 1), 5): "e3e7439c4c2f3caf3a207cae48f7e7b7d2d267da4b94042a18433b2640bbd826",
     ((3, 2, 1), 300): "c7589cd4820c73d35b2d045161dbcf4c4b17da024bee9827ccd8c33013ebe587",
     ((3, 1, 2), None): "25363c3c04aa8e5f57d015fd0cb9df04e42c71a777b8e88ae274afa3335db2e0",
-    ((3, 1, 2), 0): "4e9a430b4459cf0ec23824997060f9c6a0bce0dda78e979fc30a1870accd76ac",
-    ((3, 1, 2), 5): "dccb10a6814bdfbc0d80118210b29750215b4c8aa0435c7374b9f5a983990608",
+    ((3, 1, 2), 0): "b67d183340abb94f131e40a8166736af424c9e2c5f800ee789ce3a51cf894034",
+    ((3, 1, 2), 5): "9edf46b2b16b95b682f34b05ff807da34191e182ebeae35c1b93935570314690",
     ((3, 1, 2), 300): "25363c3c04aa8e5f57d015fd0cb9df04e42c71a777b8e88ae274afa3335db2e0",
     ((3, 2, 1, 4), None): "1c2a344f0af785fd8c2089a34238e52debfd25c1eae96a0f07a3dd3d00afaf83",
-    ((3, 2, 1, 4), 0): "5d88eb33d26f7cc92ef52a619887bc3f53689c8b8ff5751b17adf78e4dff1360",
-    ((3, 2, 1, 4), 5): "a9257777123ca46ac63ec5207bf632f3b5b7afcd425fbb3e3ea8c99a4bf46c31",
-    ((3, 2, 1, 4), 300): "65517b0e41633e3cd2faebf1592df6851ee54f57268df7717fd5912539e72ee4",
+    ((3, 2, 1, 4), 0): "c011e6595615694b87d7252b2d80b6d1ddfbee1a317b484798e3caa27d2e2e17",
+    ((3, 2, 1, 4), 5): "25d857960019e2f0c38dd6db412b512ac99add5e29ac90df4c47c89c0807c5d8",
+    ((3, 2, 1, 4), 300): "ee09b2fd53724ff2b2e17ff3768a812386e664dec946e3d80ca5fcfc6f11bf9b",
     ((1, 2, 3, 4), None): "d4dd76fb1db8cecdb0e605995ddad6078f36c8bdeb6ee780616e9c11d0890631",
-    ((1, 2, 3, 4), 0): "a4601713ae8dfd25ed50d2fa733ea2137dee19dc23ab1abcefa597af94800b6b",
-    ((1, 2, 3, 4), 5): "340503cc724d9db8295e8d9a3daad84d99256493d118d16ff93e619acf5e70be",
+    ((1, 2, 3, 4), 0): "55d6c57433bb4aec35033b55649ef1fe533d7574e29c000a45f7fa81ce521363",
+    ((1, 2, 3, 4), 5): "81a0a74c0a2772ee3d787903aec1c55cbd00a07e2c1a09343f4415294674f704",
     ((1, 2, 3, 4), 300): "d4dd76fb1db8cecdb0e605995ddad6078f36c8bdeb6ee780616e9c11d0890631",
     ((1, 2, 4, 3), None): "451e44b186a82936b82bb4e7781b2033996b629975fa3d70f5705ff0e4ccc124",
-    ((1, 2, 4, 3), 0): "ed633cd622c59fdc175b2ca9aa8c9e4c71580949b4474ede1adc7d4ff8ebc428",
-    ((1, 2, 4, 3), 5): "af5ca5d134fb31515931922aedff8bbdf9c9ed4b9522b4b1063aa6e5d026081f",
-    ((1, 2, 4, 3), 300): "42b0075335589c9a42bad85303869f95feae4ccb09fac4fa2ee895d97184fc34",
+    ((1, 2, 4, 3), 0): "b4297e04cf00d3ec36d7657e4bd2db8ef5eb781b01262182c4afb5ef4bc02804",
+    ((1, 2, 4, 3), 5): "757e7a7d57fad01ceaa9829ea2924846a5f6f125ae3e903f7b0d7d63cce92234",
+    ((1, 2, 4, 3), 300): "cb108d919c7510ab681355e063adc891f03b4c5cce0aace10f94f3ddb796df48",
     ((5, 2, 1, 4, 3), None): "3da198f5840e6470235390beafd35aded95692c1f0998adcfe79dd9bf333e103",
-    ((5, 2, 1, 4, 3), 0): "fe26714cb92921a0667df295233c78e8905bfbaf8b56d931c7b314b90228f2ed",
-    ((5, 2, 1, 4, 3), 5): "d1f87967785eef27c01f4259f8a9b078675496a4dc5ec567bee6d273ad1d2deb",
-    ((5, 2, 1, 4, 3), 300): "e9c97ccd8fd073d5a9bd84d778743d78e764987051beae4d46bd09b7a5b0171b",
+    ((5, 2, 1, 4, 3), 0): "fc9484dd0fe8d11a3cdbdf733f5e2a1c2039f1724c476c79c28d25e656613613",
+    ((5, 2, 1, 4, 3), 5): "ee5a4663a1e9c62fc32edd2dd80781efcacc63c2802d0058b86202847d9b70be",
+    ((5, 2, 1, 4, 3), 300): "ceda8f7329e7ae20ab6e9e1488df0eb3973260dcd3e6f62795a9c5dd6280e757",
     ((2, 1, 5, 3, 4), None): "52cac3447e4cd63e176670a68bf54ffed4ced14c77135c9a36f85b430d4400b7",
-    ((2, 1, 5, 3, 4), 0): "934e79bd93295ac70793493585876c5e2fe9d0373a01d8b5f76ffe106a4ff9b0",
-    ((2, 1, 5, 3, 4), 5): "646eb9f8487057c72e77c22ea232d8b8b1f8d1bf8d5d7db3b299e7907d1439b8",
-    ((2, 1, 5, 3, 4), 300): "8ebad1aa62f510a890079c3a34a0e7710819dc079f4209e065ab066b0e9a4121",
+    ((2, 1, 5, 3, 4), 0): "4c61cfab93d70e4cb6e38a9334a22de20161e63e004ac4dbdcbe00eeb80f37f1",
+    ((2, 1, 5, 3, 4), 5): "e4c0d4de9cf8318bb8dda02bd2327b4fd41a18f823068ee5d7a17ee4a60ecb07",
+    ((2, 1, 5, 3, 4), 300): "98f9b6fd5ade6102c1d1764387d01ab3f9d3c7c5622bb7f8480f25492ff7b6f5",
     ((4, 5, 1, 2, 3), None): "1310b81b1382bef0e3eec5980dbd9f3d649343a8ee586ae3e047b905d5dca488",
-    ((4, 5, 1, 2, 3), 0): "3a6344f40a8d83546dbbfe5125c32fbb00f130086a855e69be67c581c76769c3",
-    ((4, 5, 1, 2, 3), 5): "b407e628c43f8415c9100cee40fc76a972a2f7226682a1a5003cf8bd2e6ac507",
+    ((4, 5, 1, 2, 3), 0): "264e742ba08393dd0b59eb60940b3b782a181e02fabccc1c22ffc04e8435f801",
+    ((4, 5, 1, 2, 3), 5): "678f64dc84f7152e7381fc784cd1691b2bfb8a5ba8bcda8264d4c825e8ca10c1",
     ((4, 5, 1, 2, 3), 300): "1310b81b1382bef0e3eec5980dbd9f3d649343a8ee586ae3e047b905d5dca488",
 }
 
@@ -677,6 +682,18 @@ def assert_spanning_forest(result):
             parent[b] = a
 
 
+def assert_nested_in_full(p, seeds, budget):
+    """The closure under ``budget`` holds at most the seeds and ``budget``
+    meshes more, and each of its classes lies inside one class of the
+    closure without a budget."""
+    stopped = ssl_closure(p, seeds, budget=budget)
+    assert stopped.size <= len(set(seeds)) + budget, (p, budget)
+    full = ssl_closure(p, seeds)
+    class_of = {m: i for i, cls in enumerate(full.classes) for m in cls.meshes}
+    for cls in stopped.classes:
+        assert len({class_of[m] for m in cls.meshes}) == 1, (p, budget)
+
+
 class TestClosureEngine:
     @pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1), (1, 2, 3)])
     @pytest.mark.parametrize("gamma", [True, False])
@@ -696,6 +713,16 @@ class TestClosureEngine:
             for cls in result.classes:
                 trace = ProofTrace(p, cls.meshes[0], cls.meshes[-1], cls.steps)
                 assert verify_trace(trace), (p, cls.meshes[0])
+
+    @pytest.mark.parametrize("budget", [0, 5, 300])
+    def test_budgeted_classes_lie_in_unbudgeted_classes(self, budget):
+        for p, seeds in seeded_closures():
+            assert_nested_in_full(p, seeds, budget)
+
+    def test_pinned_k5_budgeted_classes_lie_in_unbudgeted_classes(self):
+        a = parse_mesh_pattern("42513:(5,0)(5,3)(5,5)")
+        b = parse_mesh_pattern("42513:(3,0)(5,0)(5,5)")
+        assert_nested_in_full(a.perm, (a.mask, b.mask, a.mask & b.mask), 4096)
 
     def test_bivincular_family_closure_matches_recorded(self):
         # a family closure at k = 4 whose classes grow mostly by sandwiching
