@@ -100,13 +100,6 @@ class UnionFind:
             parent[x], x = root, parent[x]
         return root
 
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.link(rx, ry)
-        return True
-
     def link(self, rx, ry):
         """Merge the classes of two distinct roots; returns the new root."""
         if ry < rx:  # keep the smaller representative, for determinism
@@ -247,5 +240,7 @@ def verify_trace(trace: ProofTrace) -> bool:
                 return False
         else:
             return False
-        uf.union((step.perm, step.before), (step.perm, step.after))
+        root, other = uf.find((step.perm, step.before)), uf.find((step.perm, step.after))
+        if root != other:
+            uf.link(root, other)
     return uf.find((trace.perm, trace.source)) == uf.find((trace.perm, trace.target))

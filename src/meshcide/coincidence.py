@@ -36,7 +36,7 @@ from .diagonals import (
     same_enc,
     _diagonal_candidates,
 )
-from .certify import ProofTrace, TraceStep, classical_rule, gamma_rule, gamma_steps, verify_trace
+from .certify import ProofTrace, classical_rule, gamma_rule, gamma_steps, verify_trace
 from .shading import _collector_paused, ssl_closure
 
 
@@ -103,34 +103,6 @@ def _verified_refutation(
     )
 
 
-def _proof_search(
-    pi: MeshPattern, pi2: MeshPattern
-) -> tuple[list[TraceStep] | None, tuple[str, int] | None]:
-    """Proof steps joining the pair, or None with the reason the closure
-    gave up.  The closure is the only proof path: a classical or gamma step
-    for the pair, in its own orientation, is its one given step, and as the
-    pair is its goal, that step alone is then the proof.  Otherwise
-    simultaneous shading and sandwiching connect the two meshes directly;
-    the move set is symmetry-equivariant, so one orientation suffices, and
-    it joins the column-union and row-union pairs, the only pairs a rule
-    proved just in another orientation (gamma_rule checks every orientation
-    itself).  The meet is a seed too: single-square shading grows it to both
-    meshes of an isolating pair, which the closure of the two meshes alone
-    may miss.  The closure stops at the merge that joins the pair, so the
-    proof is the pair's class log at that moment."""
-    seeds = (pi.mask, pi2.mask, pi.mask & pi2.mask)
-    given = classical_rule(pi, pi2) or gamma_rule(pi, pi2) or ()
-    closure = ssl_closure(
-        pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET, given=given, goal=(pi.mask, pi2.mask)
-    )
-    cls = closure.class_of(pi.mask)
-    if cls is not None and pi2.mask in cls.meshes:
-        return list(cls.steps), None
-    if closure.complete:
-        return None, ("disconnected", closure.size)
-    return None, ("budget", _DECIDE_CLOSURE_BUDGET)
-
-
 def decide_coincidence(
     pi: MeshPattern, pi2: MeshPattern, n_max: int | None = None
 ) -> CoincidenceVerdict:
@@ -144,8 +116,10 @@ def decide_coincidence(
     gets there and stops at the first size that separates the pair; then
     the shading closure of the pair and its meet (the squares both shade),
     given the pair's classical or gamma step when one applies and stopped
-    as soon as it joins the pair.  Anything left is honestly UNDECIDED at
-    the reported depth, with the reason the closure gave up.
+    as soon as it joins the pair.  The proof is read off the closure: the
+    steps of the pair's class, replayed by ``verify_trace``.  Anything left
+    is honestly UNDECIDED at the reported depth, with the reason the
+    closure gave up.
     A depth outside ``1..MAX_DEPTH`` raises ``ValueError`` before any work.
     """
     if n_max is None:
@@ -169,13 +143,23 @@ def decide_coincidence(
     if diff is not None:
         n, rank = diff
         return _verified_refutation(pi, pi2, lex_unrank(n, rank), n_max)
-    steps, reason = _proof_search(pi, pi2)
-    if steps is not None:
-        trace = ProofTrace(pi.perm, pi.mask, pi2.mask, tuple(steps))
+    # The moves are symmetry-equivariant, so this one orientation suffices.
+    # The meet is a seed so that single-square shading, which grows it to
+    # both meshes of an isolating pair, joins that pair.
+    seeds = (pi.mask, pi2.mask, pi.mask & pi2.mask)
+    given = classical_rule(pi, pi2) or gamma_rule(pi, pi2) or ()
+    closure = ssl_closure(
+        pi.perm, seeds, budget=_DECIDE_CLOSURE_BUDGET, given=given, goal=(pi.mask, pi2.mask)
+    )
+    cls = closure.class_of(pi.mask)
+    if pi2.mask in cls.meshes:
+        trace = ProofTrace(pi.perm, pi.mask, pi2.mask, cls.steps)
         if not verify_trace(trace):
             raise RuntimeError("proof search produced an unverifiable trace")
         return CoincidenceVerdict("PROVEN_COINCIDENT", n_max, trace=trace)
-    return CoincidenceVerdict("UNDECIDED", n_max, reason=reason)
+    if not closure.complete:
+        return CoincidenceVerdict("UNDECIDED", n_max, reason=("budget", _DECIDE_CLOSURE_BUDGET))
+    return CoincidenceVerdict("UNDECIDED", n_max, reason=("disconnected", closure.size))
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,11 @@ def full_grid_mask(k: int) -> int:
 
 
 def check_mask(k: int, *masks: int) -> None:
-    """Reject any mask that is not an int (a ``bool`` is not a mask), or
-    that has squares outside the (k+1) x (k+1) grid."""
+    """Reject any mask that is not an int (an int subclass such as ``bool``
+    is not a mask), or that has squares outside the (k+1) x (k+1) grid."""
     full = full_grid_mask(k)
     for mask in masks:
-        if isinstance(mask, bool) or not (isinstance(mask, int) and 0 <= mask <= full):
+        if type(mask) is not int or not 0 <= mask <= full:
             raise ValueError(f"mesh mask {mask!r} out of range for a length-{k} pattern")
 
 
@@ -256,9 +256,9 @@ _CACHED_TABLE_DEPTH = 7
 
 
 def check_depth(n_max: int) -> None:
-    """Reject a fingerprint depth that is not an int in ``1..MAX_DEPTH``; a
-    ``bool`` is not a depth."""
-    if isinstance(n_max, bool) or not (isinstance(n_max, int) and 1 <= n_max <= MAX_DEPTH):
+    """Reject a fingerprint depth that is not an int in ``1..MAX_DEPTH``; an
+    int subclass such as ``bool`` is not a depth."""
+    if type(n_max) is not int or not 1 <= n_max <= MAX_DEPTH:
         raise ValueError(
             f"fingerprint depth {n_max!r} is not an int in 1..{MAX_DEPTH} (MAX_DEPTH)"
         )
@@ -494,7 +494,7 @@ def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Text and JSON forms.
 
-_SQUARE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_SQUARE_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 
 
 def parse_mesh_pattern(text: str) -> MeshPattern:

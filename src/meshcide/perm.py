@@ -46,7 +46,8 @@ def make_perm(values: Sequence[int]) -> Perm:
 
 
 def parse_perm(text: str) -> Perm:
-    """Parse ``42135`` (digits, values at most 9) or ``4,8,2,9,...``."""
+    """Parse ``42135`` (digits, values at most 9) or ``4,8,2,9,...``; only
+    ASCII digits count."""
     s = text.strip()
     if not s:
         raise ParseError("empty permutation")
@@ -54,11 +55,11 @@ def parse_perm(text: str) -> Perm:
         vals = []
         for part in s.split(","):
             part = part.strip()
-            if not part or not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise ParseError(f"bad permutation entry {part!r}")
             vals.append(int(part))
     else:
-        if not s.isdigit():
+        if not (s.isascii() and s.isdigit()):
             raise ParseError(
                 f"bad permutation {s!r}: expected digits or comma-separated values"
             )
@@ -77,11 +78,13 @@ def all_perms(n: int) -> Iterator[Perm]:
 
 
 def lex_rank(w: Sequence[int]) -> int:
-    """0-based index of ``w`` in the lexicographic listing of S_n.
+    """0-based index of ``w`` in the lexicographic listing of S_n; a word
+    that is not a permutation is a ``ParseError``.
 
     >>> lex_rank((1, 2, 3)), lex_rank((3, 2, 1))
     (0, 5)
     """
+    w = make_perm(w)
     n = len(w)
     r = 0
     for i in range(n):
@@ -261,8 +264,9 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
 
 def iter_classical_occurrences(p: Perm, w: Perm) -> Iterator[Occurrence]:
     """Yield position tuples of every occurrence of ``p`` in ``w``, in
-    lexicographic order (:func:`occurrence_search` with no shaded square)."""
-    yield from occurrence_search(p, w)
+    lexicographic order (:func:`occurrence_search` with no shaded square).
+    A pattern that is not a permutation is a ``ParseError``."""
+    yield from occurrence_search(make_perm(p), w)
 
 
 def classical_occurrences(p: Perm, w: Perm) -> list[Occurrence]:

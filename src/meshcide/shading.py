@@ -535,13 +535,10 @@ def ssl_closure(
             raise ValueError(f"a goal is a pair of meshes, not {len(goal)}")
     ends = [mesh for step in given for mesh in (step.before, step.after)]
     check_mask(k, *seeds, *ends, *(goal or ()))
-    known = set(seeds)
-    if goal is not None and not known.issuperset(goal):
+    if goal is not None and not set(seeds).issuperset(goal):
         raise ValueError("the goal meshes must be seeds")
-    # the seeds in order, then the given steps' new meshes as they appear
+    known = {*seeds, *ends}
     frontier = sorted(known)
-    frontier.extend(dict.fromkeys(mesh for mesh in ends if mesh not in known))
-    known.update(ends)
     cap = None if budget is None else len(known) + budget  # most meshes known
     uf = UnionFind()
     find, parent = uf.find, uf.parent

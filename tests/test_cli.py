@@ -56,6 +56,12 @@ class TestErrors:
         assert code == 2
         assert "value" in err
 
+    def test_non_ascii_host_exits_2(self, capsys):
+        # the Arabic-Indic digits of 132 once parsed as the host 132
+        code, out, err = run(capsys, "contains", "21", "\u0661\u0663\u0662")
+        assert (code, out) == (2, "")
+        assert "bad permutation" in err
+
     def test_bad_square_named(self, capsys):
         code, _, err = run(capsys, "enc", "231:(7,0)")
         assert code == 2

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from enum import IntEnum
 from functools import lru_cache
 
 import pytest
@@ -50,6 +51,9 @@ from oracles import (
 )
 
 W42135 = (4, 2, 1, 3, 5)
+# an int subclass other than bool: equal to an int, but neither a mask nor a depth
+Small = IntEnum("Small", "ONE TWO")
+
 FIG_MESH = MeshPattern.of("213", [(0, 3), (1, 2), (1, 3), (3, 0)])
 
 
@@ -401,7 +405,7 @@ class TestFingerprints:
         n, rank = mesh._first_difference(zip(fps[0], fps[1]))
         assert (n, rank) == (5, lex_rank((4, 2, 5, 1, 3)))
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0, True])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0, True, Small.TWO])
     def test_depth_outside_limits_raises_before_any_table(self, depth, monkeypatch):
         def no_tables(*args):
             raise AssertionError("a host table was built")
@@ -487,7 +491,7 @@ class TestFirstSeparation:
                     seen.add(expected and expected[0])
         assert {None, 4, 5, 6, 7} <= seen  # every size the pairs separate at, and none
 
-    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0, True])
+    @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 12, 5.0, True, Small.TWO])
     def test_depth_outside_limits_raises_before_any_table(self, depth, monkeypatch):
         def no_tables(*args):
             raise AssertionError("a host table was built")
@@ -605,6 +609,13 @@ class TestText:
         with pytest.raises(ParseError, match="oops"):
             parse_mesh_pattern("231:(1,0)oops")
 
+    @pytest.mark.parametrize(
+        "text", ["21:(\u0660,\u0660)", "21:(1,\u0661)", "\u0662\u0661:(0,0)", "12\u00b3"]
+    )
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(ParseError, match="bad"):
+            parse_mesh_pattern(text)
+
     def test_json_round_trip(self):
         rng = random.Random(31)
         for _ in range(50):
@@ -623,7 +634,7 @@ class TestText:
 
 class TestMeshPattern:
     def test_grid_validation(self):
-        for mask in (1 << 9, 1.5, True):
+        for mask in (1 << 9, 1.5, True, Small.TWO):
             with pytest.raises(ValueError, match="out of range"):
                 MeshPattern((1, 2), mask)
 

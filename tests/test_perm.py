@@ -70,6 +70,13 @@ class TestParsing:
         for w in ((4, 2, 1, 3, 5), (4, 8, 2, 9, 5, 1, 10, 3, 7, 6)):
             assert parse_perm(perm_text(w)) == w
 
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "12\u00b3", "1,\u0662", "\uff11\uff12"])
+    def test_only_ascii_digits(self, text):
+        # str.isdigit and int() accept Arabic-Indic and fullwidth digits, and
+        # isdigit accepts superscripts that int() then refuses
+        with pytest.raises(ParseError, match="bad permutation"):
+            parse_perm(text)
+
 
 class TestClassicalOccurrences:
     def test_213_in_42135(self):
@@ -111,6 +118,12 @@ class TestClassicalOccurrences:
     def test_host_must_be_a_permutation(self, w):
         with pytest.raises(ValueError, match="not a permutation"):
             classical_occurrences((1, 2), w)
+
+    @pytest.mark.parametrize("p", [(2, 2), (1, 3), (1, 2.0), ()])
+    def test_pattern_must_be_a_permutation(self, p):
+        # unchecked, these raised KeyError, ValueError, TypeError and IndexError
+        with pytest.raises(ParseError):
+            classical_occurrences(p, (2, 1, 3))
 
     @pytest.mark.parametrize("mask", [1 << 9, 513, -1])
     def test_mask_outside_the_grid_is_an_error(self, mask):
@@ -282,6 +295,12 @@ class TestLexOrder:
             for rank in (-1, factorial(n)):
                 with pytest.raises(ValueError, match="outside"):
                     lex_unrank(n, rank)
+
+    @pytest.mark.parametrize("w", [(1, 1), (2, 3), ()])
+    def test_rank_of_a_non_permutation_is_an_error(self, w):
+        # unchecked, each of these ranked 0, the rank of the identity
+        with pytest.raises(ParseError):
+            lex_rank(w)
 
     @given(perms)
     @settings(max_examples=40)

@@ -397,6 +397,17 @@ class TestClosure:
         with pytest.raises(ValueError, match="given step"):
             ssl_closure((1, 2), [0], given=[step])
 
+    def test_given_meshes_are_seeds(self):
+        # mesh 16, square (1,1), enters only through a trusted given step;
+        # like a seed it is held and expanded, and the budget counts the
+        # meshes added beyond both
+        step = TraceStep("GAMMA", (1, 2), 0, 16, ("id",))
+        cut = ssl_closure((1, 2), [0], budget=0, given=[step])
+        assert (cut.complete, [cls.meshes for cls in cut.classes]) == (False, [(0, 16)])
+        assert ssl_closure((1, 2), [0], budget=1, given=[step]).size == 3
+        whole = ssl_closure((1, 2), [0], given=[step])
+        assert (whole.complete, whole.size) == (True, 63)
+
     @pytest.mark.parametrize("after", [-3, 1 << 9, 1 << 20, 1.5, True])
     def test_given_step_outside_the_grid_is_an_error(self, after):
         # a 3x3 grid has masks 0 .. 2**9 - 1; unchecked, these closures
