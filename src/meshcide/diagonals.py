@@ -21,7 +21,7 @@ from .mesh import (
     MeshPattern,
     Square,
     check_mask,
-    contains,
+    host_region_masks,
     mask_to_squares,
     squares_to_mask,
 )
@@ -182,6 +182,25 @@ def _insert_between(p: Perm, a: int, b: int) -> Perm:
     return tuple(ranks[v] for v in word)
 
 
+@lru_cache(maxsize=64)
+def _witness_table(p: Perm) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
+    """For each diagonal candidate of ``p``, in candidate order, its witness
+    host, with a new letter just below the run right after its anchor's
+    column (falling runs go through the complement symmetry), and the
+    region masks of the occurrences of ``p`` in that host
+    (:func:`~meshcide.mesh.host_region_masks`).  A mesh is contained in the
+    host exactly when it misses some region mask."""
+    table = []
+    for _, d in _diagonal_candidates(p):
+        if d.orientation == "SE":
+            ca, cb = apply_symmetry_square("c", len(p), d.anchor)
+            q = apply_symmetry_perm("c", _insert_between(apply_symmetry_perm("c", p), ca, cb))
+        else:
+            q = _insert_between(p, *d.anchor)
+        table.append((q, host_region_masks(p, q)))
+    return tuple(table)
+
+
 def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     """A permutation of length k+1 separating two patterns whose enclosed
     diagonals differ.
@@ -191,8 +210,9 @@ def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     result omits one letter sitting over a square of D, so the D-owning
     pattern is avoided, while the other mesh misses some square of D and
     therefore is contained.  Falling runs go through the complement
-    symmetry first.  The result is verified by direct containment before
-    being returned.
+    symmetry first.  The hosts and their occurrences' region masks come
+    from a table per pattern, and the result is verified against those
+    regions before being returned.
     """
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")
@@ -203,21 +223,14 @@ def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     # first pattern owns, for determinism only.  The candidates come in that
     # order: a run's anchor is its least square, and no two share a square.
     order = _diagonal_candidates(pi.perm)
-    diag = next((d for m, d in order if core1 & m == m and core2 & m != m), None)
-    owner_is_first = diag is not None
-    if diag is None:
-        diag = next(d for m, d in order if core2 & m == m and core1 & m != m)
+    i = next((i for i, (m, _) in enumerate(order) if core1 & m == m and core2 & m != m), None)
+    owner_is_first = i is not None
+    if i is None:
+        i = next(i for i, (m, _) in enumerate(order) if core2 & m == m and core1 & m != m)
+    q, regions = _witness_table(pi.perm)[i]
 
-    if diag.orientation in ("NE", "PT"):
-        a, b = diag.anchor
-        q = _insert_between(pi.perm, a, b)
-    else:
-        k = pi.k
-        cp = apply_symmetry_perm("c", pi.perm)
-        ca, cb = apply_symmetry_square("c", k, diag.anchor)
-        q = apply_symmetry_perm("c", _insert_between(cp, ca, cb))
-
-    c1, c2 = contains(pi, q), contains(pi2, q)
+    c1 = any(not r & pi.mask for r in regions)
+    c2 = any(not r & pi2.mask for r in regions)
     expected = (False, True) if owner_is_first else (True, False)
     if (c1, c2) != expected:
         raise RuntimeError(

@@ -135,6 +135,19 @@ class OpenBox:
         return self.x_lo < x < self.x_hi and self.y_lo < y < self.y_hi
 
 
+def _check_positions(n: int, occ: Occurrence) -> None:
+    """Refuse occurrence positions that are not a non-empty, strictly
+    increasing tuple of ints in ``1..n``; a ``bool`` is not a position."""
+    if (
+        type(occ) is not tuple
+        or not occ
+        or any(type(x) is not int for x in occ)
+        or any(x >= y for x, y in zip(occ, occ[1:]))
+        or not (1 <= occ[0] and occ[-1] <= n)
+    ):
+        raise ValueError(f"invalid occurrence positions {occ!r}")
+
+
 def corresponding_region(w: Perm, occ: Occurrence, square: Square) -> OpenBox:
     """Host rectangle covered by a mesh square relative to one occurrence.
 
@@ -152,11 +165,8 @@ def corresponding_region(w: Perm, occ: Occurrence, square: Square) -> OpenBox:
         raise ValueError(
             f"square ({a},{b}) does not fit the grid of a length-{k} occurrence"
         )
-    if not occ or any(occ[i] >= occ[i + 1] for i in range(k - 1)) or not (
-        1 <= occ[0] and occ[-1] <= n
-    ):
-        raise ValueError(f"invalid occurrence positions {occ!r}")
-    pos = (0,) + tuple(occ) + (n + 1,)
+    _check_positions(n, occ)
+    pos = (0,) + occ + (n + 1,)
     vals = (0,) + tuple(sorted(w[i - 1] for i in occ)) + (n + 1,)
     return OpenBox(pos[a], pos[a + 1], vals[b], vals[b + 1])
 
@@ -174,7 +184,10 @@ def _host_cells(w: Perm, occ: Occurrence) -> Iterator[tuple[int, int, int]]:
 
 def occurrence_region_mask(w: Perm, occ: Occurrence) -> int:
     """Bitmask of the grid squares whose region holds at least one host
-    point; a mesh blocks the occurrence iff it meets this mask."""
+    point; a mesh blocks the occurrence iff it meets this mask.  Positions
+    that are not a strictly increasing tuple of ints in ``1..n`` raise
+    ``ValueError``."""
+    _check_positions(len(w), occ)
     width = len(occ) + 1
     mask = 0
     for _, a, b in _host_cells(w, occ):

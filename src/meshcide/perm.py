@@ -126,6 +126,13 @@ def _search_plan(p: Perm, first: int) -> tuple[tuple, tuple, tuple, tuple, tuple
     return _letter_plan(p, (*lead, *(i for i in letters if i not in lead)))
 
 
+@lru_cache(maxsize=16)
+def _square_bounds(k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """``(a, a + 1, b, b + 1)`` for each square (a, b) of the (k+1) x (k+1)
+    grid, by square bit: one table per length, which every plan shares."""
+    return tuple((a, a + 1, b, b + 1) for a in range(k + 1) for b in range(k + 1))
+
+
 @lru_cache(maxsize=1024)
 def _letter_plan(p: Perm, letters: tuple[int, ...]) -> tuple[tuple, tuple, tuple, tuple, tuple]:
     """The plan that places the letters of ``p`` in the order ``letters``:
@@ -139,7 +146,8 @@ def _letter_plan(p: Perm, letters: tuple[int, ...]) -> tuple[tuple, tuple, tuple
     Square s = (a, b) is settled at step d, which places the last of its two
     column and two row bounds.  Most squares test that letter once it is
     placed: ``settled[s]`` is d and ``squares[s]`` is ``(a, a + 1, b, b +
-    1)``.  A square that the letter bounds by column only cuts its
+    1)``, the entry of :func:`_square_bounds` that every plan of the length
+    shares.  A square that the letter bounds by column only cuts its
     candidates instead: ``settled[s]`` is ``~d`` and ``squares[s]`` is ``(c,
     b, b + 1, after)``, its other column bound, its row bounds, and whether
     the letter is its right bound.
@@ -159,16 +167,16 @@ def _letter_plan(p: Perm, letters: tuple[int, ...]) -> tuple[tuple, tuple, tuple
         for d, (i, v) in enumerate(zip(letters, values))
     )
     settled, squares = [], []
-    for a in range(k + 1):
-        for b in range(k + 1):
-            d = max(column[a], column[a + 1], row[b], row[b + 1])
-            i = letters[d]
-            if i in (a, a + 1) and values[d] not in (b, b + 1):
-                settled.append(~d)
-                squares.append((a + 1 if i == a else a, b, b + 1, i == a + 1))
-            else:
-                settled.append(d)
-                squares.append((a, a + 1, b, b + 1))
+    for box in _square_bounds(k):
+        a, a1, b, b1 = box
+        d = max(column[a], column[a1], row[b], row[b1])
+        i = letters[d]
+        if i in (a, a1) and values[d] not in (b, b1):
+            settled.append(~d)
+            squares.append((a1 if i == a else a, b, b1, i == a1))
+        else:
+            settled.append(d)
+            squares.append(box)
     return letters, values, bounds, tuple(settled), tuple(squares)
 
 

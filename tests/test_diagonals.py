@@ -11,8 +11,11 @@ from meshcide.mesh import (
     mask_to_squares,
     squares_to_mask,
 )
+from meshcide import diagonals
 from meshcide.diagonals import (
     DistinguishingWitness,
+    _diagonal_candidates,
+    _witness_table,
     apply_symmetry_mask,
     apply_symmetry_mesh,
     apply_symmetry_square,
@@ -26,7 +29,7 @@ from meshcide.diagonals import (
     sorted_diagonals,
 )
 
-from oracles import enc_square_sets, enc_witness_oracle
+from oracles import enc_square_sets, enc_witness_oracle, mesh_contains_brute
 
 
 def diag_sets(pi):
@@ -283,6 +286,50 @@ class TestWitness:
             assert contains(a, wit.perm) != contains(b, wit.perm)
             assert contains(a, wit.perm) == wit.contains_first
             checked += 1
+
+
+class TestWitnessTable:
+    """``enc_witness`` reads each diagonal's host and the region masks of
+    its occurrences from one table per pattern; a mesh contains the host
+    exactly when some region mask misses it."""
+
+    @pytest.mark.parametrize(
+        "p", [p for k in (1, 2, 3, 4) for p in all_perms(k)], ids=lambda p: "".join(map(str, p))
+    )
+    def test_regions_decide_containment(self, p):
+        k = len(p)
+        nbits = (k + 1) ** 2
+        rng = random.Random(f"witness-table:{p}")
+        # sparse and dense meshes alike, so both answers come up
+        masks = []
+        for _ in range(200):
+            density = rng.random()
+            masks.append(sum(1 << c for c in range(nbits) if rng.random() < density))
+        table = _witness_table(p)
+        assert len(table) == len(_diagonal_candidates(p))
+        answers = set()
+        for q, regions in table:
+            assert len(q) == k + 1
+            for mask in masks:
+                by_regions = any(not r & mask for r in regions)
+                assert by_regions == contains(MeshPattern(p, mask), q), (p, q, mask)
+                assert by_regions == mesh_contains_brute(p, mask_to_squares(k, mask), q)
+                answers.add(by_regions)
+        assert answers == {False, True}
+
+    def test_wrong_table_entry_fails_verification(self, monkeypatch):
+        # the pair differs in the pointless square (1,0) only; point its
+        # entry at the host of the pointless square (3,2), which both meshes
+        # shade, so neither contains it and the check must refuse it
+        first = MeshPattern.of("231", [(1, 0), (3, 2)])
+        second = MeshPattern.of("231", [(3, 2)])
+        assert enc_witness(first, second).perm == (3, 1, 4, 2)
+        squares = [d.squares for _, d in _diagonal_candidates(first.perm)]
+        table = list(_witness_table(first.perm))
+        table[squares.index(((1, 0),))] = table[squares.index(((3, 2),))]
+        monkeypatch.setattr(diagonals, "_witness_table", lambda p: tuple(table))
+        with pytest.raises(RuntimeError, match="failed verification"):
+            enc_witness(first, second)
 
 
 class TestSymmetryAction:

@@ -84,6 +84,12 @@ class TestRegions:
         with pytest.raises(ValueError, match="invalid occurrence positions"):
             corresponding_region((2, 1, 3), (), (0, 0))
 
+    @pytest.mark.parametrize("occ", [(1, 1), (5,)])
+    def test_region_mask_refuses_bad_positions(self, occ):
+        # a repeated position and one past the host's end
+        with pytest.raises(ValueError, match="invalid occurrence positions"):
+            occurrence_region_mask((2, 1, 3), occ)
+
     def test_matches_inverse_value_formulation(self):
         rng = random.Random(7)
         for _ in range(300):
