@@ -22,7 +22,7 @@ from .mesh import (
     mesh_pattern_to_json,
     squares_to_mask,
 )
-from .diagonals import apply_symmetry_mesh, enc_core_mask
+from .diagonals import apply_symmetry_mesh, _enclosed
 
 
 class TraceStep(NamedTuple):
@@ -127,7 +127,7 @@ def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     """Both meshes entirely superfluous: each pattern equals its classical core."""
     if pi.perm != pi2.perm:
         return None
-    if enc_core_mask(pi) or enc_core_mask(pi2):
+    if _enclosed(pi.perm, pi.mask) or _enclosed(pi.perm, pi2.mask):
         return None
     return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
 

@@ -31,10 +31,10 @@ from .mesh import (
 )
 from .diagonals import (
     diagonal_to_json,
-    enc_witness,
     pointless_mask,
-    same_enc,
     _diagonal_candidates,
+    _enclosed,
+    _witness,
 )
 from .certify import ProofTrace, classical_rule, gamma_rule, gamma_steps, verify_trace
 from .shading import _collector_paused, ssl_closure
@@ -76,8 +76,7 @@ def classify_family(pi: MeshPattern) -> FamilyTags:
 # ---------------------------------------------------------------------------
 # The full pairwise decision.
 
-@dataclass(frozen=True)
-class CoincidenceVerdict:
+class CoincidenceVerdict(NamedTuple):
     status: str  # PROVEN_EQUAL | PROVEN_COINCIDENT | REFUTED | UNDECIDED
     depth: int
     trace: ProofTrace | None = None
@@ -131,14 +130,11 @@ def decide_coincidence(
         # the shorter perm contains its own pattern, never the other one
         shorter = min(pi, pi2, key=lambda m: m.k)
         return _verified_refutation(pi, pi2, shorter.perm, n_max)
-    if not same_enc(pi, pi2):
-        witness = enc_witness(pi, pi2)
-        return CoincidenceVerdict(
-            "REFUTED",
-            n_max,
-            witness=witness.perm,
-            witness_contains_first=witness.contains_first,
-        )
+    # each mesh's enclosed diagonals, read once for the test and the witness
+    found1, found2 = _enclosed(pi.perm, pi.mask), _enclosed(pi.perm, pi2.mask)
+    if found1 != found2:
+        w, c1 = _witness(pi, pi2, found1, found2)
+        return CoincidenceVerdict("REFUTED", n_max, witness=w, witness_contains_first=c1)
     diff = first_separation(pi.perm, pi.mask, pi2.mask, n_max)
     if diff is not None:
         n, rank = diff

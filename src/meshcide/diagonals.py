@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, canonical_symmetry
 from .mesh import (
@@ -73,6 +74,24 @@ def _diagonal_candidates(p: Perm) -> tuple[tuple[int, EnclosedDiagonal], ...]:
     return tuple((squares_to_mask(k, d.squares), d) for d in found)
 
 
+@lru_cache(maxsize=64)
+def _candidate_bits(p: Perm) -> tuple[tuple[int, int], ...]:
+    """``(mask, 1 << i)`` of the i-th diagonal candidate of ``p``."""
+    return tuple((m, 1 << i) for i, (m, _) in enumerate(_diagonal_candidates(p)))
+
+
+def _enclosed(p: Perm, mask: int) -> int:
+    """The diagonals the mesh ``mask`` over ``p`` encloses: bit i is set when
+    it shades every square of the i-th candidate of
+    :func:`_diagonal_candidates`.  Candidates are square-disjoint, so equal
+    sets mean equal enclosed diagonals."""
+    found = 0
+    for m, bit in _candidate_bits(p):
+        if mask & m == m:
+            found |= bit
+    return found
+
+
 def pointless_mask(p: Perm) -> int:
     """The squares of ``p``'s grid with no corner on the graph of ``p``."""
     return sum(m for m, d in _diagonal_candidates(p) if d.orientation == "PT")
@@ -87,31 +106,26 @@ def enclosed_diagonals(pi: MeshPattern) -> frozenset[EnclosedDiagonal]:
 def enc_core_mask(pi: MeshPattern) -> int:
     """Union of the squares of all enclosed diagonals, as a mask.  Candidates
     are square-disjoint, so this determines the diagonal set."""
-    mask = pi.mask
-    core = 0
-    for m, _ in _diagonal_candidates(pi.perm):
-        if mask & m == m:
-            core |= m
-    return core
+    found = _enclosed(pi.perm, pi.mask)
+    return sum(m for m, bit in _candidate_bits(pi.perm) if found & bit)
 
 
 def sorted_diagonals(pi: MeshPattern) -> list[EnclosedDiagonal]:
     """The enclosed diagonals in (anchor, orientation) order."""
-    mask = pi.mask
-    return [d for m, d in _diagonal_candidates(pi.perm) if mask & m == m]
+    found = _enclosed(pi.perm, pi.mask)
+    return [d for i, (_, d) in enumerate(_diagonal_candidates(pi.perm)) if found >> i & 1]
 
 
 def same_enc(pi: MeshPattern, pi2: MeshPattern) -> bool:
-    """Do the two patterns enclose the same diagonals?  Their cores decide
-    it, since the candidates are square-disjoint."""
+    """Do the two patterns enclose the same diagonals?"""
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")
-    return enc_core_mask(pi) == enc_core_mask(pi2)
+    return _enclosed(pi.perm, pi.mask) == _enclosed(pi.perm, pi2.mask)
 
 
 def is_coincident_with_classical(pi: MeshPattern) -> bool:
     """True iff the whole mesh is superfluous (no enclosed diagonal)."""
-    return not enc_core_mask(pi)
+    return not _enclosed(pi.perm, pi.mask)
 
 
 def diagonal_text(d: EnclosedDiagonal) -> str:
@@ -169,8 +183,7 @@ def apply_symmetry_mesh(name: str, pi: MeshPattern) -> MeshPattern:
 # Constructive witness for patterns with different enclosed diagonals.
 
 
-@dataclass(frozen=True)
-class DistinguishingWitness:
+class DistinguishingWitness(NamedTuple):
     perm: Perm
     contains_first: bool  # the witness contains the first pattern iff True
 
@@ -216,19 +229,23 @@ def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     """
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")
-    core1, core2 = enc_core_mask(pi), enc_core_mask(pi2)
-    if core1 == core2:
+    found1, found2 = _enclosed(pi.perm, pi.mask), _enclosed(pi.perm, pi2.mask)
+    if found1 == found2:
         raise ValueError("patterns have the same enclosed diagonals")
-    # The first such diagonal by its sorted squares, preferring one the
-    # first pattern owns, for determinism only.  The candidates come in that
-    # order: a run's anchor is its least square, and no two share a square.
-    order = _diagonal_candidates(pi.perm)
-    i = next((i for i, (m, _) in enumerate(order) if core1 & m == m and core2 & m != m), None)
-    owner_is_first = i is not None
-    if i is None:
-        i = next(i for i, (m, _) in enumerate(order) if core2 & m == m and core1 & m != m)
-    q, regions = _witness_table(pi.perm)[i]
+    return DistinguishingWitness(*_witness(pi, pi2, found1, found2))
 
+
+def _witness(pi: MeshPattern, pi2: MeshPattern, found1: int, found2: int) -> tuple[Perm, bool]:
+    """The fields of :func:`enc_witness`, as a plain tuple, from the two
+    patterns' differing :func:`_enclosed` sets.  The diagonal is the first
+    candidate only the first pattern encloses, else the first only the
+    second does: the candidates come in the order of their sorted squares,
+    since a run's anchor is its least square and no two share one."""
+    owned = found1 & ~found2
+    owner_is_first = owned != 0
+    if not owned:
+        owned = found2 & ~found1
+    q, regions = _witness_table(pi.perm)[(owned & -owned).bit_length() - 1]
     c1 = any(not r & pi.mask for r in regions)
     c2 = any(not r & pi2.mask for r in regions)
     expected = (False, True) if owner_is_first else (True, False)
@@ -237,4 +254,4 @@ def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
             f"witness construction failed verification for {pi} vs {pi2}: "
             f"got contains={c1, c2}, expected {expected}"
         )
-    return DistinguishingWitness(q, contains_first=c1)
+    return q, c1

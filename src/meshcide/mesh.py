@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress
 from math import factorial
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .perm import (
@@ -359,15 +359,21 @@ def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
     point in a shaded square, so row n is the union over t of ``occ_t``
     minus the union of the shaded ``cells_t``.  The table of S_n is read
     only when row n is asked for, one entry at a time for every mesh, so a
-    streamed entry is dropped once it is used.
+    streamed entry is dropped once it is used.  The squares every mesh
+    shades are ORed once per entry, then each mesh's own.
     """
     nbits = (len(p) + 1) ** 2
-    shaded = [[c for c in range(nbits) if mesh >> c & 1] for mesh in masks]
+    meet = reduce(and_, masks) if masks else 0
+    common = [c for c in range(nbits) if meet >> c & 1]
+    shaded = [[c for c in range(nbits) if (mesh ^ meet) >> c & 1] for mesh in masks]
     for n in range(1, n_max + 1):
         row = [0] * len(shaded)
         for occ, cells in _table(p, n):
+            shared = 0
+            for c in common:
+                shared |= cells[c]
             for i, squares in enumerate(shaded):
-                blocked = 0
+                blocked = shared
                 for c in squares:
                     blocked |= cells[c]
                 row[i] |= occ ^ (occ & blocked)  # occ & ~blocked, without a negative int

@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perm import (
     Occurrence,
@@ -290,6 +290,19 @@ def _frontier_moves(
             )
         found.append(moves)
     return found
+
+
+def _probed_in_runs(
+    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]]
+) -> Iterator[tuple[ShadeMove, ...]]:
+    """:func:`_frontier_moves` of a batch, yielded as it is probed in runs
+    of 1, 2, 4, ... meshes, so a consumer that stops early leaves the rest
+    of the batch unprobed."""
+    start, run = 0, 1
+    while start < len(batch):
+        yield from _frontier_moves(p, batch[start : start + run], memo)
+        start += run
+        run *= 2
 
 
 def shadeable_assignments(p: Perm, mask: int) -> list[tuple[Assignment, int]]:
@@ -563,6 +576,9 @@ def ssl_closure(
             raise _Stop
         return root
 
+    # a closure that can stop probes lazily, so a stop leaves the rest of
+    # its batch unprobed; a fixpoint closure probes each batch whole
+    probe = _frontier_moves if goal is None and cap is None else _probed_in_runs
     spent = 0
     # the moves of each option vector met and their union, for this
     # closure only
@@ -576,7 +592,7 @@ def ssl_closure(
             batch = frontier.copy()
             frontier.clear()
             spent += len(batch)
-            for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
+            for mesh, moves in zip(batch, probe(p, batch, memo)):
                 if moves:
                     root = find(mesh)
                     for move in moves:

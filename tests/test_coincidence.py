@@ -19,6 +19,7 @@ from meshcide.mesh import (
     squares_to_mask,
 )
 from meshcide.diagonals import (
+    DistinguishingWitness,
     apply_symmetry_mask,
     apply_symmetry_mesh,
     enc_core_mask,
@@ -44,6 +45,7 @@ from meshcide.certify import (
     verify_trace,
 )
 from meshcide.coincidence import (
+    CoincidenceVerdict,
     PartitionClass,
     classify_family,
     containment_signatures,
@@ -59,6 +61,7 @@ from meshcide.coincidence import (
 from oracles import (
     contains_gamma_oracle,
     enc_square_sets,
+    enc_witness_oracle,
     fingerprints_brute,
     partition_record_oracle,
     signature_rows,
@@ -190,6 +193,32 @@ class TestRules:
         witness = enc_witness(a, b)
         assert v.status == "REFUTED"
         assert (v.witness, v.witness_contains_first) == (witness.perm, witness.contains_first)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_diagonal_refutation_matches_oracle(self, k):
+        # neighbour-like pairs differ in few diagonals, so the first
+        # differing one is owned by the second pattern about half the time
+        # in either order
+        rng = random.Random(f"decide-enc-witness:{k}")
+        nbits = (k + 1) ** 2
+        owners = set()
+        checked = 0
+        while checked < 60:
+            p = tuple(rng.sample(range(1, k + 1), k))
+            first = sum(1 << c for c in range(nbits) if rng.random() < 0.6)
+            second = first
+            for _ in range(rng.randint(1, 3)):
+                second ^= 1 << rng.randrange(nbits)
+            a, b = MeshPattern(p, first), MeshPattern(p, second)
+            if enc_square_sets(a) == enc_square_sets(b):
+                continue
+            for x, y in ((a, b), (b, a)):
+                v = decide_coincidence(x, y, k + 1)
+                assert v.status == "REFUTED", (x, y)
+                assert (v.witness, v.witness_contains_first) == enc_witness_oracle(x, y), (x, y)
+                owners.add(bool(enc_square_sets(x) - enc_square_sets(y)))
+            checked += 1
+        assert owners == {False, True}
 
     def test_long_vincular_equal_enc_means_equal_mesh(self):
         # over one length-5 pattern: any two column unions sharing their
@@ -975,6 +1004,8 @@ RECORDS = {
     "ShadeMove": lambda m: ShadeMove((Assignment((1, 1), "single", "NE", ((1, 1),)),), m),
     "ClosureClass": lambda m: ClosureClass((0, m), (TraceStep("CLASSICAL", (1, 2), 0, m),)),
     "PartitionClass": lambda m: PartitionClass((0, m), "PROVEN", ((0, m),)),
+    "CoincidenceVerdict": lambda m: CoincidenceVerdict("UNDECIDED", 7, reason=("disconnected", m)),
+    "DistinguishingWitness": lambda m: DistinguishingWitness((2, 1, 3), m == 1),
 }
 
 
@@ -1007,3 +1038,15 @@ class TestRecordTypes:
         meshes, status, blocks = cls
         assert (meshes, status, blocks) == (cls.meshes, "PROVEN", (cls.meshes,))
         assert cls.size == len(meshes) and cls.representative == meshes[0]
+
+    def test_verdict_and_witness_unpack_in_field_order(self):
+        a, b = parse_mesh_pattern("21"), parse_mesh_pattern("21:(0,0)(1,1)(2,2)")
+        verdict = decide_coincidence(a, b, 5)
+        status, depth, trace, witness, contains_first, reason = verdict
+        assert (status, depth, trace, witness, contains_first, reason) == (
+            "REFUTED", 5, None, (1, 3, 2), True, None
+        )
+        perm, contains_first = enc_witness(a, b)
+        assert (perm, contains_first) == (verdict.witness, verdict.witness_contains_first)
+        # equal to the plain tuple of their fields
+        assert verdict == tuple(verdict) and enc_witness(a, b) == ((1, 3, 2), True)

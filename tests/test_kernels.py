@@ -18,7 +18,15 @@ from meshcide.mesh import (
     parse_mesh_pattern,
     squares_to_mask,
 )
-from meshcide.diagonals import apply_symmetry_mask, enc_core_mask, enclosed_diagonals
+from meshcide import diagonals
+from meshcide.diagonals import (
+    apply_symmetry_mask,
+    enc_core_mask,
+    enclosed_diagonals,
+    is_coincident_with_classical,
+    same_enc,
+    sorted_diagonals,
+)
 from meshcide import shading
 from meshcide.shading import ShadeMove, shadeable_pairs, shadeable_singles, ssl_moves
 from meshcide.coincidence import classify_family
@@ -75,6 +83,42 @@ def test_enclosed_diagonals_match_corner_walk():
         got = {(d.orientation, d.anchor, d.length, d.squares) for d in enclosed_diagonals(pi)}
         assert got == want, pi
         assert enc_core_mask(pi) == squares_to_mask(pi.k, [s for d in want for s in d[3]]), pi
+
+
+def diagonal_tuple(d):
+    return d.orientation, d.anchor, d.length, d.squares
+
+
+def _mixed_masks(rng, nbits, count):
+    # sparse and dense meshes alike, so long runs get fully shaded too
+    for _ in range(count):
+        density = rng.random()
+        yield sum(1 << c for c in range(nbits) if rng.random() < density)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_enclosed_set_matches_corner_walk(k):
+    # every mask up to length 2, 300 seeded masks per pattern above; each
+    # against a neighbour one square away for same_enc
+    rng = random.Random(f"enclosed-set:{k}")
+    nbits = (k + 1) ** 2
+    for p in all_perms(k):
+        candidates = [d for _, d in diagonals._diagonal_candidates(p)]
+        masks = range(1 << nbits) if k <= 2 else _mixed_masks(rng, nbits, 300)
+        for mask in masks:
+            pi = MeshPattern(p, mask)
+            want = enclosed_diagonals_brute(p, mask)
+            found = diagonals._enclosed(p, mask)
+            assert found >> len(candidates) == 0, pi
+            got = [diagonal_tuple(d) for i, d in enumerate(candidates) if found >> i & 1]
+            assert set(got) == want, pi
+            # in (anchor, orientation) order
+            assert [diagonal_tuple(d) for d in sorted_diagonals(pi)] == got, pi
+            assert got == sorted(want, key=lambda d: (d[1], d[0])), pi
+            assert enc_core_mask(pi) == squares_to_mask(k, [s for d in want for s in d[3]]), pi
+            assert is_coincident_with_classical(pi) == (not want), pi
+            other = MeshPattern(p, mask ^ 1 << rng.randrange(nbits))
+            assert same_enc(pi, other) == (want == enclosed_diagonals_brute(p, other.mask)), pi
 
 
 def test_classify_family_matches_square_reading():
@@ -330,6 +374,19 @@ def test_fingerprints_longer_patterns_at_depth_7(p, extra):
     for row in got:
         assert row[: len(p) - 1] == (0,) * (len(p) - 1)
     assert got[0][len(p) - 1] == 1 << lex_rank(p)  # in S_k only p contains p
+
+
+@pytest.mark.parametrize("p", [(1, 2), (2, 3, 1), (2, 4, 1, 3)])
+def test_fingerprints_of_meshes_sharing_squares(p):
+    # the sweep ORs the squares every mesh shades once per table entry
+    rng = random.Random(f"shared-squares:{p}")
+    nbits = (len(p) + 1) ** 2
+    for size in (1, 2, 3, 5):
+        base = rng.getrandbits(nbits)
+        masks = tuple(base | rng.getrandbits(nbits) & rng.getrandbits(nbits) for _ in range(size))
+        assert _rows(p, masks, 6) == fingerprints_brute(p, masks, 6), masks
+        assert _rows(p, (base,) * size, 6) == fingerprints_brute(p, (base,) * size, 6)
+    assert _rows(p, (), 6) == fingerprints_brute(p, (), 6) == []
 
 
 def test_fingerprints_shallower_than_the_pattern_are_empty():

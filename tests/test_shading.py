@@ -525,6 +525,32 @@ class TestGoal:
         v = decide_coincidence(a, b, 6)
         assert v.status == "PROVEN_COINCIDENT" and v.trace.steps == cls.steps
 
+    def test_stop_leaves_the_rest_of_a_batch_unprobed(self, monkeypatch):
+        # a closure that can stop probes its batches in runs of doubling
+        # length; probing them whole gives the same result
+        frontier_moves = shading._frontier_moves
+        probed = []
+
+        def counted(p, batch, memo):
+            probed.append(len(batch))
+            return frontier_moves(p, batch, memo)
+
+        monkeypatch.setattr(shading, "_frontier_moves", counted)
+        fewer = 0
+        for p, a, b in goal_pairs():
+            seeds = (a, b, a & b)
+            probed.clear()
+            stopped = ssl_closure(p, seeds, budget=512, goal=(a, b))
+            assert sum(probed) <= stopped.expanded, (p, a, b)
+            fewer += sum(probed) < stopped.expanded
+            with monkeypatch.context() as whole_batches:
+                whole_batches.setattr(shading, "_probed_in_runs", counted)
+                probed.clear()
+                whole = ssl_closure(p, seeds, budget=512, goal=(a, b))
+            assert sum(probed) == whole.expanded, (p, a, b)
+            assert closure_digest(whole) == closure_digest(stopped), (p, a, b)
+        assert fewer >= 10
+
     def test_goal_joined_before_any_expansion(self):
         g1 = msk(2, [(0, 1), (0, 2), (1, 1), (1, 2), (2, 0)])
         g2 = msk(2, [(0, 2), (1, 0), (1, 1), (2, 0), (2, 1)])
