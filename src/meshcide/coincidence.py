@@ -234,12 +234,14 @@ def partition_meshes(
         n_max = default_depth(k)
     check_depth(n_max)
     sigs = containment_signatures(p, n_max)
-    closure = ssl_closure(p, range(len(sigs)), given=gamma_steps(p) if use_gamma else ())
+    # only the blocks' meshes are kept, so the closure and its steps are
+    # freed before the blocks are checked and grouped
+    given = gamma_steps(p) if use_gamma else ()
+    proven = [cls.meshes for cls in ssl_closure(p, range(len(sigs)), given=given).classes]
 
     # blocks come sorted by least member, so groups do too
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for block in closure.classes:
-        meshes = block.meshes
+    for meshes in proven:
         rep = meshes[0]
         sig = sigs[rep]
         if len(meshes) > 1 and not all(map(sig.__eq__, map(sigs.__getitem__, meshes))):
@@ -289,12 +291,8 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
     p = result.perm
     alone, opened, closed = _square_text_tables(len(p))
     perm = json.dumps(list(p))
-    candidates = _diagonal_candidates(p)
-    # bit i of inside[h][b]: candidate i's squares in mask byte h (0 low, 1 high) lie in b
-    inside = [[sum(1 << i for i, (m, _) in enumerate(candidates) if not m >> j & ~b & 0xFF)
-               for b in range(256)] for j in (0, 8)]
     encs = [""]  # entry s joins the texts of the candidates in bitset s
-    for _, d in candidates:
+    for _, d in _diagonal_candidates(p):
         text = json.dumps(diagonal_to_json(d))
         encs += [f"{t}, {text}" if t else text for t in encs]
     cuts = _row_cuts(result.n_max)
@@ -310,7 +308,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
         rep = meshes[0]
         sig = sigs[rep]
         listed = texts(meshes)
-        enc = encs[inside[0][rep & 0xFF] & inside[1][rep >> 8]]
+        enc = encs[_enclosed(p, rep)]
         rows = row_text[sig & 0x1FF]
         for shift, mask in deep:
             rows += '", "' + hex(sig >> shift & mask)

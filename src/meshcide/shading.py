@@ -638,16 +638,22 @@ def ssl_closure(
     except _Stop:
         complete = False
 
+    # each structure is freed once nothing after it reads it, and each
+    # class's lists as its tuples are made, so the classes never sit beside
+    # the memo, the mesh set, the log and every list at once
+    memo.clear()
+    roots = sorted(mesh for mesh in known if parent.get(mesh, mesh) == mesh)
+    known.clear()
     steps: dict[int, list[TraceStep]] = {}
     for step in log:
         steps.setdefault(find(step.before), []).append(step)
+    log.clear()
     members = uf.members
     classes = tuple(
         ClosureClass(
-            tuple(sorted(members[root])) if root in members else (root,),
-            tuple(steps.get(root, ())),
+            tuple(sorted(members.pop(root))) if root in members else (root,),
+            tuple(steps.pop(root, ())),
         )
-        for root in sorted(known)
-        if parent.get(root, root) == root
+        for root in roots
     )
     return ClosureResult(p, classes, complete, spent)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -744,6 +745,25 @@ class TestPartition:
         monkeypatch.setattr(shading, "_frontier_moves", with_bogus_move)
         with pytest.raises(AssertionError, match="truncated signatures differ"):
             partition_meshes((1, 2), 4)
+
+    def test_closure_is_freed_before_grouping(self, monkeypatch):
+        # the closure's result, steps included, is gone by the time the
+        # first class is built: only the blocks' meshes are kept
+        real_closure, real_class = coincidence.ssl_closure, coincidence.PartitionClass
+        results = []
+
+        def closure(*args, **kwargs):
+            result = real_closure(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        def partition_class(*args):
+            assert len(results) == 1 and results[0]() is None
+            return real_class(*args)
+
+        monkeypatch.setattr(coincidence, "ssl_closure", closure)
+        monkeypatch.setattr(coincidence, "PartitionClass", partition_class)
+        assert len(partition_meshes((1, 2), 5).classes) == 220
 
     @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0, True])
     def test_rejects_depth_outside_limits_before_any_work(self, depth, monkeypatch):
