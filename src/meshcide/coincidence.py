@@ -14,6 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain
 from math import factorial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -22,6 +23,7 @@ from .perm import Perm, lex_unrank, make_perm, perm_text
 from .mesh import (
     MeshPattern,
     check_depth,
+    check_signature_request,
     containment_signatures,
     contains,
     default_depth,
@@ -221,27 +223,43 @@ def partition_meshes(
     connects all of its members, and CONJECTURED otherwise, with its
     proven sub-blocks reported.
     A proof block that spans two truncations is an ``AssertionError``.  The
-    depth defaults to :func:`default_depth`, as for decide; a depth outside
-    ``1..MAX_DEPTH`` raises ``ValueError`` before any work, and so does a
-    pattern or depth that ``containment_signatures`` rejects.
+    depth defaults to :func:`default_depth`, as for decide; a request that
+    :func:`check_signature_request` rejects (a pattern longer than
+    ``MAX_SIGNATURE_LENGTH``, a depth outside ``1..MAX_DEPTH``, a table
+    over ``SIGNATURE_BIT_BUDGET``) raises ``ValueError`` before any work.
+    The closure runs first and the signature table is built only once the
+    closure's result is gone; in between, the blocks are held in two int
+    arrays, so the table and the closure never sit side by side.
     Like the closure, it runs with the cyclic garbage collector paused and
     leaves it as the caller had it: the signature table and the classes
     are acyclic tuples of ints, which reference counting frees.
     """
     p = make_perm(p)
-    k = len(p)
     if n_max is None:
-        n_max = default_depth(k)
-    check_depth(n_max)
-    sigs = containment_signatures(p, n_max)
-    # only the blocks' meshes are kept, so the closure and its steps are
-    # freed before the blocks are checked and grouped
+        n_max = default_depth(len(p))
+    check_signature_request(p, n_max)
     given = gamma_steps(p) if use_gamma else ()
-    proven = [cls.meshes for cls in ssl_closure(p, range(len(sigs)), given=given).classes]
+    size = 1 << (len(p) + 1) ** 2
+    closed = ssl_closure(p, range(size), given=given).classes
+    # the blocks are the closure's classes, held while the table is built
+    # as their meshes end to end and the offset where each block ends;
+    # array loads here, not with the module, so a process that only
+    # decides does not carry the extension (about 0.2 MB of RSS)
+    from array import array
+
+    flat = array("I", chain.from_iterable(cls.meshes for cls in closed))
+    ends = array("I", accumulate(len(cls.meshes) for cls in closed))
+    del closed
+    sigs = containment_signatures(p, n_max)
 
     # blocks come sorted by least member, so groups do too
+    listed = flat.tolist()
+    del flat
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for meshes in proven:
+    start = 0
+    for end in ends:
+        meshes = tuple(listed[start:end])
+        start = end
         rep = meshes[0]
         sig = sigs[rep]
         if len(meshes) > 1 and not all(map(sig.__eq__, map(sigs.__getitem__, meshes))):

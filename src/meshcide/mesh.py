@@ -434,6 +434,26 @@ SIGNATURE_BIT_BUDGET = 1 << 32
 depth 8 takes 3.0e9 bits (about 380 MB); at depth 9 it would take 2.7e10."""
 
 
+def check_signature_request(p: Perm, n_max: int) -> None:
+    """Reject a signature table that :func:`containment_signatures` would
+    not build: a pattern longer than ``MAX_SIGNATURE_LENGTH``, a depth
+    outside ``1..MAX_DEPTH`` or a table above ``SIGNATURE_BIT_BUDGET``
+    bits, checked in that order."""
+    k = len(p)
+    if k > MAX_SIGNATURE_LENGTH:
+        raise ValueError(
+            f"signature tables support patterns up to length "
+            f"{MAX_SIGNATURE_LENGTH} (MAX_SIGNATURE_LENGTH), not {k}"
+        )
+    check_depth(n_max)
+    table_bits = sum(factorial(n) for n in range(1, n_max + 1)) << (k + 1) ** 2
+    if table_bits > SIGNATURE_BIT_BUDGET:
+        raise ValueError(
+            f"the signature table of {perm_text(p)} at depth {n_max} takes "
+            f"{table_bits} bits, over SIGNATURE_BIT_BUDGET (2**32)"
+        )
+
+
 def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
     """For every mesh over ``p``'s grid, the containment indicator over all
     hosts of size 1..n_max: one bit per host, sizes concatenated, lex order
@@ -446,8 +466,7 @@ def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
     ``by_mask`` the signature of M is ``by_mask[full ^ M]``, and the table
     is ``by_mask`` reversed.
 
-    A pattern longer than ``MAX_SIGNATURE_LENGTH``, a depth outside
-    ``1..MAX_DEPTH`` or a table above ``SIGNATURE_BIT_BUDGET`` bits raises
+    A request that :func:`check_signature_request` rejects raises
     ``ValueError`` before any table is built.
 
     >>> sigs = containment_signatures((1,), 2)  # hosts 1, 12, 21
@@ -455,21 +474,8 @@ def containment_signatures(p: Perm, n_max: int) -> tuple[int, ...]:
     (7, 1)
     """
     p = make_perm(p)
-    k = len(p)
-    if k > MAX_SIGNATURE_LENGTH:
-        raise ValueError(
-            f"signature tables support patterns up to length "
-            f"{MAX_SIGNATURE_LENGTH} (MAX_SIGNATURE_LENGTH), not {k}"
-        )
-    check_depth(n_max)
-    nbits = (k + 1) ** 2
-    table_bits = sum(factorial(n) for n in range(1, n_max + 1)) << nbits
-    if table_bits > SIGNATURE_BIT_BUDGET:
-        raise ValueError(
-            f"the signature table of {perm_text(p)} at depth {n_max} takes "
-            f"{table_bits} bits, over SIGNATURE_BIT_BUDGET (2**32)"
-        )
-    size = 1 << nbits
+    check_signature_request(p, n_max)
+    size = 1 << (len(p) + 1) ** 2
     by_mask = [0] * size
     offset = 0
     for n in range(1, n_max + 1):

@@ -215,7 +215,7 @@ def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
         ]
     probes = _compiled(p)
     count = len(probes)
-    failed = bytearray(len(batch) * count)
+    passed = bytearray(len(batch) * count)
     spec = f"0{len(batch)}b"
     for j, (_, _, _, _, forbid_at, flanks_at) in enumerate(probes):
         fail = 0
@@ -226,8 +226,8 @@ def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
             for i in flanks_at:
                 both &= squares[i]
             fail |= both
-        failed[j::count] = format(fail, spec)[::-1].encode()
-    return bytes(failed).translate(_PASSED)
+        passed[j::count] = format(fail, spec)[::-1].encode().translate(_PASSED)
+    return bytes(passed)
 
 
 def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
@@ -297,7 +297,9 @@ def _probed_in_runs(
 ) -> Iterator[tuple[ShadeMove, ...]]:
     """:func:`_frontier_moves` of a batch, yielded as it is probed in runs
     of 1, 2, 4, ... meshes, so a consumer that stops early leaves the rest
-    of the batch unprobed."""
+    of the batch unprobed, and the probe buffers of one run span at most
+    half the batch.  Every batch of :func:`ssl_closure` is probed this way,
+    whether the closure can stop or runs to its fixpoint."""
     start, run = 0, 1
     while start < len(batch):
         yield from _frontier_moves(p, batch[start : start + run], memo)
@@ -526,6 +528,11 @@ def ssl_closure(
     is kept only when it merges two groups, so a class of n meshes has
     n - 1 steps.
 
+    Each batch is probed in runs (:func:`_probed_in_runs`), so no probe
+    buffer spans a whole batch.  The union-find's ``parent`` dict is the
+    one record of the meshes met: the seeds are entered into it and their
+    list dropped, and it is cleared once the steps are grouped by root.
+
     The closure runs with the cyclic garbage collector paused, and leaves
     it as the caller had it.  That is safe: the closure builds only acyclic
     ints, tuples, lists and dicts, which reference counting frees.  Left
@@ -550,11 +557,14 @@ def ssl_closure(
     check_mask(k, *seeds, *ends, *(goal or ()))
     if goal is not None and not set(seeds).issuperset(goal):
         raise ValueError("the goal meshes must be seeds")
-    known = {*seeds, *ends}
-    frontier = sorted(known)
-    cap = None if budget is None else len(known) + budget  # most meshes known
     uf = UnionFind()
+    # every mesh met is a key of parent, the one membership map
     find, parent = uf.find, uf.parent
+    parent.update(zip(seeds, seeds))
+    parent.update(zip(ends, ends))
+    del seeds, ends
+    frontier = sorted(parent)
+    cap = None if budget is None else len(parent) + budget  # most meshes met
     log: list[TraceStep] = []  # one step per merge: a spanning forest
 
     def merge(root: int, rule: str, before: int, after: int, detail: tuple) -> int:
@@ -562,10 +572,10 @@ def ssl_closure(
         # before, whose root the caller passes; returns the joined root.
         # Callers skip an after whose parent or grandparent is that root
         # already: most edges join meshes of one group.
-        if after not in known:
-            if len(known) == cap:
+        if after not in parent:
+            if len(parent) == cap:
                 raise _Stop
-            known.add(after)
+            parent[after] = after
             frontier.append(after)
         other = find(after)
         if other == root:
@@ -576,9 +586,6 @@ def ssl_closure(
             raise _Stop
         return root
 
-    # a closure that can stop probes lazily, so a stop leaves the rest of
-    # its batch unprobed; a fixpoint closure probes each batch whole
-    probe = _frontier_moves if goal is None and cap is None else _probed_in_runs
     spent = 0
     # the moves of each option vector met and their union, for this
     # closure only
@@ -592,7 +599,7 @@ def ssl_closure(
             batch = frontier.copy()
             frontier.clear()
             spent += len(batch)
-            for mesh, moves in zip(batch, probe(p, batch, memo)):
+            for mesh, moves in zip(batch, _probed_in_runs(p, batch, memo)):
                 if moves:
                     root = find(mesh)
                     for move in moves:
@@ -640,14 +647,14 @@ def ssl_closure(
 
     # each structure is freed once nothing after it reads it, and each
     # class's lists as its tuples are made, so the classes never sit beside
-    # the memo, the mesh set, the log and every list at once
+    # the memo, the membership map, the log and every list at once
     memo.clear()
-    roots = sorted(mesh for mesh in known if parent.get(mesh, mesh) == mesh)
-    known.clear()
+    roots = sorted(mesh for mesh, up in parent.items() if up == mesh)
     steps: dict[int, list[TraceStep]] = {}
     for step in log:
         steps.setdefault(find(step.before), []).append(step)
     log.clear()
+    parent.clear()
     members = uf.members
     classes = tuple(
         ClosureClass(

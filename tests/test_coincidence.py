@@ -482,6 +482,30 @@ class TestDecide:
                 )
                 assert v.status == base
 
+    def test_status_symmetry_invariance_on_neighbour_pairs(self):
+        # a mesh and the same mesh with one square toggled, over all eight
+        # patterns of length 2 and 3: unlike random pairs, a third or more
+        # of them share their enclosed diagonals, so the sweep and the
+        # closure decide them in every orientation
+        rng = random.Random(1412)
+        patterns = [p for k in (2, 3) for p in all_perms(k)]
+        statuses, swept = [], 0
+        for _ in range(150):
+            p = rng.choice(patterns)
+            nbits = (len(p) + 1) ** 2
+            mask = rng.getrandbits(nbits)
+            a, b = MeshPattern(p, mask), MeshPattern(p, mask ^ 1 << rng.randrange(nbits))
+            swept += same_enc(a, b)
+            base = decide_coincidence(a, b, 6).status
+            statuses.append(base)
+            for s in SYMMETRIES:
+                v = decide_coincidence(
+                    apply_symmetry_mesh(s, a), apply_symmetry_mesh(s, b), 6
+                )
+                assert v.status == base, (a.text(), b.text(), s)
+        assert swept >= 50
+        assert set(statuses) == {"REFUTED", "PROVEN_COINCIDENT", "UNDECIDED"}
+
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_line_unions_with_equal_diagonals_are_proven(k):
@@ -765,16 +789,44 @@ class TestPartition:
         monkeypatch.setattr(coincidence, "PartitionClass", partition_class)
         assert len(partition_meshes((1, 2), 5).classes) == 220
 
+    def test_signatures_follow_the_closure(self, monkeypatch):
+        # the signature table is built only once the closure's result is
+        # gone, so the two never sit side by side
+        real_closure, real_signatures = coincidence.ssl_closure, coincidence.containment_signatures
+        results = []
+
+        def closure(*args, **kwargs):
+            result = real_closure(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        def signatures(*args):
+            assert len(results) == 1 and results[0]() is None
+            return real_signatures(*args)
+
+        monkeypatch.setattr(coincidence, "ssl_closure", closure)
+        monkeypatch.setattr(coincidence, "containment_signatures", signatures)
+        assert len(partition_meshes((1, 2), 5).classes) == 220
+
     @pytest.mark.parametrize("depth", [0, -2, MAX_DEPTH + 1, 5.0, True])
     def test_rejects_depth_outside_limits_before_any_work(self, depth, monkeypatch):
         def no_signatures(*args):
             raise AssertionError("signatures were computed")
 
         monkeypatch.setattr(coincidence, "containment_signatures", no_signatures)
+        self._no_closure(monkeypatch)
         with pytest.raises(ValueError, match="fingerprint depth"):
             partition_meshes((1, 2), depth)
 
-    def test_rejects_long_patterns(self):
+    @staticmethod
+    def _no_closure(monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("the closure was run")
+
+        monkeypatch.setattr(coincidence, "ssl_closure", no_closure)
+
+    def test_rejects_long_patterns(self, monkeypatch):
+        self._no_closure(monkeypatch)
         with pytest.raises(ValueError):
             partition_meshes((1, 2, 3, 4), 5)
 
@@ -794,6 +846,7 @@ class TestPartition:
 
         for name in ("_less_sets", "_occurrence_tables", "_cached_occurrence_tables"):
             monkeypatch.setattr(mesh, name, no_tables)
+        self._no_closure(monkeypatch)
         with pytest.raises(ValueError, match=limit):
             partition_meshes(p, depth)
 
