@@ -28,7 +28,6 @@ from .diagonals import (
     diagonal_to_json,
     enc_witness,
     graph_points,
-    same_enc,
     sorted_diagonals,
 )
 from .shading import _collector_paused, shadeable_pairs, shadeable_singles, ssl_closure
@@ -223,12 +222,7 @@ def _cmd_coincident(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    pi = _pattern(args.first)
-    pi2 = _pattern(args.second)
-    if pi.perm == pi2.perm and same_enc(pi, pi2):
-        print("error: the patterns have the same enclosed diagonals", file=sys.stderr)
-        return 2
-    wit = enc_witness(pi, pi2)
+    wit = enc_witness(_pattern(args.first), _pattern(args.second))
     side = "first" if wit.contains_first else "second"
     _emit(
         args,
@@ -243,7 +237,7 @@ def _cmd_witness(args) -> int:
 @_collector_paused
 def _cmd_partition(args) -> int:
     p = parse_perm(args.perm)
-    if args.out:
+    if args.out is not None:
         # fail before the work, without creating or truncating the file; a
         # device or a fifo would swallow the report that stdout reads back
         out = Path(args.out)
@@ -252,7 +246,7 @@ def _cmd_partition(args) -> int:
                 f"--out {args.out!r} is not a regular file in an existing directory"
             )
     result = partition_meshes(p, args.max_n, use_gamma=not args.no_gamma)
-    if args.out:
+    if args.out is not None:
         # the whole file is written before stdout gets any of it, so an
         # --out that cannot be written leaves stdout empty; the report is
         # ASCII with "\n" breaks, so its bytes decode line by line as is

@@ -28,8 +28,8 @@ from .mesh import (
     contains,
     default_depth,
     first_separation,
+    mask_to_squares,
     square_bit,
-    _square_tables,
 )
 from .diagonals import (
     diagonal_to_json,
@@ -290,8 +290,8 @@ def _square_text_tables(k: int) -> tuple[tuple[str, ...], ...]:
     high byte closed (``"[3, 3]]"``).  A partition's masks have at most 16
     bits, as its pattern is at most ``MAX_SIGNATURE_LENGTH`` long."""
     low, high = (
-        [json.dumps(squares)[1:-1] for squares in table]
-        for table in (*_square_tables(k), ((),))[:2]
+        [json.dumps(mask_to_squares(k, b << shift))[1:-1] for b in range(256)]
+        for shift in (0, 8)
     )
     return (
         tuple(f"[{text}]" for text in low),

@@ -47,28 +47,14 @@ def squares_to_mask(k: int, squares: Iterable[Square]) -> int:
     return mask
 
 
-@lru_cache(maxsize=16)
-def _square_tables(k: int) -> tuple[tuple[tuple[Square, ...], ...], ...]:
-    """Table j maps the byte of mask bits 8j..8j+7 to its squares."""
-    width = k + 1
-    nbits = width * width
-    tables = []
-    for lo in range(0, nbits, 8):
-        table: list[tuple[Square, ...]] = [()]
-        for bit in range(lo, lo + 8):
-            square = (divmod(bit, width),) if bit < nbits else ()
-            table += [t + square for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+def bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits of a non-negative ``mask``, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def mask_to_squares(k: int, mask: int) -> tuple[Square, ...]:
     """The squares of a mask in bit order: by column, then by row."""
-    squares: tuple[Square, ...] = ()
-    for table in _square_tables(k):
-        squares += table[mask & 0xFF]
-        mask >>= 8
-    return squares
+    return tuple(divmod(i, k + 1) for i in bit_indices(mask & full_grid_mask(k)))
 
 
 def full_grid_mask(k: int) -> int:
@@ -247,10 +233,6 @@ def host_region_masks(p: Perm, w: Perm) -> tuple[int, ...]:
     containment test: duplicates and supersets of other masks are dropped
     (a mesh avoided by some mask is avoided by every subset of it)."""
     masks = {occurrence_region_mask(w, occ) for occ in iter_classical_occurrences(p, w)}
-    if not masks:
-        return ()
-    if 0 in masks:
-        return (0,)
     minimal: list[int] = []
     for m in sorted(masks):  # subsets sort first, so one pass suffices
         if not any(kept & m == kept for kept in minimal):
@@ -362,10 +344,9 @@ def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
     streamed entry is dropped once it is used.  The squares every mesh
     shades are ORed once per entry, then each mesh's own.
     """
-    nbits = (len(p) + 1) ** 2
     meet = reduce(and_, masks) if masks else 0
-    common = [c for c in range(nbits) if meet >> c & 1]
-    shaded = [[c for c in range(nbits) if (mesh ^ meet) >> c & 1] for mesh in masks]
+    common = bit_indices(meet)
+    shaded = [bit_indices(mesh ^ meet) for mesh in masks]
     for n in range(1, n_max + 1):
         row = [0] * len(shaded)
         for occ, cells in _table(p, n):

@@ -34,6 +34,7 @@ from .perm import (
 from .mesh import (
     MeshPattern,
     Square,
+    bit_indices,
     check_mask,
     occurrence_region_mask,
     squares_to_mask,
@@ -134,10 +135,6 @@ def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
     return sum(1 << index(square) for square in line) << grid * width * width
 
 
-def _bit_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @lru_cache(maxsize=64)
 def _compiled(p: Perm) -> tuple[tuple, ...]:
     """Every probe of ``p`` in output order (by graph point; singles, then
@@ -169,7 +166,7 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
                 for line, offset in lines:
                     forbid |= _pull_back(k, back, line, offset)
                 flank_mask = squares_to_mask(k, pull(flanks))
-                indices = (_bit_indices(forbid), _bit_indices(flank_mask))
+                indices = (tuple(bit_indices(forbid)), tuple(bit_indices(flank_mask)))
                 assignment = Assignment(point, kind, direction, squares)
                 probe = (assignment, squares_to_mask(k, squares), forbid, flank_mask, *indices)
                 keyed.append(((point, rank, d), probe))

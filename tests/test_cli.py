@@ -464,6 +464,14 @@ class TestPartition:
         assert err.startswith("error: ")
         assert not out_file.exists()
 
+    def test_empty_out_path_exits_2(self, capsys, tmp_path, monkeypatch, no_partition):
+        # an empty path is refused like any other that names no regular file
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "partition", "1", "--max-n", "2", "--out", "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_path_that_is_a_device_exits_2(self, capsys, no_partition):
         # a device swallows the report, so reading it back would print nothing

@@ -649,7 +649,7 @@ class TestMeshPattern:
         assert len(pi.squares) == 9
 
     @given(
-        st.integers(1, 3).flatmap(
+        st.integers(1, 9).flatmap(
             lambda k: st.tuples(
                 st.permutations(list(range(1, k + 1))).map(tuple),
                 st.integers(0, 2 ** ((k + 1) ** 2) - 1),
@@ -661,3 +661,5 @@ class TestMeshPattern:
         p, mask = pm
         pi = MeshPattern(p, mask)
         assert squares_to_mask(pi.k, pi.squares) == mask
+        # bit order: by column, then by row, each square once
+        assert list(pi.squares) == sorted(set(pi.squares))
