@@ -188,7 +188,7 @@ def _cmd_shade(args) -> int:
         for p, s, d in pairs
     ]
     if args.closure:
-        result = ssl_closure(pi.perm, (pi.mask,), budget=args.budget)
+        result = ssl_closure(pi.perm, (pi.mask,), budget=args.budget, steps=False)
         cls = result.class_of(pi.mask)
         meshes = [MeshPattern(pi.perm, m).text() for m in cls.meshes]
         payload["closure"] = {"complete": result.complete, "meshes": meshes}

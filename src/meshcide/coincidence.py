@@ -219,7 +219,8 @@ def partition_meshes(
     gamma pairs (when ``use_gamma``).  Over the whole cube that closure
     already derives the classical, vincular and isolating rules, so the
     blocks do not depend on the depth, and every step of a class replays
-    under :func:`verify_trace`.  A class is PROVEN when the relation
+    under :func:`verify_trace`; the partition reads only the blocks, so its
+    closure builds no steps.  A class is PROVEN when the relation
     connects all of its members, and CONJECTURED otherwise, with its
     proven sub-blocks reported.
     A proof block that spans two truncations is an ``AssertionError``.  The
@@ -240,7 +241,7 @@ def partition_meshes(
     check_signature_request(p, n_max)
     given = gamma_steps(p) if use_gamma else ()
     size = 1 << (len(p) + 1) ** 2
-    closed = ssl_closure(p, range(size), given=given).classes
+    closed = ssl_closure(p, range(size), given=given, steps=False).classes
     # the blocks are the closure's classes, held while the table is built
     # as their meshes end to end and the offset where each block ends;
     # array loads here, not with the module, so a process that only
@@ -252,10 +253,11 @@ def partition_meshes(
     del closed
     sigs = containment_signatures(p, n_max)
 
-    # blocks come sorted by least member, so groups do too
+    # blocks come sorted by least member, so groups do too; a signature
+    # seen once maps to its block, and to a list once a second block comes
     listed = flat.tolist()
     del flat
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    groups: dict[int, tuple[int, ...] | list[tuple[int, ...]]] = {}
     start = 0
     for end in ends:
         meshes = tuple(listed[start:end])
@@ -268,11 +270,15 @@ def partition_meshes(
                 f"proof edges join meshes {rep} and {mesh} over {perm_text(p)}, "
                 f"whose truncated signatures differ"
             )
-        groups.setdefault(sig, []).append(meshes)
+        blocks = groups.setdefault(sig, meshes)
+        if type(blocks) is list:
+            blocks.append(meshes)
+        elif blocks is not meshes:
+            groups[sig] = [blocks, meshes]
     classes = []
     for blocks in groups.values():
-        if len(blocks) == 1:  # a block is sorted already
-            classes.append(PartitionClass(blocks[0], "PROVEN", tuple(blocks)))
+        if type(blocks) is tuple:  # one block, sorted already
+            classes.append(PartitionClass(blocks, "PROVEN", (blocks,)))
         else:
             members = tuple(sorted(m for block in blocks for m in block))
             classes.append(PartitionClass(members, "CONJECTURED", tuple(blocks)))

@@ -289,19 +289,27 @@ def _frontier_moves(
     return found
 
 
+# The longest run a batch is probed in.  A bit-sliced run's fixed cost of
+# 60-170 us is under 5% of its 0.7-1.1 us a mesh past this size, so a longer
+# run would only grow its buffers.
+_RUN_BOUND = 4096
+
+
 def _probed_in_runs(
     p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]]
 ) -> Iterator[tuple[ShadeMove, ...]]:
     """:func:`_frontier_moves` of a batch, yielded as it is probed in runs
-    of 1, 2, 4, ... meshes, so a consumer that stops early leaves the rest
-    of the batch unprobed, and the probe buffers of one run span at most
-    half the batch.  Every batch of :func:`ssl_closure` is probed this way,
-    whether the closure can stop or runs to its fixpoint."""
+    of 1, 2, 4, ... meshes up to ``_RUN_BOUND``, and of ``_RUN_BOUND`` from
+    then on, so a consumer that stops early leaves the rest of the batch
+    unprobed, and the probe buffers of one run span at most ``_RUN_BOUND``
+    meshes and half the batch.  Every batch of :func:`ssl_closure` is
+    probed this way, whether the closure can stop or runs to its
+    fixpoint."""
     start, run = 0, 1
     while start < len(batch):
         yield from _frontier_moves(p, batch[start : start + run], memo)
         start += run
-        run *= 2
+        run = min(2 * run, _RUN_BOUND)
 
 
 def shadeable_assignments(p: Perm, mask: int) -> list[tuple[Assignment, int]]:
@@ -494,6 +502,8 @@ def ssl_closure(
     budget: int | None = None,
     given: Iterable[TraceStep] = (),
     goal: tuple[int, int] | None = None,
+    *,
+    steps: bool = True,
 ) -> ClosureResult:
     """Partition every mesh reachable from the seeds into proven-coincident
     groups.
@@ -520,15 +530,20 @@ def ssl_closure(
     that gives both one root (or before any expansion, if the given steps
     join them), and the goal's class carries its steps so far, which
     replay in order.  A goal that is not two meshes, or
-    a goal mesh that is not a seed, is a ``ValueError``.  Each class carries
-    the steps that joined its meshes, in the order they were taken: a step
-    is kept only when it merges two groups, so a class of n meshes has
-    n - 1 steps.
+    a goal mesh that is not a seed, is a ``ValueError``.  With ``steps``,
+    each class carries the steps that joined its meshes, in the order they
+    were taken: a step is kept only when it merges two groups, so a class
+    of n meshes has n - 1 steps.  Without it no step is built and every
+    class carries ``()``; the meshes, the classes and their order,
+    ``complete`` and ``expanded`` are the same either way.
 
     Each batch is probed in runs (:func:`_probed_in_runs`), so no probe
     buffer spans a whole batch.  The union-find's ``parent`` dict is the
     one record of the meshes met: the seeds are entered into it and their
     list dropped, and it is cleared once the steps are grouped by root.
+    Each sweep sandwiches the groups that some merge has joined since the
+    last one, found from a list of each merge's ``before`` mesh, and sorts
+    one group at a time.
 
     The closure runs with the cyclic garbage collector paused, and leaves
     it as the caller had it.  That is safe: the closure builds only acyclic
@@ -562,7 +577,8 @@ def ssl_closure(
     del seeds, ends
     frontier = sorted(parent)
     cap = None if budget is None else len(parent) + budget  # most meshes met
-    log: list[TraceStep] = []  # one step per merge: a spanning forest
+    log: list[TraceStep] = []  # with steps, one per merge: a spanning forest
+    joined: list[int] = []  # the before mesh of each merge since the last sweep
 
     def merge(root: int, rule: str, before: int, after: int, detail: tuple) -> int:
         # join after (queued for expansion if it is new) to the group of
@@ -578,7 +594,9 @@ def ssl_closure(
         if other == root:
             return root
         root = uf.link(root, other)
-        log.append(TraceStep(rule, p, before, after, detail))
+        joined.append(before)
+        if steps:
+            log.append(TraceStep(rule, p, before, after, detail))
         if goal is not None and find(goal[0]) == find(goal[1]):
             raise _Stop
         return root
@@ -606,9 +624,13 @@ def ssl_closure(
                             root = merge(root, "SSL", mesh, after, move.assignments)
 
     def sandwich(dirty: set[int]) -> None:
-        # the groups as they stand before this sweep joins anything
-        groups = [sorted(uf.members[root]) for root in sorted(dirty)]
-        for group in groups:
+        # the groups as they stand before this sweep joins anything: a link
+        # only appends to the member list it keeps, so each list's first
+        # len members are its group as it stood, sorted one at a time
+        lists = map(uf.members.__getitem__, sorted(dirty))
+        for listed, size in [(listed, len(listed)) for listed in lists]:
+            group = listed[:size]
+            group.sort()
             extremes = _extremes(group)
             if len(extremes) == 1:
                 lo, hi = extremes[0]
@@ -631,11 +653,10 @@ def ssl_closure(
         if goal is not None and goal[0] == goal[1]:
             raise _Stop  # a goal of one mesh twice is joined from the start
         expand()
-        swept = 0
-        while swept < len(log):
-            # a group that no step has joined since the last sweep is closed
-            dirty = {find(step.before) for step in log[swept:]}
-            swept = len(log)
+        while joined:
+            # a group that no merge has joined since the last sweep is closed
+            dirty = set(map(find, joined))
+            joined.clear()
             sandwich(dirty)
             expand()
         complete = True
@@ -646,17 +667,18 @@ def ssl_closure(
     # class's lists as its tuples are made, so the classes never sit beside
     # the memo, the membership map, the log and every list at once
     memo.clear()
+    joined.clear()
     roots = sorted(mesh for mesh, up in parent.items() if up == mesh)
-    steps: dict[int, list[TraceStep]] = {}
+    grouped: dict[int, list[TraceStep]] = {}  # empty without steps
     for step in log:
-        steps.setdefault(find(step.before), []).append(step)
+        grouped.setdefault(find(step.before), []).append(step)
     log.clear()
     parent.clear()
     members = uf.members
     classes = tuple(
         ClosureClass(
             tuple(sorted(members.pop(root))) if root in members else (root,),
-            tuple(steps.pop(root, ())),
+            tuple(grouped.pop(root, ())),
         )
         for root in roots
     )

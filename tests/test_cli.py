@@ -193,6 +193,40 @@ class TestShade:
         assert "--closure" in err
 
 
+class TestClosureSteps:
+    """Only decide reads a closure's steps; the partition and ``shade
+    --closure`` read its meshes, so their closures build no steps."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        calls = []
+        for module in (cli, coincidence):
+            real = module.ssl_closure
+
+            def spy(*args, real=real, module=module, **kwargs):
+                calls.append((module.__name__, kwargs.get("steps", "default")))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "ssl_closure", spy)
+        return calls
+
+    def test_partition_builds_no_steps(self, asked):
+        partition_meshes((1, 2), 4)
+        assert asked == [("meshcide.coincidence", False)]
+
+    def test_shade_closure_builds_no_steps(self, capsys, asked):
+        _, out, _ = run(capsys, "shade", "12:(2,0)", "--closure")
+        assert "12:(0,0)(1,1)(2,0)" in out
+        assert asked == [("meshcide.cli", False)]
+
+    def test_decide_keeps_its_steps(self, asked):
+        first = parse_mesh_pattern("231:(1,0)(1,1)(3,1)(3,2)")
+        second = parse_mesh_pattern("231:(1,0)(3,1)(3,2)")
+        verdict = coincidence.decide_coincidence(first, second)
+        assert verdict.status == "PROVEN_COINCIDENT" and verdict.trace.steps
+        assert asked == [("meshcide.coincidence", "default")]
+
+
 class TestWitness:
     def test_witness(self, capsys):
         code, out, _ = run(capsys, "witness", "12:(2,0)", "12")

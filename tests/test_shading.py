@@ -739,6 +739,12 @@ class TestClosureEngine:
         assert result.complete and result.expanded == 1 << (len(p) + 1) ** 2
         assert closure_digest(result) == WHOLE_CUBE_DIGESTS[p, gamma]
         assert_spanning_forest(result)
+        # without steps the closure gives the same classes and counts
+        given = gamma_steps(p) if gamma else ()
+        bare = ssl_closure(p, range(result.expanded), given=given, steps=False)
+        assert (bare.complete, bare.expanded) == (result.complete, result.expanded)
+        assert closure_digest(bare, steps=False) == closure_digest(result, steps=False)
+        assert all(cls.steps == () for cls in bare.classes)
 
     @pytest.mark.parametrize("budget", [None, 0, 5, 300])
     def test_seeded_closures_match_recorded(self, budget):
@@ -750,6 +756,30 @@ class TestClosureEngine:
             for cls in result.classes:
                 trace = ProofTrace(p, cls.meshes[0], cls.meshes[-1], cls.steps)
                 assert verify_trace(trace), (p, cls.meshes[0])
+            # without steps a budget stops on the same meshes
+            bare = ssl_closure(p, seeds, budget=budget, steps=False)
+            assert closure_digest(bare, steps=False) == SEEDED_DIGESTS[p, budget], p
+            assert all(cls.steps == () for cls in bare.classes), p
+
+    def test_runs_stay_bounded(self, monkeypatch):
+        # the whole cube of 123 is one batch of 65,536 meshes, probed in runs
+        # that double up to the bound and then keep it
+        frontier_moves = shading._frontier_moves
+        probed = []
+
+        def counted(p, batch, memo):
+            probed.append(len(batch))
+            return frontier_moves(p, batch, memo)
+
+        monkeypatch.setattr(shading, "_frontier_moves", counted)
+        result = whole_cube_closure((1, 2, 3), True)
+        bound = shading._RUN_BOUND
+        doubling = [1 << i for i in range(bound.bit_length())]
+        assert bound == doubling[-1] == 4096
+        assert sum(probed) == result.expanded == 1 << 16
+        assert probed[: len(doubling)] == doubling
+        assert set(probed[len(doubling) : -1]) == {bound}
+        assert max(probed) == bound
 
     @pytest.mark.parametrize("budget", [0, 5, 300])
     def test_budgeted_classes_lie_in_unbudgeted_classes(self, budget):
