@@ -171,36 +171,36 @@ def _well_formed(perm, *masks) -> bool:
 def verify_trace(trace: ProofTrace) -> bool:
     """Recheck every step of a proof trace and its final connectivity.  A
     malformed trace or step (not a ``ProofTrace``, steps that are not
-    ``TraceStep``s, no permutation, a mesh outside the grid, or a detail of
-    the wrong shape) fails like any unsound one."""
+    ``TraceStep``s, no permutation or not the trace's, a mesh outside the
+    grid, or a detail of the wrong shape) fails like any unsound one."""
     from . import shading  # imports this module, so it is reached at call time
 
     if not isinstance(trace, ProofTrace) or not _well_formed(
         trace.perm, trace.source, trace.target
     ):
         return False
+    p = trace.perm
     try:
         steps = iter(trace.steps)
     except TypeError:  # no steps at all, not even an empty tuple
         return False
     uf = UnionFind()
-    # the assignments each (perm, mesh) licenses, with their masks, probed once
-    licensed: dict[tuple[Perm, int], dict] = {}
+    # the assignments each mesh licenses, with their masks, probed once
+    licensed: dict[int, dict] = {}
 
     for step in steps:
         # a plain tuple compares equal to a TraceStep but has no fields
         if not isinstance(step, TraceStep):
             return False
-        if not _well_formed(step.perm, step.before, step.after):
+        if step.perm != p or not _well_formed(step.perm, step.before, step.after):
             return False
         if step.rule == "SSL":
             if not isinstance(step.detail, tuple):
                 return False
             # every assignment must be one the mesh licenses, whole
-            at = (step.perm, step.before)
-            if at not in licensed:
-                licensed[at] = dict(shading.shadeable_assignments(*at))
-            valid = licensed[at]
+            if step.before not in licensed:
+                licensed[step.before] = dict(shading.shadeable_assignments(p, step.before))
+            valid = licensed[step.before]
             union = 0
             points = set()
             for a in step.detail:
@@ -218,15 +218,15 @@ def verify_trace(trace: ProofTrace) -> bool:
             detail = step.detail
             if not (isinstance(detail, tuple) and len(detail) == 2):
                 return False
-            if not _well_formed(step.perm, *detail):
+            if not _well_formed(p, *detail):
                 return False
             lo, hi = detail
             if lo & step.after != lo or step.after & hi != step.after:
                 return False
-            if uf.find((step.perm, lo)) != uf.find((step.perm, hi)):
+            if uf.find(lo) != uf.find(hi):
                 return False
         elif step.rule == "CLASSICAL":
-            pair = MeshPattern(step.perm, step.before), MeshPattern(step.perm, step.after)
+            pair = MeshPattern(p, step.before), MeshPattern(p, step.after)
             if [step] != classical_rule(*pair):
                 return False
         elif step.rule == "GAMMA":
@@ -235,12 +235,12 @@ def verify_trace(trace: ProofTrace) -> bool:
             pair = {step.before, step.after}
             if not any(
                 g.detail == step.detail and {g.before, g.after} == pair
-                for g in gamma_steps(step.perm)
+                for g in gamma_steps(p)
             ):
                 return False
         else:
             return False
-        root, other = uf.find((step.perm, step.before)), uf.find((step.perm, step.after))
+        root, other = uf.find(step.before), uf.find(step.after)
         if root != other:
             uf.link(root, other)
-    return uf.find((trace.perm, trace.source)) == uf.find((trace.perm, trace.target))
+    return uf.find(trace.source) == uf.find(trace.target)

@@ -53,23 +53,17 @@ def render(pi: MeshPattern, fmt: str) -> str:
 
 
 def _render_ascii(pi: MeshPattern) -> str:
+    """Top row first: each row of corners joined by ``-``, and between two
+    of them the row of squares below the upper one, each between ``|``."""
     k = pi.k
-    size = 2 * k + 3
     points = graph_points(pi.perm)
-    grid = [[" "] * size for _ in range(size)]
-    for row in range(size):
-        for col in range(size):
-            if row % 2 == 0 and col % 2 == 1:
-                grid[row][col] = "-"
-            elif row % 2 == 1 and col % 2 == 0:
-                grid[row][col] = "|"
-    for i in range(k + 2):
-        for j in range(k + 2):
-            grid[2 * (k + 1 - j)][2 * i] = "o" if (i, j) in points else "+"
-    for a in range(k + 1):
-        for b in range(k + 1):
-            grid[2 * (k - b) + 1][2 * a + 1] = "#" if pi.has_square(a, b) else "."
-    return "\n".join("".join(row) for row in grid)
+    rows = []
+    for j in range(k + 1, -1, -1):
+        if j <= k:
+            squares = ("#" if pi.has_square(a, j) else "." for a in range(k + 1))
+            rows.append("|" + "|".join(squares) + "|")
+        rows.append("-".join("o" if (i, j) in points else "+" for i in range(k + 2)))
+    return "\n".join(rows)
 
 
 def _render_tikz(pi: MeshPattern) -> str:

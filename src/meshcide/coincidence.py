@@ -316,7 +316,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
     alone, opened, closed = _square_text_tables(len(p))
     perm = json.dumps(list(p))
     encs = [""]  # entry s joins the texts of the candidates in bitset s
-    for _, d in _diagonal_candidates(p):
+    for _, _, d in _diagonal_candidates(p):
         text = json.dumps(diagonal_to_json(d))
         encs += [f"{t}, {text}" if t else text for t in encs]
     cuts = _row_cuts(result.n_max)

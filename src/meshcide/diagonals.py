@@ -41,9 +41,10 @@ def graph_points(p: Perm) -> frozenset[tuple[int, int]]:
 
 
 @lru_cache(maxsize=64)
-def _diagonal_candidates(p: Perm) -> tuple[tuple[int, EnclosedDiagonal], ...]:
-    """Every diagonal a mesh over ``p`` could enclose, with its square mask,
-    in (anchor, orientation) order.
+def _diagonal_candidates(p: Perm) -> tuple[tuple[int, int, EnclosedDiagonal], ...]:
+    """Every diagonal a mesh over ``p`` could enclose, in (anchor,
+    orientation) order, as ``(mask, 1 << i, diagonal)`` for the i-th: its
+    square mask, its bit in :func:`_enclosed`'s sets, and the diagonal.
 
     Proper runs are found by walking each maximal diagonal run of graph
     points once, so maximality needs no separate filter.  No square can sit
@@ -71,13 +72,7 @@ def _diagonal_candidates(p: Perm) -> tuple[tuple[int, EnclosedDiagonal], ...]:
             squares = tuple((x - 1 + t, b + dy * t) for t in range(c + 1))
             found.append(EnclosedDiagonal(orientation, squares[0], c + 1, squares))
     found.sort(key=lambda d: (d.anchor, d.orientation))
-    return tuple((squares_to_mask(k, d.squares), d) for d in found)
-
-
-@lru_cache(maxsize=64)
-def _candidate_bits(p: Perm) -> tuple[tuple[int, int], ...]:
-    """``(mask, 1 << i)`` of the i-th diagonal candidate of ``p``."""
-    return tuple((m, 1 << i) for i, (m, _) in enumerate(_diagonal_candidates(p)))
+    return tuple((squares_to_mask(k, d.squares), 1 << i, d) for i, d in enumerate(found))
 
 
 def _enclosed(p: Perm, mask: int) -> int:
@@ -86,7 +81,7 @@ def _enclosed(p: Perm, mask: int) -> int:
     :func:`_diagonal_candidates`.  Candidates are square-disjoint, so equal
     sets mean equal enclosed diagonals."""
     found = 0
-    for m, bit in _candidate_bits(p):
+    for m, bit, _ in _diagonal_candidates(p):
         if mask & m == m:
             found |= bit
     return found
@@ -94,7 +89,7 @@ def _enclosed(p: Perm, mask: int) -> int:
 
 def pointless_mask(p: Perm) -> int:
     """The squares of ``p``'s grid with no corner on the graph of ``p``."""
-    return sum(m for m, d in _diagonal_candidates(p) if d.orientation == "PT")
+    return sum(m for m, _, d in _diagonal_candidates(p) if d.orientation == "PT")
 
 
 def enclosed_diagonals(pi: MeshPattern) -> frozenset[EnclosedDiagonal]:
@@ -107,13 +102,13 @@ def enc_core_mask(pi: MeshPattern) -> int:
     """Union of the squares of all enclosed diagonals, as a mask.  Candidates
     are square-disjoint, so this determines the diagonal set."""
     found = _enclosed(pi.perm, pi.mask)
-    return sum(m for m, bit in _candidate_bits(pi.perm) if found & bit)
+    return sum(m for m, bit, _ in _diagonal_candidates(pi.perm) if found & bit)
 
 
 def sorted_diagonals(pi: MeshPattern) -> list[EnclosedDiagonal]:
     """The enclosed diagonals in (anchor, orientation) order."""
     found = _enclosed(pi.perm, pi.mask)
-    return [d for i, (_, d) in enumerate(_diagonal_candidates(pi.perm)) if found >> i & 1]
+    return [d for _, bit, d in _diagonal_candidates(pi.perm) if found & bit]
 
 
 def same_enc(pi: MeshPattern, pi2: MeshPattern) -> bool:
@@ -204,7 +199,7 @@ def _witness_table(p: Perm) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
     (:func:`~meshcide.mesh.host_region_masks`).  A mesh is contained in the
     host exactly when it misses some region mask."""
     table = []
-    for _, d in _diagonal_candidates(p):
+    for _, _, d in _diagonal_candidates(p):
         if d.orientation == "SE":
             ca, cb = apply_symmetry_square("c", len(p), d.anchor)
             q = apply_symmetry_perm("c", _insert_between(apply_symmetry_perm("c", p), ca, cb))

@@ -121,9 +121,11 @@ class OpenBox:
         return self.x_lo < x < self.x_hi and self.y_lo < y < self.y_hi
 
 
-def _check_positions(n: int, occ: Occurrence) -> None:
-    """Refuse occurrence positions that are not a non-empty, strictly
-    increasing tuple of ints in ``1..n``; a ``bool`` is not a position."""
+def _check_positions(w: Perm, occ: Occurrence) -> None:
+    """Refuse a host that is not a permutation of 1..n (a ``ParseError``), and
+    occurrence positions that are not a non-empty, strictly increasing tuple
+    of ints in ``1..n``; a ``bool`` is not a position."""
+    n = len(make_perm(w))
     if (
         type(occ) is not tuple
         or not occ
@@ -151,7 +153,7 @@ def corresponding_region(w: Perm, occ: Occurrence, square: Square) -> OpenBox:
         raise ValueError(
             f"square ({a},{b}) does not fit the grid of a length-{k} occurrence"
         )
-    _check_positions(n, occ)
+    _check_positions(w, occ)
     pos = (0,) + occ + (n + 1,)
     vals = (0,) + tuple(sorted(w[i - 1] for i in occ)) + (n + 1,)
     return OpenBox(pos[a], pos[a + 1], vals[b], vals[b + 1])
@@ -170,10 +172,15 @@ def _host_cells(w: Perm, occ: Occurrence) -> Iterator[tuple[int, int, int]]:
 
 def occurrence_region_mask(w: Perm, occ: Occurrence) -> int:
     """Bitmask of the grid squares whose region holds at least one host
-    point; a mesh blocks the occurrence iff it meets this mask.  Positions
-    that are not a strictly increasing tuple of ints in ``1..n`` raise
-    ``ValueError``."""
-    _check_positions(len(w), occ)
+    point; a mesh blocks the occurrence iff it meets this mask.  A host that
+    is not a permutation of 1..n, and positions that are not a strictly
+    increasing tuple of ints in ``1..n``, raise ``ValueError``."""
+    _check_positions(w, occ)
+    return _region_mask(w, occ)
+
+
+def _region_mask(w: Perm, occ: Occurrence) -> int:
+    """:func:`occurrence_region_mask` of a host and positions checked before."""
     width = len(occ) + 1
     mask = 0
     for _, a, b in _host_cells(w, occ):
@@ -231,8 +238,10 @@ def default_depth(k: int) -> int:
 def host_region_masks(p: Perm, w: Perm) -> tuple[int, ...]:
     """Region masks of all occurrences of ``p`` in ``w``, reduced for the
     containment test: duplicates and supersets of other masks are dropped
-    (a mesh avoided by some mask is avoided by every subset of it)."""
-    masks = {occurrence_region_mask(w, occ) for occ in iter_classical_occurrences(p, w)}
+    (a mesh avoided by some mask is avoided by every subset of it).  The
+    occurrence search refuses a host that is not a permutation, so no mask
+    checks it again."""
+    masks = {_region_mask(w, occ) for occ in iter_classical_occurrences(p, w)}
     minimal: list[int] = []
     for m in sorted(masks):  # subsets sort first, so one pass suffices
         if not any(kept & m == kept for kept in minimal):

@@ -511,7 +511,7 @@ def ssl_closure(
     Every mesh the caller names, the seeds, the ``before`` and ``after`` of
     each given step and the goal meshes, is an int mask over ``p``'s grid;
     anything else, a mesh outside the grid included, is a ``ValueError``
-    before any work, and so is a given step over another pattern.  The
+    before any work, and so is a given step not over the int tuple ``p``.  The
     ``given`` steps, which the caller has justified by other rules, are
     joined first and their meshes become seeds too.  Then two inferences
     alternate until neither moves: every simultaneous-shading move joins a
@@ -559,7 +559,8 @@ def ssl_closure(
     if not seeds:
         raise ValueError("at least one seed mesh is required")
     for step in given:
-        if step.perm != p:  # the log rebuilds each step over p
+        # the log rebuilds each step over p, and (1.0, 2.0) == (1, 2)
+        if step.perm != p or any(type(v) is not int for v in step.perm):
             raise ValueError(f"a given step over {step.perm} in a closure over {p}")
     if goal is not None:
         goal = tuple(goal)

@@ -238,6 +238,10 @@ class TestWitness:
         assert code == 2
 
 
+# sha256 of the ascii drawings of test_ascii_is_pinned
+RENDER_DIGEST = "56645b63cda71a0b88d4e7dac80e778819e0fa00448eca992e32640537a97df2"
+
+
 class TestRender:
     def test_ascii_single_point(self, capsys):
         _, out, _ = run(capsys, "render", "1")
@@ -268,6 +272,20 @@ class TestRender:
             p = tuple(rng.sample(range(1, k + 1), k))
             pi = MeshPattern(p, rng.getrandbits((k + 1) ** 2))
             assert mesh_pattern_from_json(json.loads(render(pi, "json"))) == pi
+
+    def test_ascii_is_pinned(self):
+        # sha256 of the ascii drawings of 50 seeded meshes per length 1-6,
+        # each followed by a blank line
+        import random
+
+        digest = hashlib.sha256()
+        for k in range(1, 7):
+            rng = random.Random(f"render:{k}")
+            for _ in range(50):
+                p = tuple(rng.sample(range(1, k + 1), k))
+                pi = MeshPattern(p, rng.getrandbits((k + 1) ** 2))
+                digest.update(render(pi, "ascii").encode() + b"\n\n")
+        assert digest.hexdigest() == RENDER_DIGEST
 
 
 class TestClassify:

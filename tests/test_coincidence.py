@@ -544,6 +544,21 @@ class TestVerifyTrace:
         )
         assert not verify_trace(tampered)
 
+    def test_rejects_a_step_over_another_pattern(self):
+        # a valid 231 trace, then a valid 12 gamma step: the trace's own
+        # pattern is the only one its steps may be over
+        v = decide_coincidence(
+            MeshPattern.of("231", [(1, 0), (1, 1), (3, 1), (3, 2)]),
+            MeshPattern.of("231", [(1, 0), (3, 1), (3, 2)]),
+            7,
+        )
+        assert verify_trace(v.trace)
+        (gamma,) = gamma_rule(GAMMA_1, GAMMA_2)
+        assert verify_trace(ProofTrace((1, 2), GAMMA_1.mask, GAMMA_2.mask, (gamma,)))
+        trace = v.trace
+        other = ProofTrace(trace.perm, trace.source, trace.target, trace.steps + (gamma,))
+        assert verify_trace(other) is False
+
     def test_rejects_unconnected_endpoints(self):
         trace = ProofTrace((2, 3, 1), msk(3, [(1, 0)]), msk(3, [(3, 2)]), ())
         assert not verify_trace(trace)

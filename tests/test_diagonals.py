@@ -29,7 +29,7 @@ from meshcide.diagonals import (
     sorted_diagonals,
 )
 
-from oracles import enc_square_sets, enc_witness_oracle, mesh_contains_brute
+from oracles import _pointless, enc_square_sets, enc_witness_oracle, mesh_contains_brute
 
 
 def diag_sets(pi):
@@ -51,6 +51,12 @@ class TestEnclosedDiagonals:
     def test_pointless_square_below_right(self):
         pi = MeshPattern.of("12", [(2, 0)])
         assert diag_sets(pi) == {("PT", ((2, 0),))}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_pointless_mask_matches_the_oracle(self, k):
+        for p in all_perms(k):
+            squares = [(a, b) for a in range(k + 1) for b in range(k + 1) if _pointless(p, a, b)]
+            assert diagonals.pointless_mask(p) == squares_to_mask(k, squares), p
 
     def test_falling_run(self):
         pi = MeshPattern.of("1", [(0, 1), (1, 0)])
@@ -324,7 +330,7 @@ class TestWitnessTable:
         first = MeshPattern.of("231", [(1, 0), (3, 2)])
         second = MeshPattern.of("231", [(3, 2)])
         assert enc_witness(first, second).perm == (3, 1, 4, 2)
-        squares = [d.squares for _, d in _diagonal_candidates(first.perm)]
+        squares = [d.squares for _, _, d in _diagonal_candidates(first.perm)]
         table = list(_witness_table(first.perm))
         table[squares.index(((1, 0),))] = table[squares.index(((3, 2),))]
         monkeypatch.setattr(diagonals, "_witness_table", lambda p: tuple(table))

@@ -103,7 +103,7 @@ def test_enclosed_set_matches_corner_walk(k):
     rng = random.Random(f"enclosed-set:{k}")
     nbits = (k + 1) ** 2
     for p in all_perms(k):
-        candidates = [d for _, d in diagonals._diagonal_candidates(p)]
+        candidates = [d for _, _, d in diagonals._diagonal_candidates(p)]
         masks = range(1 << nbits) if k <= 2 else _mixed_masks(rng, nbits, 300)
         for mask in masks:
             pi = MeshPattern(p, mask)

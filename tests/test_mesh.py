@@ -84,6 +84,15 @@ class TestRegions:
         with pytest.raises(ValueError, match="invalid occurrence positions"):
             corresponding_region((2, 1, 3), (), (0, 0))
 
+    @pytest.mark.parametrize("host", [(3, 3, 3), (5, 5, 5, 5), (0, 1, 2), (1.0, 2.0, 3.0)])
+    def test_region_helpers_refuse_a_host_that_is_not_a_permutation(self, host):
+        # as contains does; (3, 3, 3) once gave the region (0,1)x(0,3), and
+        # (5, 5, 5, 5) the mask 288 for positions (1, 3)
+        with pytest.raises(ValueError, match="not a permutation|not an int"):
+            corresponding_region(host, (1, 2), (0, 0))
+        with pytest.raises(ValueError, match="not a permutation|not an int"):
+            occurrence_region_mask(host, (1, 3))
+
     @pytest.mark.parametrize("occ", [(1, 1), (5,)])
     def test_region_mask_refuses_bad_positions(self, occ):
         # a repeated position and one past the host's end

@@ -397,6 +397,23 @@ class TestClosure:
         with pytest.raises(ValueError, match="given step"):
             ssl_closure((1, 2), [0], given=[step])
 
+    @pytest.mark.parametrize("perm", [(1.0, 2.0), (True, 2), [1, 2], 12])
+    def test_given_step_over_a_perm_that_is_no_int_tuple_is_an_error(self, perm, monkeypatch):
+        # (1.0, 2.0) == (1, 2), so this gamma step once entered the closure
+        # and was logged rebuilt over (1, 2), though verify_trace refuses it
+        good = gamma_steps((1, 2))[0]
+        step = good._replace(perm=perm)
+        for given, valid in ((good, True), (step, False)):
+            trace = ProofTrace((1, 2), good.before, good.after, (given,))
+            assert verify_trace(trace) is valid
+
+        def no_expansion(*args):
+            raise AssertionError("a mesh was expanded")
+
+        monkeypatch.setattr(shading, "_frontier_moves", no_expansion)
+        with pytest.raises(ValueError, match="given step"):
+            ssl_closure((1, 2), [0], given=[step])
+
     def test_given_meshes_are_seeds(self):
         # mesh 16, square (1,1), enters only through a trusted given step;
         # like a seed it is held and expanded, and the budget counts the
