@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perm import SYMMETRIES, Perm, apply_symmetry_perm, make_perm
+from .perm import SYMMETRIES, Perm, apply_symmetry_perm, check_mask, make_perm
 from .mesh import (
     MeshPattern,
-    check_mask,
     mask_to_squares,
     mesh_pattern_to_json,
     squares_to_mask,

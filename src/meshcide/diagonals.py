@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, canonical_symmetry
+from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, canonical_symmetry, check_mask
 from .mesh import (
     MeshPattern,
     Square,
-    check_mask,
     host_region_masks,
     mask_to_squares,
     squares_to_mask,

@@ -22,11 +22,14 @@ from .perm import (
     ParseError,
     Perm,
     all_perms,
+    check_mask,
+    full_grid_mask,
     iter_classical_occurrences,
     make_perm,
     occurrence_search,
     parse_perm,
     perm_text,
+    valid_positions,
 )
 
 Square = tuple[int, int]
@@ -57,19 +60,6 @@ def mask_to_squares(k: int, mask: int) -> tuple[Square, ...]:
     return tuple(divmod(i, k + 1) for i in bit_indices(mask & full_grid_mask(k)))
 
 
-def full_grid_mask(k: int) -> int:
-    return (1 << (k + 1) ** 2) - 1
-
-
-def check_mask(k: int, *masks: int) -> None:
-    """Reject any mask that is not an int (an int subclass such as ``bool``
-    is not a mask), or that has squares outside the (k+1) x (k+1) grid."""
-    full = full_grid_mask(k)
-    for mask in masks:
-        if type(mask) is not int or not 0 <= mask <= full:
-            raise ValueError(f"mesh mask {mask!r} out of range for a length-{k} pattern")
-
-
 @dataclass(frozen=True)
 class MeshPattern:
     """A classical pattern plus a set of shaded grid squares."""
@@ -95,7 +85,7 @@ class MeshPattern:
         return mask_to_squares(self.k, self.mask)
 
     def has_square(self, a: int, b: int) -> bool:
-        return bool(self.mask & square_bit(self.k, a, b))
+        return bool(self.mask & squares_to_mask(self.k, ((a, b),)))
 
     def text(self) -> str:
         body = "".join(f"({a},{b})" for a, b in self.squares)
@@ -123,16 +113,8 @@ class OpenBox:
 
 def _check_positions(w: Perm, occ: Occurrence) -> None:
     """Refuse a host that is not a permutation of 1..n (a ``ParseError``), and
-    occurrence positions that are not a non-empty, strictly increasing tuple
-    of ints in ``1..n``; a ``bool`` is not a position."""
-    n = len(make_perm(w))
-    if (
-        type(occ) is not tuple
-        or not occ
-        or any(type(x) is not int for x in occ)
-        or any(x >= y for x, y in zip(occ, occ[1:]))
-        or not (1 <= occ[0] and occ[-1] <= n)
-    ):
+    positions that :func:`~meshcide.perm.valid_positions` refuses."""
+    if not valid_positions(occ, len(make_perm(w))):
         raise ValueError(f"invalid occurrence positions {occ!r}")
 
 
@@ -144,18 +126,14 @@ def corresponding_region(w: Perm, occ: Occurrence, square: Square) -> OpenBox:
     way, square ``(a, b)`` maps to the open box
     ``(i_a, i_{a+1}) x (v_b, v_{b+1})``.  The open interior is the right
     emptiness test: a host point can only touch the closed boundary if it is
-    one of the occurrence's own points.
+    one of the occurrence's own points.  The square must be one that
+    :func:`squares_to_mask` takes for the occurrence's grid.
     """
-    n = len(w)
-    k = len(occ)
-    a, b = square
-    if not (0 <= a <= k and 0 <= b <= k):
-        raise ValueError(
-            f"square ({a},{b}) does not fit the grid of a length-{k} occurrence"
-        )
     _check_positions(w, occ)
-    pos = (0,) + occ + (n + 1,)
-    vals = (0,) + tuple(sorted(w[i - 1] for i in occ)) + (n + 1,)
+    squares_to_mask(len(occ), (square,))
+    a, b = square
+    pos = (0, *occ, len(w) + 1)
+    vals = (0, *sorted(w[i - 1] for i in occ), len(w) + 1)
     return OpenBox(pos[a], pos[a + 1], vals[b], vals[b + 1])
 
 
@@ -239,8 +217,8 @@ def host_region_masks(p: Perm, w: Perm) -> tuple[int, ...]:
     """Region masks of all occurrences of ``p`` in ``w``, reduced for the
     containment test: duplicates and supersets of other masks are dropped
     (a mesh avoided by some mask is avoided by every subset of it).  The
-    occurrence search refuses a host that is not a permutation, so no mask
-    checks it again."""
+    occurrence search checks the host as ``make_perm`` does, so the masks
+    are read without a second check."""
     masks = {_region_mask(w, occ) for occ in iter_classical_occurrences(p, w)}
     minimal: list[int] = []
     for m in sorted(masks):  # subsets sort first, so one pass suffices

@@ -31,18 +31,43 @@ def make_perm(values: Sequence[int]) -> Perm:
     word = tuple(values)
     if not word:
         raise ParseError("empty permutation is not supported")
-    n = len(word)
-    seen: set[int] = set()
-    for v in word:
-        if type(v) is not int:
-            raise ParseError(f"permutation entry {v!r} is not an int")
-        if v in seen:
-            raise ParseError(f"not a permutation of 1..{n}: value {v} appears twice")
-        seen.add(v)
-    for v in range(1, n + 1):
-        if v not in seen:
-            raise ParseError(f"not a permutation of 1..{n}: value {v} is missing")
+    _inverse(word)
     return word
+
+
+def _inverse(w: Sequence[int]) -> list[int]:
+    """The inverse array of a host: ``at[v]`` is the position of value v,
+    and ``at[0]`` is 0.  This is the one host check: a word that is not int
+    entries forming a bijection on 1..n (a ``bool`` is not an int) is a
+    ``ParseError`` that names its first fault."""
+    n = len(w)
+    at = [0] * (n + 1)
+    for x, v in enumerate(w, 1):
+        if type(v) is not int or not 0 < v <= n or at[v]:
+            break
+        at[v] = x
+    else:
+        return at
+    if type(v) is not int:
+        fault = f"entry {v!r} is not an int"
+    elif 0 < v <= n:
+        fault = f"value {v} appears twice"
+    else:  # n entries, one of them outside 1..n: a value is missing
+        fault = f"value {next(u for u in range(1, n + 1) if u not in w)} is missing"
+    raise ParseError(f"not a permutation of 1..{n}: {fault}")
+
+
+def full_grid_mask(k: int) -> int:
+    return (1 << (k + 1) ** 2) - 1
+
+
+def check_mask(k: int, *masks: int) -> None:
+    """Reject any mask that is not an int (an int subclass such as ``bool``
+    is not a mask), or that has squares outside the (k+1) x (k+1) grid."""
+    size = (k + 1) ** 2
+    for mask in masks:
+        if type(mask) is not int or mask < 0 or mask >> size:
+            raise ValueError(f"mesh mask {mask!r} out of range for a length-{k} pattern")
 
 
 def parse_perm(text: str) -> Perm:
@@ -86,15 +111,16 @@ def lex_rank(w: Sequence[int]) -> int:
     """
     w = make_perm(w)
     n = len(w)
-    r = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if w[j] < w[i])
-        r += smaller * factorial(n - 1 - i)
-    return r
+    return sum(
+        sum(v < u for v in w[i + 1 :]) * factorial(n - 1 - i) for i, u in enumerate(w)
+    )
 
 
 def lex_unrank(n: int, rank: int) -> Perm:
-    """Inverse of :func:`lex_rank`; a rank outside ``0..n! - 1`` is a ``ValueError``."""
+    """Inverse of :func:`lex_rank`; a size or rank that is not an int (a
+    ``bool`` included), or a rank outside ``0..n! - 1``, is a ``ValueError``."""
+    if type(n) is not int or type(rank) is not int:
+        raise ValueError(f"size {n!r} and rank {rank!r} must both be ints")
     if not 0 <= rank < factorial(n):
         raise ValueError(f"rank {rank} is outside 0..{factorial(n) - 1}, the ranks of S_{n}")
     avail = list(range(1, n + 1))
@@ -199,18 +225,12 @@ def occurrence_search(p: Perm, w: Perm, mask: int = 0) -> Iterator[Occurrence]:
     the order of occurrences does not change.  With ``mask == 0`` letters go
     left to right and occurrences come out in lexicographic order.
 
-    A host that is not a permutation of 1..n, or a mask with a square
-    outside the (k+1) x (k+1) grid (a negative mask included), raises
-    ``ValueError``.
+    A host that :func:`_inverse` refuses, or a mask that :func:`check_mask`
+    refuses, raises ``ValueError``.
     """
     k, n = len(p), len(w)
-    if mask >> (k + 1) ** 2:
-        raise ValueError(f"mask {mask!r} out of range for a length-{k} pattern")
-    at = [0] * (n + 1)  # at[v]: the position of value v
-    for x, v in enumerate(w, 1):
-        if not 0 < v <= n or at[v]:
-            raise ValueError(f"host {w!r} is not a permutation of 1..{n}")
-        at[v] = x
+    check_mask(k, mask)
+    at = _inverse(w)  # at[v]: the position of value v
     if k > n:
         return
     # bit 0 (from at[0]) is in every le[y], so it cancels in each XOR
@@ -282,23 +302,25 @@ def classical_occurrences(p: Perm, w: Perm) -> list[Occurrence]:
     return list(iter_classical_occurrences(p, w))
 
 
-def is_occurrence(p: Perm, w: Perm, positions: Sequence[int]) -> bool:
+def valid_positions(positions: Occurrence, n: int) -> bool:
+    """Are ``positions`` a non-empty, strictly increasing tuple of ints in
+    1..n?  A ``bool`` is not a position, and a list is not a tuple."""
+    return (
+        type(positions) is tuple and positions != ()
+        and all(type(x) is int for x in positions)
+        and all(x < y for x, y in zip((0, *positions), (*positions, n + 1)))
+    )
+
+
+def is_occurrence(p: Perm, w: Perm, positions: Occurrence) -> bool:
     """Do the given positions select a subsequence of ``w`` order isomorphic
-    to ``p``?  Positions are ints; any other entry, ``bool`` included, is
-    not a position."""
-    k, n = len(p), len(w)
-    if len(positions) != k:
-        return False
-    if any(type(x) is not int or not 1 <= x <= n for x in positions):
-        return False
-    if any(positions[i] >= positions[i + 1] for i in range(k - 1)):
+    to ``p``?  Positions that :func:`valid_positions` refuses select none;
+    a host that is not a permutation of 1..n is a ``ParseError``."""
+    k = len(p)
+    if not valid_positions(positions, len(make_perm(w))) or len(positions) != k:
         return False
     vals = [w[x - 1] for x in positions]
-    return all(
-        (vals[s] < vals[t]) == (p[s] < p[t])
-        for s in range(k)
-        for t in range(s + 1, k)
-    )
+    return all((vals[s] < vals[t]) == (p[s] < p[t]) for t in range(k) for s in range(t))
 
 
 # ---------------------------------------------------------------------------

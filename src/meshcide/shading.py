@@ -27,6 +27,7 @@ from .perm import (
     Perm,
     apply_symmetry_perm,
     apply_symmetry_point,
+    check_mask,
     inverse_symmetry,
     is_occurrence,
     make_perm,
@@ -35,7 +36,6 @@ from .mesh import (
     MeshPattern,
     Square,
     bit_indices,
-    check_mask,
     occurrence_region_mask,
     squares_to_mask,
     _host_cells,

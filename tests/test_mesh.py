@@ -77,6 +77,11 @@ class TestRegions:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match=r"\(4,0\)"):
             corresponding_region(W42135, (1, 3, 5), (4, 0))
+        # squares_to_mask's rule: True == 1 once gave the box of (1,0), and
+        # 1.0 a TypeError
+        for square in ((True, 0), (0, 1.0)):
+            with pytest.raises(ValueError, match="not a pair of ints"):
+                corresponding_region(W42135, (1, 3, 5), square)
 
     def test_bad_occurrence(self):
         with pytest.raises(ValueError):
@@ -93,11 +98,13 @@ class TestRegions:
         with pytest.raises(ValueError, match="not a permutation|not an int"):
             occurrence_region_mask(host, (1, 3))
 
-    @pytest.mark.parametrize("occ", [(1, 1), (5,)])
+    @pytest.mark.parametrize("occ", [(1, 1), (5,), [2, 3]])
     def test_region_mask_refuses_bad_positions(self, occ):
-        # a repeated position and one past the host's end
+        # a repeated position, one past the host's end, and a list, which
+        # is_occurrence once took for the occurrence (2, 3) of 12
         with pytest.raises(ValueError, match="invalid occurrence positions"):
             occurrence_region_mask((2, 1, 3), occ)
+        assert not is_occurrence(tuple(range(1, len(occ) + 1)), (2, 1, 3), occ)
 
     def test_matches_inverse_value_formulation(self):
         rng = random.Random(7)
@@ -342,6 +349,10 @@ class TestOccurrenceSearch:
             (MeshPattern.of("21", [(1, 1)]), (3, 3, 1)),
             (MeshPattern.of("1"), (0,)),
             (MeshPattern.of("123"), (2, 2)),  # longer than the host
+            # True == 1 and 1.0 == 1, but neither is an int: the first was
+            # once contained, the second a TypeError
+            (MeshPattern.of("12"), (True, 2)),
+            (MeshPattern.of("12"), (1.0, 2.0)),
         ],
     )
     def test_host_must_be_a_permutation(self, pi, w):
@@ -619,6 +630,8 @@ class TestText:
         for square in ((True, 0), (1.0, 0), (0, False)):
             with pytest.raises(ParseError, match="not a pair of ints"):
                 MeshPattern.of("12", [square])
+            with pytest.raises(ParseError, match="not a pair of ints"):
+                MeshPattern.of("12", [(1, 0)]).has_square(*square)
 
     def test_bad_token_named(self):
         with pytest.raises(ParseError, match="oops"):

@@ -125,10 +125,11 @@ class TestClassicalOccurrences:
         with pytest.raises(ParseError):
             classical_occurrences(p, (2, 1, 3))
 
-    @pytest.mark.parametrize("mask", [1 << 9, 513, -1])
+    @pytest.mark.parametrize("mask", [1 << 9, 513, -1, True])
     def test_mask_outside_the_grid_is_an_error(self, mask):
         # 12 has a 3 x 3 grid, bits 0 .. 8; unchecked, 1 << 9 raised
-        # IndexError, 513 answered as mask 1 and -1 found no occurrence
+        # IndexError, 513 answered as mask 1 and -1 found no occurrence.
+        # check_mask's rule: True == 1, but a bool is not a mask
         with pytest.raises(ValueError, match="out of range"):
             next(occurrence_search((1, 2), (2, 1, 3), mask))
 
@@ -182,6 +183,11 @@ class TestClassicalOccurrences:
         # nor True is one
         assert not is_occurrence((2, 1, 3), w, (1.0, 3.0, 5.0))
         assert not is_occurrence((2, 1, 3), w, (True, 3, 5))
+        # nor are a list of positions, as occurrence_region_mask says
+        assert not is_occurrence((2, 1, 3), w, [1, 3, 5])
+        # a host is checked as make_perm checks it
+        with pytest.raises(ParseError, match="is not an int"):
+            is_occurrence((1, 2), (True, 2), (1, 2))
 
 
 # the eight canonical names plus generator words that are not canonical
@@ -295,6 +301,12 @@ class TestLexOrder:
             for rank in (-1, factorial(n)):
                 with pytest.raises(ValueError, match="outside"):
                     lex_unrank(n, rank)
+
+    @pytest.mark.parametrize("n, rank", [(True, 0), (2, True), (3, 1.0), (3.0, 1)])
+    def test_unrank_of_a_size_or_rank_that_is_not_an_int_is_an_error(self, n, rank):
+        # unchecked, the first two gave (1,) and (2, 1), and the floats TypeErrors
+        with pytest.raises(ValueError, match="must both be ints"):
+            lex_unrank(n, rank)
 
     @pytest.mark.parametrize("w", [(1, 1), (2, 3), ()])
     def test_rank_of_a_non_permutation_is_an_error(self, w):
