@@ -78,10 +78,13 @@ def trace_to_json(trace: ProofTrace) -> list[dict]:
 
 
 class UnionFind:
-    """Dict-backed union-find over comparable hashable items, rooted at each
-    class's least item.  A root whose class has two or more items also keeps
-    their list in ``members``; a singleton has none, so it costs nothing
-    until it first merges."""
+    """Union-find over comparable items, rooted at each class's least item.
+    The ``parent`` store is a dict, which enters an item the first time
+    ``find`` meets it; a caller may replace it before any merge with an int
+    array indexed by item that holds every item from the start.  A root
+    whose class has two or more items also keeps their list in
+    ``members``; a singleton has none, so it costs nothing until it first
+    merges."""
 
     def __init__(self) -> None:
         self.parent: dict = {}
@@ -89,7 +92,11 @@ class UnionFind:
 
     def find(self, x):
         parent = self.parent
-        root = parent.setdefault(x, x)
+        try:
+            root = parent[x]
+        except KeyError:  # a dict store has not met x yet
+            parent[x] = x
+            return x
         if root == x:
             return x
         up = parent[root]

@@ -255,12 +255,10 @@ def partition_meshes(
 
     # blocks come sorted by least member, so groups do too; a signature
     # seen once maps to its block, and to a list once a second block comes
-    listed = flat.tolist()
-    del flat
     groups: dict[int, tuple[int, ...] | list[tuple[int, ...]]] = {}
     start = 0
     for end in ends:
-        meshes = tuple(listed[start:end])
+        meshes = tuple(flat[start:end])
         start = end
         rep = meshes[0]
         sig = sigs[rep]
@@ -311,14 +309,24 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
     the keys ``p``, ``status``, ``size``, ``representative``, ``meshes``,
     ``enc``, ``fingerprint`` and, on CONJECTURED classes, ``blocks``, with
     ``json.dumps`` spacing.  The texts of squares, enclosed diagonals and
-    fingerprint rows 1-3 (the low 9 bits) come from tables built once."""
+    fingerprint rows 1-3 (the low 9 bits) come from tables built once, and
+    so do the enclosed candidates of each byte value of a mask, one table
+    per byte."""
     p = result.perm
     alone, opened, closed = _square_text_tables(len(p))
     perm = json.dumps(list(p))
+    candidates = _diagonal_candidates(p)
     encs = [""]  # entry s joins the texts of the candidates in bitset s
-    for _, _, d in _diagonal_candidates(p):
+    for _, _, d in candidates:
         text = json.dumps(diagonal_to_json(d))
         encs += [f"{t}, {text}" if t else text for t in encs]
+    low, high = (
+        [
+            sum(bit for m, bit, _ in candidates if b << shift & m == m & 0xFF << shift)
+            for b in range(256)
+        ]
+        for shift in (0, 8)
+    )
     cuts = _row_cuts(result.n_max)
     small, deep = cuts[:3], cuts[3:]
     row_text = ['", "'.join(hex(v >> shift & mask) for shift, mask in small) for v in range(512)]
@@ -332,7 +340,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
         rep = meshes[0]
         sig = sigs[rep]
         listed = texts(meshes)
-        enc = encs[_enclosed(p, rep)]
+        enc = encs[low[rep & 0xFF] & high[rep >> 8]]
         rows = row_text[sig & 0x1FF]
         for shift, mask in deep:
             rows += '", "' + hex(sig >> shift & mask)

@@ -142,7 +142,9 @@ def diagonal_to_json(d: EnclosedDiagonal) -> dict:
 def apply_symmetry_square(name: str, k: int, square: Square) -> Square:
     """Act on a square of the (k+1) x (k+1) grid.  Square indices run over
     0..k like the point coordinates of the grid of k - 1 points, and a
-    symmetry moves the two alike."""
+    symmetry moves the two alike.  A square that :func:`squares_to_mask`
+    refuses, one off the grid or not a pair of ints, is a ``ValueError``."""
+    squares_to_mask(k, (square,))
     return apply_symmetry_point(name, k - 1, square)
 
 

@@ -115,13 +115,14 @@ def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
     the pattern's grid by ``back``: the line's bits, placed in the state grid
     of the offset its squares' neighbours have there.  The symmetries are
     affine, so that offset is the same for every square; anything else is an
-    ``AssertionError``."""
+    ``AssertionError``.  A neighbour may lie one step off the grid, so the
+    squares move as points of the grid of k - 1 points, unchecked."""
     if not line:
         return 0
     width = k + 1
 
     def index(square: Square) -> int:
-        a, b = apply_symmetry_square(back, k, square)
+        a, b = apply_symmetry_point(back, k - 1, square)
         return a * width + b
 
     da, db = offset
@@ -538,24 +539,32 @@ def ssl_closure(
     ``complete`` and ``expanded`` are the same either way.
 
     Each batch is probed in runs (:func:`_probed_in_runs`), so no probe
-    buffer spans a whole batch.  The union-find's ``parent`` dict is the
-    one record of the meshes met: the seeds are entered into it and their
-    list dropped, and it is cleared once the steps are grouped by root.
+    buffer spans a whole batch.  The union-find's ``parent`` store is the
+    one record of the meshes met, emptied once the steps are grouped by
+    root and the roots read off it.  When the seeds are the ``range`` of
+    every mesh of the grid, it is an int ``array`` indexed by mesh: no
+    mesh is ever new, the range itself is the first batch, and no seed is
+    listed, checked or entered.  Any other seeds are entered into a dict
+    and their list dropped, and a mesh joins the dict in the merge that
+    meets it.
     Each sweep sandwiches the groups that some merge has joined since the
     last one, found from a list of each merge's ``before`` mesh, and sorts
     one group at a time.
 
     The closure runs with the cyclic garbage collector paused, and leaves
     it as the caller had it.  That is safe: the closure builds only acyclic
-    ints, tuples, lists and dicts, which reference counting frees.  Left
-    running, the collector re-walked the growing heap for about a fifth of
-    a whole-cube closure of ``123`` in a fresh process.
+    ints, tuples, lists, dicts and arrays, which reference counting frees.
+    Left running, the collector re-walked the growing heap for about a
+    fifth of a whole-cube closure of ``123`` in a fresh process.
     """
     p = make_perm(p)
     k = len(p)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"closure budget must be an int of at least 0, not {budget!r}")
-    seeds, given = list(seeds), list(given)
+    whole = seeds == range(1 << (k + 1) ** 2)  # every mesh of the grid is a seed
+    if not whole:
+        seeds = list(seeds)
+    given = list(given)
     if not seeds:
         raise ValueError("at least one seed mesh is required")
     for step in given:
@@ -567,16 +576,26 @@ def ssl_closure(
         if len(goal) != 2:
             raise ValueError(f"a goal is a pair of meshes, not {len(goal)}")
     ends = [mesh for step in given for mesh in (step.before, step.after)]
-    check_mask(k, *seeds, *ends, *(goal or ()))
-    if goal is not None and not set(seeds).issuperset(goal):
+    check_mask(k, *(() if whole else seeds), *ends, *(goal or ()))
+    if goal is not None and not (whole or set(seeds).issuperset(goal)):
         raise ValueError("the goal meshes must be seeds")
-    uf = UnionFind()
-    # every mesh met is a key of parent, the one membership map
-    find, parent = uf.find, uf.parent
-    parent.update(zip(seeds, seeds))
-    parent.update(zip(ends, ends))
+    if whole:
+        # the array's item is the smallest int type that holds every mask
+        from array import array
+
+        code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= (k + 1) ** 2)
+        parent = array(code, seeds)
+        look = parent.__getitem__
+        frontier = seeds
+    else:
+        # every mesh met is a key of parent, the one membership map
+        parent = dict(zip(seeds, seeds))
+        parent.update(zip(ends, ends))
+        look = parent.get
+        frontier = sorted(parent)
     del seeds, ends
-    frontier = sorted(parent)
+    uf = UnionFind()
+    uf.parent, find = parent, uf.find
     cap = None if budget is None else len(parent) + budget  # most meshes met
     log: list[TraceStep] = []  # with steps, one per merge: a spanning forest
     joined: list[int] = []  # the before mesh of each merge since the last sweep
@@ -586,7 +605,7 @@ def ssl_closure(
         # before, whose root the caller passes; returns the joined root.
         # Callers skip an after whose parent or grandparent is that root
         # already: most edges join meshes of one group.
-        if after not in parent:
+        if look(after) is None:  # never, when the whole grid is seeded
             if len(parent) == cap:
                 raise _Stop
             parent[after] = after
@@ -610,18 +629,17 @@ def ssl_closure(
     def expand() -> None:
         # the whole frontier is one batch, so the meshes are expanded and
         # their steps joined in the order one at a time would take
-        nonlocal spent
+        nonlocal spent, frontier
         while frontier:
-            batch = frontier.copy()
-            frontier.clear()
+            batch, frontier = frontier, []
             spent += len(batch)
             for mesh, moves in zip(batch, _probed_in_runs(p, batch, memo)):
                 if moves:
                     root = find(mesh)
                     for move in moves:
                         after = mesh | move.added
-                        up = parent.get(after)
-                        if up != root and parent.get(up) != root:
+                        up = look(after)
+                        if up != root and look(up) != root:
                             root = merge(root, "SSL", mesh, after, move.assignments)
 
     def sandwich(dirty: set[int]) -> None:
@@ -643,8 +661,8 @@ def ssl_closure(
                 root = find(lo)
                 while sub:
                     after = lo | sub
-                    up = parent.get(after)
-                    if up != root and parent.get(up) != root:
+                    up = look(after)
+                    if up != root and look(up) != root:
                         root = merge(root, "CLOSURE", lo, after, (lo, hi))
                     sub = (sub - 1) & diff
 
@@ -669,12 +687,16 @@ def ssl_closure(
     # the memo, the membership map, the log and every list at once
     memo.clear()
     joined.clear()
-    roots = sorted(mesh for mesh, up in parent.items() if up == mesh)
     grouped: dict[int, list[TraceStep]] = {}  # empty without steps
     for step in log:
         grouped.setdefault(find(step.before), []).append(step)
     log.clear()
-    parent.clear()
+    if whole:
+        roots = [mesh for mesh, up in enumerate(parent) if up == mesh]
+        del parent[:]
+    else:
+        roots = sorted(mesh for mesh, up in parent.items() if up == mesh)
+        parent.clear()
     members = uf.members
     classes = tuple(
         ClosureClass(

@@ -371,6 +371,15 @@ class TestSymmetryAction:
         with pytest.raises(ValueError, match="out of range"):
             apply_symmetry_mask("r", 2, mask)
 
+    @pytest.mark.parametrize("square", [(7, 0), (3, 0), (0, -1), (True, 0), (1.0, 0)])
+    def test_square_that_squares_to_mask_refuses_raises(self, square):
+        # the grid of a length-2 pattern is 3 x 3; (7, 0) used to map to
+        # (-5, 0) and (True, 0) to (1, 0)
+        with pytest.raises(ValueError):
+            squares_to_mask(2, [square])
+        with pytest.raises(ValueError):
+            apply_symmetry_square("r", 2, square)
+
     @pytest.mark.parametrize("mask", [0, 5])
     def test_unknown_name_raises_even_on_the_empty_mesh(self, mask):
         with pytest.raises(ValueError, match="unknown symmetry"):

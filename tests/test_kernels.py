@@ -293,14 +293,17 @@ def test_probe_candidates_are_the_corner_and_side_squares():
 
 
 def test_compile_rejects_a_non_uniform_neighbour_shift(monkeypatch):
-    real = shading.apply_symmetry_square
+    # the lines' squares and their neighbours, one of which may lie off the
+    # grid, move as points of the grid of k - 1 points; graph points never
+    # sit on the swapped border points
+    real = shading.apply_symmetry_point
     swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
 
-    def not_affine(name, k, square):
-        image = real(name, k, square)
+    def not_affine(name, n, point):
+        image = real(name, n, point)
         return swap.get(image, image)
 
-    monkeypatch.setattr(shading, "apply_symmetry_square", not_affine)
+    monkeypatch.setattr(shading, "apply_symmetry_point", not_affine)
     shading._compiled.cache_clear()
     try:
         with pytest.raises(AssertionError, match="not onto one neighbour offset"):

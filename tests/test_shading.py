@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -748,6 +749,20 @@ def assert_nested_in_full(p, seeds, budget):
         assert len({class_of[m] for m in cls.meshes}) == 1, (p, budget)
 
 
+def record_stores(monkeypatch):
+    """A function giving the type name of the union-find parent store of
+    each closure run since this call, in order."""
+    made = []
+
+    class Recorded(shading.UnionFind):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(shading, "UnionFind", Recorded)
+    return lambda: [type(uf.parent).__name__ for uf in made]
+
+
 class TestClosureEngine:
     @pytest.mark.parametrize("p", [(1,), (1, 2), (2, 1), (1, 2, 3)])
     @pytest.mark.parametrize("gamma", [True, False])
@@ -807,6 +822,48 @@ class TestClosureEngine:
         a = parse_mesh_pattern("42513:(5,0)(5,3)(5,5)")
         b = parse_mesh_pattern("42513:(3,0)(5,0)(5,5)")
         assert_nested_in_full(a.perm, (a.mask, b.mask, a.mask & b.mask), 4096)
+
+    @pytest.mark.parametrize(
+        "p, steps",
+        [(p, True) for k in (1, 2) for p in all_perms(k)] + [((1, 2, 3), False), ((1, 3, 2), False)],
+    )
+    @pytest.mark.parametrize("gamma", [True, False])
+    def test_whole_grid_store_matches_the_dict_store(self, p, steps, gamma, monkeypatch):
+        # the whole grid as a range keeps its union-find in an int array,
+        # the same meshes listed keep it in a dict; both give one result
+        stores = record_stores(monkeypatch)
+        size = 1 << (len(p) + 1) ** 2
+        given = gamma_steps(p) if gamma else ()
+        whole = ssl_closure(p, range(size), given=given, steps=steps)
+        listed = ssl_closure(p, list(range(size)), given=given, steps=steps)
+        assert stores() == ["array", "dict"]
+        assert whole == listed  # classes with their steps, complete, expanded
+
+    def test_part_of_the_grid_keeps_the_dict_store(self, monkeypatch):
+        stores = record_stores(monkeypatch)
+        part = ssl_closure((1, 2, 3), range(100))
+        listed = ssl_closure((1, 2, 3), list(range(100)))
+        assert stores() == ["dict", "dict"]
+        assert part == listed
+
+    def test_whole_grid_closure_holds_less_than_a_listed_one(self):
+        # the whole cube of 123 held as a range, against the same meshes
+        # listed by the caller, the list counted: the array store enters no
+        # seed and lists none, so its peak is well under the listed one's
+        p, size = (1, 2, 3), 1 << 16
+        ssl_closure(p, range(size), steps=False)  # probes compiled, array loaded
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: ssl_closure(p, range(size), steps=False))
+        listed = peak(lambda: ssl_closure(p, list(range(size)), steps=False))
+        assert whole <= 0.75 * listed, (whole, listed)
 
     def test_bivincular_family_closure_matches_recorded(self):
         # a family closure at k = 4 whose classes grow mostly by sandwiching
