@@ -79,10 +79,11 @@ def trace_to_json(trace: ProofTrace) -> list[dict]:
 
 class UnionFind:
     """Union-find over comparable items, rooted at each class's least item.
-    The ``parent`` store is a dict, which enters an item the first time
-    ``find`` meets it; a caller may replace it before any merge with an int
-    array indexed by item that holds every item from the start.  A root
-    whose class has two or more items also keeps their list in
+    ``find`` reads only items already in the ``parent`` store: a dict that
+    the caller enters each item into, as its own parent, before ``find``
+    meets it, or an int array indexed by item that the caller puts in place
+    of the dict before any merge and that holds every item from the start.
+    A root whose class has two or more items also keeps their list in
     ``members``; a singleton has none, so it costs nothing until it first
     merges."""
 
@@ -92,11 +93,7 @@ class UnionFind:
 
     def find(self, x):
         parent = self.parent
-        try:
-            root = parent[x]
-        except KeyError:  # a dict store has not met x yet
-            parent[x] = x
-            return x
+        root = parent[x]
         if root == x:
             return x
         up = parent[root]
@@ -191,6 +188,8 @@ def verify_trace(trace: ProofTrace) -> bool:
     except TypeError:  # no steps at all, not even an empty tuple
         return False
     uf = UnionFind()
+    # each mesh the trace names is entered as it first appears
+    enter = uf.parent.setdefault
     # the assignments each mesh licenses, with their masks, probed once
     licensed: dict[int, dict] = {}
 
@@ -229,6 +228,8 @@ def verify_trace(trace: ProofTrace) -> bool:
             lo, hi = detail
             if lo & step.after != lo or step.after & hi != step.after:
                 return False
+            enter(lo, lo)
+            enter(hi, hi)
             if uf.find(lo) != uf.find(hi):
                 return False
         elif step.rule == "CLASSICAL":
@@ -246,7 +247,11 @@ def verify_trace(trace: ProofTrace) -> bool:
                 return False
         else:
             return False
+        enter(step.before, step.before)
+        enter(step.after, step.after)
         root, other = uf.find(step.before), uf.find(step.after)
         if root != other:
             uf.link(root, other)
+    enter(trace.source, trace.source)
+    enter(trace.target, trace.target)
     return uf.find(trace.source) == uf.find(trace.target)

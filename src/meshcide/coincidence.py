@@ -309,24 +309,14 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
     the keys ``p``, ``status``, ``size``, ``representative``, ``meshes``,
     ``enc``, ``fingerprint`` and, on CONJECTURED classes, ``blocks``, with
     ``json.dumps`` spacing.  The texts of squares, enclosed diagonals and
-    fingerprint rows 1-3 (the low 9 bits) come from tables built once, and
-    so do the enclosed candidates of each byte value of a mask, one table
-    per byte."""
+    fingerprint rows 1-3 (the low 9 bits) come from tables built once."""
     p = result.perm
     alone, opened, closed = _square_text_tables(len(p))
     perm = json.dumps(list(p))
-    candidates = _diagonal_candidates(p)
     encs = [""]  # entry s joins the texts of the candidates in bitset s
-    for _, _, d in candidates:
+    for _, _, d in _diagonal_candidates(p):
         text = json.dumps(diagonal_to_json(d))
         encs += [f"{t}, {text}" if t else text for t in encs]
-    low, high = (
-        [
-            sum(bit for m, bit, _ in candidates if b << shift & m == m & 0xFF << shift)
-            for b in range(256)
-        ]
-        for shift in (0, 8)
-    )
     cuts = _row_cuts(result.n_max)
     small, deep = cuts[:3], cuts[3:]
     row_text = ['", "'.join(hex(v >> shift & mask) for shift, mask in small) for v in range(512)]
@@ -340,7 +330,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
         rep = meshes[0]
         sig = sigs[rep]
         listed = texts(meshes)
-        enc = encs[low[rep & 0xFF] & high[rep >> 8]]
+        enc = encs[_enclosed(p, rep)]
         rows = row_text[sig & 0x1FF]
         for shift, mask in deep:
             rows += '", "' + hex(sig >> shift & mask)
