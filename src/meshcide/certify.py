@@ -226,7 +226,8 @@ def verify_trace(trace: ProofTrace) -> bool:
             if not _well_formed(p, *detail):
                 return False
             lo, hi = detail
-            if lo & step.after != lo or step.after & hi != step.after:
+            # both meshes lie between two joined ones, so both join them
+            if (step.before | step.after) & ~hi or lo & step.before & step.after != lo:
                 return False
             enter(lo, lo)
             enter(hi, hi)

@@ -292,8 +292,6 @@ def _occurrence_tables(p: Perm, n: int) -> Iterator[tuple[int, tuple[int, ...]]]
         occ = everything
         for lo, hi in zip(q, q[1:]):
             occ &= less[lo][hi]
-        if not occ:
-            continue
         cells = [0] * (k + 1) ** 2
         bounds = (-1, *t, n)
         for a in range(k + 1):

@@ -118,9 +118,12 @@ def lex_rank(w: Sequence[int]) -> int:
 
 def lex_unrank(n: int, rank: int) -> Perm:
     """Inverse of :func:`lex_rank`; a size or rank that is not an int (a
-    ``bool`` included), or a rank outside ``0..n! - 1``, is a ``ValueError``."""
+    ``bool`` included), a size below 1 or a rank outside ``0..n! - 1`` is a
+    ``ValueError``."""
     if type(n) is not int or type(rank) is not int:
         raise ValueError(f"size {n!r} and rank {rank!r} must both be ints")
+    if n < 1:
+        raise ValueError(f"size {n} is below 1, the smallest permutation size")
     if not 0 <= rank < factorial(n):
         raise ValueError(f"rank {rank} is outside 0..{factorial(n) - 1}, the ranks of S_{n}")
     avail = list(range(1, n + 1))
@@ -342,7 +345,6 @@ def symmetry_word(name: str) -> str:
     return name
 
 
-@lru_cache(maxsize=256)
 def _symmetry_form(name: str) -> tuple[bool, bool, bool]:
     """The normal form ``(swap, reflect_x, reflect_y)`` of a symmetry: it
     swaps a point's coordinates if ``swap``, then reflects its x and its y

@@ -33,6 +33,7 @@ from .perm import (
     make_perm,
 )
 from .mesh import (
+    MAX_SIGNATURE_LENGTH,
     MeshPattern,
     Square,
     bit_indices,
@@ -540,13 +541,13 @@ def ssl_closure(
 
     Each batch is probed in runs (:func:`_probed_in_runs`), so no probe
     buffer spans a whole batch.  The union-find's ``parent`` store is the
-    one record of the meshes met, emptied once the steps are grouped by
-    root and the roots read off it.  When the seeds are the ``range`` of
-    every mesh of the grid, it is an int ``array`` indexed by mesh: no
+    one record of the meshes met.  When the seeds are the ``range`` of
+    every mesh of the grid, it is an ``array("H")`` indexed by mesh: no
     mesh is ever new, the range itself is the first batch, and no seed is
-    listed, checked or entered.  Any other seeds are entered into a dict
-    and their list dropped, and a mesh joins the dict in the merge that
-    meets it.
+    listed, checked or entered.  Such seeds over a pattern longer than
+    ``MAX_SIGNATURE_LENGTH``, whose grid no closure could finish, are a
+    ``ValueError`` before any work.  Any other seeds are entered into a
+    dict, and a mesh joins the dict in the merge that meets it.
     Each sweep sandwiches the groups that some merge has joined since the
     last one, found from a list of each merge's ``before`` mesh, and sorts
     one group at a time.
@@ -562,6 +563,8 @@ def ssl_closure(
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"closure budget must be an int of at least 0, not {budget!r}")
     whole = seeds == range(1 << (k + 1) ** 2)  # every mesh of the grid is a seed
+    if whole and k > MAX_SIGNATURE_LENGTH:
+        raise ValueError(f"a whole-grid closure takes length <= {MAX_SIGNATURE_LENGTH}, not {k}")
     if not whole:
         seeds = list(seeds)
     given = list(given)
@@ -572,7 +575,10 @@ def ssl_closure(
         if step.perm != p or any(type(v) is not int for v in step.perm):
             raise ValueError(f"a given step over {step.perm} in a closure over {p}")
     if goal is not None:
-        goal = tuple(goal)
+        try:
+            goal = tuple(goal)
+        except TypeError:
+            raise ValueError(f"a goal is a pair of meshes, not {goal!r}") from None
         if len(goal) != 2:
             raise ValueError(f"a goal is a pair of meshes, not {len(goal)}")
     ends = [mesh for step in given for mesh in (step.before, step.after)]
@@ -580,11 +586,9 @@ def ssl_closure(
     if goal is not None and not (whole or set(seeds).issuperset(goal)):
         raise ValueError("the goal meshes must be seeds")
     if whole:
-        # the array's item is the smallest int type that holds every mask
         from array import array
 
-        code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= (k + 1) ** 2)
-        parent = array(code, seeds)
+        parent = array("H", seeds)  # a mask of at most 16 bits
         look = parent.__getitem__
         frontier = seeds
     else:
@@ -593,7 +597,6 @@ def ssl_closure(
         parent.update(zip(ends, ends))
         look = parent.get
         frontier = sorted(parent)
-    del seeds, ends
     uf = UnionFind()
     uf.parent, find = parent, uf.find
     cap = None if budget is None else len(parent) + budget  # most meshes met
@@ -682,21 +685,13 @@ def ssl_closure(
     except _Stop:
         complete = False
 
-    # each structure is freed once nothing after it reads it, and each
-    # class's lists as its tuples are made, so the classes never sit beside
-    # the memo, the membership map, the log and every list at once
-    memo.clear()
-    joined.clear()
+    memo.clear()  # the largest structure left: the classes are not built beside it
     grouped: dict[int, list[TraceStep]] = {}  # empty without steps
     for step in log:
         grouped.setdefault(find(step.before), []).append(step)
-    log.clear()
-    if whole:
-        roots = [mesh for mesh, up in enumerate(parent) if up == mesh]
-        del parent[:]
-    else:
-        roots = sorted(mesh for mesh, up in parent.items() if up == mesh)
-        parent.clear()
+    roots = [mesh for mesh, up in (enumerate(parent) if whole else parent.items()) if up == mesh]
+    roots.sort()  # a dict holds its meshes in the order met
+    # popped as each class is made: the lists and classes are never all held
     members = uf.members
     classes = tuple(
         ClosureClass(

@@ -331,6 +331,25 @@ class TestDecide:
         with pytest.raises(ValueError, match="fingerprint depth"):
             decide_coincidence(parse_mesh_pattern(first), parse_mesh_pattern(second), depth)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        # distinct perms, and one perm told apart by the sweep at S_4
+        [("12", "123"), ("12:(0,1)(1,0)", "12:(0,0)(0,1)(1,0)")],
+    )
+    def test_refutation_witness_is_verified(self, first, second, monkeypatch):
+        # a witness both patterns agree on is a prover fault, not a verdict
+        monkeypatch.setattr(coincidence, "contains", lambda pi, w: False)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            decide_coincidence(parse_mesh_pattern(first), parse_mesh_pattern(second), 5)
+
+    def test_proof_is_verified(self, monkeypatch):
+        first = MeshPattern.of("231", [(1, 0), (1, 1), (3, 1), (3, 2)])
+        second = MeshPattern.of("231", [(1, 0), (3, 1), (3, 2)])
+        assert decide_coincidence(first, second, 7).status == "PROVEN_COINCIDENT"
+        monkeypatch.setattr(coincidence, "verify_trace", lambda trace: False)
+        with pytest.raises(RuntimeError, match="unverifiable trace"):
+            decide_coincidence(first, second, 7)
+
     def test_outputs_match_recorded(self):
         assert decide_digest(decide_neighbour_pairs(), 7) == DECIDE_DIGEST
 
@@ -599,6 +618,44 @@ class TestVerifyTrace:
         for detail in ((), (lo,), (lo, hi, hi), lo, None, ("a", "b"), (lo, 1 << 9), (-1, hi)):
             step = TraceStep("CLOSURE", (1, 2), lo, lo, detail)
             assert self._one_step(step) is False, detail
+
+    def test_ssl_step_adds_exactly_its_assignments_squares(self):
+        # licensed assignments, but the after mesh shades one square more
+        pi = MeshPattern.of("12", [(2, 0)])
+        point, pair, direction = shadeable_pairs(pi)[0]
+        grown = pi.mask | msk(2, pair)
+        detail = (Assignment(point, "pair", direction, pair),)
+        assert self._one_step(TraceStep("SSL", pi.perm, pi.mask, grown, detail))
+        extra = next(bit for bit in (1 << i for i in range(9)) if not grown & bit)
+        step = TraceStep("SSL", pi.perm, pi.mask, grown | extra, detail)
+        assert self._one_step(step) is False
+
+    def test_closure_step_meshes_lie_between_its_ends(self):
+        # lo and hi are one mesh, so they are joined from the start and
+        # only the interval check refuses a step leaving it; 12:(2,0) and
+        # 12:(0,0) are told apart by 231, so the last step proves a falsehood
+        lo, above, apart = msk(2, [(0, 0)]), msk(2, [(0, 0), (1, 1)]), msk(2, [(2, 0)])
+        assert self._one_step(TraceStep("CLOSURE", (1, 2), lo, lo, (lo, lo)))
+        for before, after in ((lo, above), (above, lo), (apart, lo)):
+            step = TraceStep("CLOSURE", (1, 2), before, after, (lo, lo))
+            assert self._one_step(step) is False, (before, after)
+
+    def test_closure_step_needs_its_ends_joined_first(self):
+        # a pair shading joins lo to hi; a sandwich between them replays
+        # only after that step, not before it
+        pi = MeshPattern.of("12", [(2, 0)])
+        point, pair, direction = shadeable_pairs(pi)[0]
+        lo, hi = pi.mask, pi.mask | msk(2, pair)
+        mid = lo | msk(2, pair[:1])
+        shaded = TraceStep("SSL", pi.perm, lo, hi, (Assignment(point, "pair", direction, pair),))
+        sandwiched = TraceStep("CLOSURE", pi.perm, lo, mid, (lo, hi))
+        assert verify_trace(ProofTrace(pi.perm, lo, mid, (shaded, sandwiched)))
+        assert verify_trace(ProofTrace(pi.perm, lo, mid, (sandwiched, shaded))) is False
+
+    def test_classical_rule_needs_one_pattern(self):
+        # both meshes are empty, so only the perm check refuses the pair
+        assert classical_rule(MeshPattern.of("12"), MeshPattern.of("21")) is None
+        assert classical_rule(MeshPattern.of("12"), MeshPattern.of("12")) is not None
 
     def test_malformed_rule_detail_is_false(self):
         pair = (GAMMA_1.perm, GAMMA_1.mask, GAMMA_2.mask)

@@ -308,6 +308,13 @@ class TestLexOrder:
         with pytest.raises(ValueError, match="must both be ints"):
             lex_unrank(n, rank)
 
+    @pytest.mark.parametrize("n, rank", [(0, 0), (-1, 0)])
+    def test_unrank_of_a_size_below_1_is_an_error(self, n, rank):
+        # unchecked, size 0 gave (), which lex_rank refuses, and size -1
+        # failed inside factorial
+        with pytest.raises(ValueError, match=f"size {n} is below 1"):
+            lex_unrank(n, rank)
+
     @pytest.mark.parametrize("w", [(1, 1), (2, 3), ()])
     def test_rank_of_a_non_permutation_is_an_error(self, w):
         # unchecked, each of these ranked 0, the rank of the identity

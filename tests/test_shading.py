@@ -583,7 +583,7 @@ class TestGoal:
         with pytest.raises(ValueError, match="goal"):
             ssl_closure((1, 2), [0], goal=(0, 1))
 
-    @pytest.mark.parametrize("goal", [(), (0,), (0, 1, 2)])
+    @pytest.mark.parametrize("goal", [(), (0,), (0, 1, 2), 5])
     def test_goal_must_be_a_pair(self, goal):
         with pytest.raises(ValueError, match="goal"):
             ssl_closure((1, 2), [0, 1, 2], goal=goal)
@@ -845,6 +845,16 @@ class TestClosureEngine:
         listed = ssl_closure((1, 2, 3), list(range(100)))
         assert stores() == ["dict", "dict"]
         assert part == listed
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_whole_grid_past_the_signature_length_is_refused(self, k, monkeypatch):
+        # no closure over 2**25 meshes or more could finish: refused before
+        # any store is made (unchecked, k = 4 filled a 2**25-entry array
+        # first, and k = 8 found no array type and raised StopIteration)
+        stores = record_stores(monkeypatch)
+        with pytest.raises(ValueError, match=f"length <= 3, not {k}"):
+            ssl_closure(tuple(range(1, k + 1)), range(1 << (k + 1) ** 2))
+        assert stores() == []
 
     def test_whole_grid_closure_holds_less_than_a_listed_one(self):
         # the whole cube of 123 held as a range, against the same meshes
