@@ -21,7 +21,7 @@ from .mesh import (
     mesh_pattern_to_json,
     squares_to_mask,
 )
-from .diagonals import apply_symmetry_mesh, _enclosed
+from .diagonals import apply_symmetry_mesh, is_coincident_with_classical
 
 
 class TraceStep(NamedTuple):
@@ -130,7 +130,7 @@ def classical_rule(pi: MeshPattern, pi2: MeshPattern) -> list[TraceStep] | None:
     """Both meshes entirely superfluous: each pattern equals its classical core."""
     if pi.perm != pi2.perm:
         return None
-    if _enclosed(pi.perm, pi.mask) or _enclosed(pi.perm, pi2.mask):
+    if not (is_coincident_with_classical(pi) and is_coincident_with_classical(pi2)):
         return None
     return [TraceStep("CLASSICAL", pi.perm, pi.mask, pi2.mask)]
 

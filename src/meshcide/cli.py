@@ -9,6 +9,7 @@ parse or validation problem, or an ``--out`` file that cannot be written;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -148,13 +149,7 @@ def _cmd_enc(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    tags = classify_family(_pattern(args.pattern))
-    payload = {
-        "vincular": tags.vincular,
-        "bivincular": tags.bivincular,
-        "isolating": tags.isolating,
-        "sparse": tags.sparse,
-    }
+    payload = dataclasses.asdict(classify_family(_pattern(args.pattern)))
     _emit(args, payload, [f"{k}: {str(v).lower()}" for k, v in payload.items()])
     return 0
 

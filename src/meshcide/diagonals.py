@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, canonical_symmetry, check_mask
+from .perm import Perm, apply_symmetry_perm, apply_symmetry_point, check_mask, symmetry_word
 from .mesh import (
     MeshPattern,
     Square,
@@ -160,7 +160,7 @@ def apply_symmetry_mask(name: str, k: int, mask: int) -> int:
     >>> mask_to_squares(2, apply_symmetry_mask("ir", 2, mesh))  # any word
     ((0, 2), (1, 0))
     """
-    name = canonical_symmetry(name)
+    symmetry_word(name)
     check_mask(k, mask)
     return squares_to_mask(
         k, [apply_symmetry_square(name, k, s) for s in mask_to_squares(k, mask)]
@@ -185,43 +185,34 @@ class DistinguishingWitness(NamedTuple):
 
 
 def _insert_between(p: Perm, a: int, b: int) -> Perm:
-    """Flatten p(1)..p(a), b + 1/2, p(a+1)..p(k) to a permutation of k+1."""
-    word: list[float] = list(p[:a]) + [b + 0.5] + list(p[a:])
-    ranks = {v: i + 1 for i, v in enumerate(sorted(word))}
-    return tuple(ranks[v] for v in word)
+    """p with a new point inside square (a, b): the letter b + 1 right after
+    position a, and every letter above b moved up by one."""
+    lifted = [v + 1 if v > b else v for v in p]
+    return tuple(lifted[:a] + [b + 1] + lifted[a:])
 
 
 @lru_cache(maxsize=64)
 def _witness_table(p: Perm) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
     """For each diagonal candidate of ``p``, in candidate order, its witness
-    host, with a new letter just below the run right after its anchor's
-    column (falling runs go through the complement symmetry), and the
+    host, ``p`` with a new point inside the diagonal's first square, and the
     region masks of the occurrences of ``p`` in that host
     (:func:`~meshcide.mesh.host_region_masks`).  A mesh is contained in the
     host exactly when it misses some region mask."""
-    table = []
-    for _, _, d in _diagonal_candidates(p):
-        if d.orientation == "SE":
-            ca, cb = apply_symmetry_square("c", len(p), d.anchor)
-            q = apply_symmetry_perm("c", _insert_between(apply_symmetry_perm("c", p), ca, cb))
-        else:
-            q = _insert_between(p, *d.anchor)
-        table.append((q, host_region_masks(p, q)))
-    return tuple(table)
+    hosts = [_insert_between(p, *d.anchor) for _, _, d in _diagonal_candidates(p)]
+    return tuple((q, host_region_masks(p, q)) for q in hosts)
 
 
 def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     """A permutation of length k+1 separating two patterns whose enclosed
     diagonals differ.
 
-    Take a diagonal D present in only one mesh and insert a new letter just
-    below D's run, right after position a.  Every occurrence of p in the
-    result omits one letter sitting over a square of D, so the D-owning
-    pattern is avoided, while the other mesh misses some square of D and
-    therefore is contained.  Falling runs go through the complement
-    symmetry first.  The hosts and their occurrences' region masks come
-    from a table per pattern, and the result is verified against those
-    regions before being returned.
+    Take a diagonal D present in only one mesh; the witness is ``p`` with a
+    new point inside D's first square.  Every occurrence of p in the result
+    omits one letter sitting in a square of D, so the D-owning pattern is
+    avoided, while the other mesh misses some square of D and therefore is
+    contained.  The hosts and their occurrences' region masks come from a
+    table per pattern, and the result is verified against those regions
+    before being returned.
     """
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")

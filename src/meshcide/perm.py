@@ -388,9 +388,3 @@ def apply_symmetry_perm(name: str, w: Perm) -> Perm:
 def inverse_symmetry(name: str) -> str:
     """Generator word undoing ``name`` (each generator is an involution)."""
     return symmetry_word(name)[::-1] or "id"
-
-
-def canonical_symmetry(name: str) -> str:
-    """Fold an arbitrary generator word onto one of the eight canonical names."""
-    form = _symmetry_form(name)
-    return next(s for s in SYMMETRIES if _symmetry_form(s) == form)

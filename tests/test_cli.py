@@ -13,6 +13,7 @@ from meshcide import cli, coincidence
 from meshcide.cli import main, render
 from meshcide.coincidence import partition_meshes
 from meshcide.mesh import MeshPattern, default_depth, mesh_pattern_from_json, parse_mesh_pattern
+from meshcide.perm import ParseError
 from test_shading import collections_inside, set_collector
 
 
@@ -237,6 +238,11 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "231:(1,0)", "231:(1,0)")
         assert code == 2
 
+    def test_different_perms_are_an_error(self, capsys):
+        code, out, err = run(capsys, "witness", "12", "21")
+        assert (code, out) == (2, "")
+        assert "different underlying permutations" in err
+
 
 # sha256 of the ascii drawings of test_ascii_is_pinned
 RENDER_DIGEST = "56645b63cda71a0b88d4e7dac80e778819e0fa00448eca992e32640537a97df2"
@@ -262,6 +268,10 @@ class TestRender:
         assert out.startswith("\\begin{tikzpicture}")
         assert "\\fill[lightgray]" in out
         assert out.rstrip().endswith("\\end{tikzpicture}")
+
+    def test_unknown_format_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="svg"):
+            render(parse_mesh_pattern("231:(1,0)"), "svg")
 
     def test_json_round_trip_many(self):
         import random
@@ -293,6 +303,12 @@ class TestClassify:
         _, out, _ = run(capsys, "classify", "231:(2,0)(2,1)(2,2)(2,3)")
         assert "vincular: true" in out
         assert "sparse: false" in out
+
+    def test_json_keeps_the_field_order(self, capsys):
+        _, out, _ = run(capsys, "classify", "231:(2,0)(2,1)(2,2)(2,3)", "--json")
+        assert out == (
+            '{"vincular": true, "bivincular": true, "isolating": false, "sparse": false}\n'
+        )
 
 
 # sha256 of the whole report that ``partition`` prints for these arguments

@@ -961,6 +961,17 @@ class TestPartition:
     def test_records_are_the_oracle_dumped(self, p, depth, use_gamma):
         assert_records_match_oracle(partition_meshes(p, depth, use_gamma=use_gamma))
 
+    def test_cache_missing_or_not_utf8_is_none(self, tmp_path, monkeypatch):
+        # both are refused before the fresh partition that a load compares to
+        def no_partition(*args):
+            raise AssertionError("a partition was run")
+
+        monkeypatch.setattr(coincidence, "partition_meshes", no_partition)
+        out = tmp_path / "part.jsonl"
+        assert load_partition_cache(out, (1,), 5) is None
+        out.write_bytes(b'{"summary": \xff}\n')
+        assert load_partition_cache(out, (1,), 5) is None
+
     def test_cache_rejects_corruption(self, tmp_path):
         result = partition_meshes((1,), 5)
         good = list(partition_lines(result))

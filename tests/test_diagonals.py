@@ -29,7 +29,13 @@ from meshcide.diagonals import (
     sorted_diagonals,
 )
 
-from oracles import _pointless, enc_square_sets, enc_witness_oracle, mesh_contains_brute
+from oracles import (
+    _pointless,
+    enc_square_sets,
+    enc_witness_oracle,
+    enclosed_diagonals_brute,
+    mesh_contains_brute,
+)
 
 
 def diag_sets(pi):
@@ -228,6 +234,18 @@ class TestMaskComparison:
             wit = enc_witness(a, b)
             assert (wit.perm, wit.contains_first) == enc_witness_oracle(a, b), (a, b)
             checked += 1
+        # every falling run over a pattern of length at most k, alone against
+        # the empty mesh in both orders: the oracle builds these witnesses
+        # through the complement symmetry, the table by plain insertion
+        for p in (p for n in range(1, k + 1) for p in all_perms(n)):
+            full = (1 << (len(p) + 1) ** 2) - 1
+            for orientation, _, _, squares in enclosed_diagonals_brute(p, full):
+                if orientation != "SE":
+                    continue
+                run, empty = MeshPattern.of(p, squares), MeshPattern(p, 0)
+                for a, b in ((run, empty), (empty, run)):
+                    wit = enc_witness(a, b)
+                    assert (wit.perm, wit.contains_first) == enc_witness_oracle(a, b), (a, b)
 
 
 class TestWitness:
@@ -259,6 +277,10 @@ class TestWitness:
         pi = MeshPattern.of("231", [(1, 0), (3, 2)])
         with pytest.raises(ValueError):
             enc_witness(pi, pi)
+
+    def test_different_perms_rejected(self):
+        with pytest.raises(ValueError, match="different underlying permutations"):
+            enc_witness(MeshPattern.of("12", [(2, 0)]), MeshPattern.of("21"))
 
     def test_falling_diagonal_conjugation(self):
         first = MeshPattern.of("1", [(0, 1), (1, 0)])

@@ -74,6 +74,9 @@ class TestRegions:
         # the rectangle with corners (1,4) and (3,5)
         assert corresponding_region(W42135, (1, 3, 5), (1, 2)) == OpenBox(1, 3, 4, 5)
 
+    def test_box_text(self):
+        assert str(OpenBox(1, 3, 5, 6)) == "(1,3)x(5,6)"
+
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match=r"\(4,0\)"):
             corresponding_region(W42135, (1, 3, 5), (4, 0))

@@ -13,7 +13,6 @@ from meshcide.perm import (
     all_perms,
     apply_symmetry_perm,
     apply_symmetry_point,
-    canonical_symmetry,
     classical_occurrences,
     inverse_symmetry,
     is_occurrence,
@@ -212,16 +211,6 @@ class TestSymmetries:
         probe = (1, 3, 4, 2)
         images = {apply_symmetry_perm(s, probe) for s in SYMMETRIES}
         assert len(images) == 8
-
-    def test_canonicalization(self):
-        assert canonical_symmetry("ir") in SYMMETRIES
-        assert canonical_symmetry("rr") == "id"
-        assert canonical_symmetry("cr") == canonical_symmetry("rc")
-        for s in WORDS:
-            canonical = canonical_symmetry(s)
-            assert canonical in SYMMETRIES
-            for w in all_perms(4):
-                assert symmetry_perm_ref(canonical, w) == symmetry_perm_ref(s, w)
 
     def test_inverse_symmetry_undoes(self):
         for s in SYMMETRIES:

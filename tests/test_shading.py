@@ -5,6 +5,7 @@ import itertools
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -297,6 +298,25 @@ class TestRepairWalk:
         out = ssl_repair_occurrence(pi, ShadeMove((assignment,), bits), w, occ)
         assert (out, picks) == (want, [want[point[0] - 1]])
 
+    def test_walk_that_never_settles_hits_its_step_bound(self, monkeypatch):
+        # a pick that keeps the occurrence point where it is never empties
+        # the busy region
+        occ = (1, 2, 5, 9)
+        monkeypatch.setattr(
+            shading, "_pick_replacement", lambda pi, a, n, pts: occ[a.point[0] - 1]
+        )
+        with pytest.raises(RuntimeError, match="step bound"):
+            ssl_repair_occurrence(EX_PATTERN, ex_move(), self.W, occ)
+
+    def test_invalid_result_is_a_hard_error(self):
+        # the walk ends at (6, 7, 8, 9) as in test_worked_walk, but this
+        # forged move also claims square (0,1), whose region there holds the
+        # host point (3, 2)
+        move = ex_move()
+        forged = ShadeMove(move.assignments, move.added | msk(4, [(0, 1)]))
+        with pytest.raises(RuntimeError, match="invalid occurrence"):
+            ssl_repair_occurrence(EX_PATTERN, forged, self.W, (1, 2, 5, 9))
+
     def test_output_is_occurrence_of_enlarged_pattern(self):
         rng = random.Random(97)
         checked = 0
@@ -397,6 +417,25 @@ class TestClosure:
         step = TraceStep("GAMMA", (2, 1), 0, 1, ("id",))
         with pytest.raises(ValueError, match="given step"):
             ssl_closure((1, 2), [0], given=[step])
+        # no TraceStep at all, even a plain tuple equal to one, once raised
+        # AttributeError
+        plain = ("GAMMA", (1, 2), 0, 1, ())
+        assert plain == TraceStep(*plain)
+        for step in (5, plain):
+            named = re.escape(f"given step must be a TraceStep, not {step!r}")
+            with pytest.raises(ValueError, match=named):
+                ssl_closure((1, 2), [0], given=[step])
+
+    def test_no_seed_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            ssl_closure((1, 2), [])
+
+    def test_class_of_a_mesh_outside_the_closure_is_none(self):
+        # the full mesh encloses diagonals the empty mesh does not, so no
+        # move reaches it
+        result = ssl_closure((1, 2), [0])
+        assert result.complete and result.class_of(0) is not None
+        assert result.class_of((1 << 9) - 1) is None
 
     @pytest.mark.parametrize("perm", [(1.0, 2.0), (True, 2), [1, 2], 12])
     def test_given_step_over_a_perm_that_is_no_int_tuple_is_an_error(self, perm, monkeypatch):
