@@ -1,9 +1,10 @@
 """Command-line front end: ``meshcide VERB ARGS [FLAGS]``.
 
 Boolean answers are printed, never encoded in the exit status; ``--json``
-switches any verb to a machine-readable report.  Exit status 2 flags a
-parse or validation problem, or an ``--out`` file that cannot be written;
-0 anything else.
+switches the verbs other than ``partition`` (JSON lines already) and
+``render`` (``--format json``) to a machine-readable report.  Exit status 2
+flags a parse or validation problem, or an ``--out`` file that cannot be
+written; 0 anything else.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help):
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=fn)
-        sp.add_argument("--json", action="store_true", help="emit JSON")
+        if name not in ("partition", "render"):  # JSON lines; --format json
+            sp.add_argument("--json", action="store_true", help="emit JSON")
         return sp
 
     sp = add("contains", _cmd_contains, "does a permutation contain a mesh pattern")

@@ -318,8 +318,9 @@ def _table(p: Perm, n: int) -> Iterable[tuple[int, tuple[int, ...]]]:
     return _occurrence_tables(p, n)
 
 
-def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
-    """Row n of every mesh in ``masks``, for n = 1..n_max in turn.
+def _sweep(p: Perm, masks: Iterable[int], n_max: int) -> Iterator[list[int]]:
+    """Row n of every mesh in ``masks``, for n = 1..n_max in turn, once the
+    pattern, the masks and the depth pass their checks (``ValueError``).
 
     All of S_n is handled at once: a set of hosts is a bitset, and a host
     contains a mesh iff some occurrence ``t`` of ``p`` in it has no other
@@ -329,6 +330,10 @@ def _sweep(p: Perm, masks: Sequence[int], n_max: int) -> Iterator[list[int]]:
     streamed entry is dropped once it is used.  The squares every mesh
     shades are ORed once per entry, then each mesh's own.
     """
+    p = make_perm(p)
+    masks = tuple(masks)
+    check_mask(len(p), *masks)
+    check_depth(n_max)
     meet = reduce(and_, masks) if masks else 0
     common = bit_indices(meet)
     shaded = [bit_indices(mesh ^ meet) for mesh in masks]
@@ -366,10 +371,6 @@ def fingerprints_many(p: Perm, masks: Iterable[int], n_max: int) -> list[tuple[i
     >>> fingerprints_many((1, 2), (0,), 3)
     [(0, 1, 31)]
     """
-    p = make_perm(p)
-    masks = tuple(masks)
-    check_mask(len(p), *masks)
-    check_depth(n_max)
     return list(zip(*_sweep(p, masks, n_max)))
 
 
@@ -385,9 +386,6 @@ def first_separation(p: Perm, a: int, b: int, n_max: int) -> tuple[int, int] | N
     >>> first_separation((1, 2), 0, 1 << 6, 4)  # 12 against 12:(2,0)
     (3, 3)
     """
-    p = make_perm(p)
-    check_mask(len(p), a, b)
-    check_depth(n_max)
     return _first_difference(_sweep(p, (a, b), n_max))
 
 

@@ -255,41 +255,9 @@ def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
 
 
 # Below this many meshes, probing each mesh on its own beats slicing the
-# batch: a bit-sliced batch of 24-40 probes costs about 60-170 us whatever
-# its size, against about 8 us per mesh probed alone, at k = 3 to 5.
+# run: a bit-sliced run of 24-40 probes costs about 60-170 us whatever its
+# size, against about 8 us per mesh probed alone, at k = 3 to 5.
 _SLICED_BATCH_MIN = 12
-
-
-def _frontier_moves(
-    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]]
-) -> list[tuple[ShadeMove, ...]]:
-    """The moves of every mesh of a batch, in batch order.  ``memo`` maps
-    the option vectors seen so far to their moves and the union of the
-    squares those moves add.  A mesh that meets that union has a move
-    adding a square it already shades, which is an ``AssertionError``."""
-    if len(batch) < _SLICED_BATCH_MIN:
-        vectors = b"".join(_option_vector(p, mask) for mask in batch)
-    else:
-        vectors = _batch_vectors(p, batch)
-    count = len(_compiled(p))
-    found = []
-    for t, mask in enumerate(batch):
-        vector = vectors[t * count : (t + 1) * count]
-        entry = memo.get(vector)
-        if entry is None:
-            moves = _moves(p, vector)
-            union = 0
-            for move in moves:
-                union |= move.added
-            entry = memo[vector] = (moves, union)
-        moves, union = entry
-        if union & mask:
-            raise AssertionError(
-                f"a shading move adds shaded squares to mesh {mask} over {p}"
-            )
-        found.append(moves)
-    return found
-
 
 # The longest run a batch is probed in.  A bit-sliced run's fixed cost of
 # 60-170 us is under 5% of its 0.7-1.1 us a mesh past this size, so a longer
@@ -297,21 +265,42 @@ def _frontier_moves(
 _RUN_BOUND = 4096
 
 
-def _probed_in_runs(
+def _frontier_moves(
     p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]]
 ) -> Iterator[tuple[ShadeMove, ...]]:
-    """:func:`_frontier_moves` of a batch, yielded as it is probed in runs
-    of 1, 2, 4, ... meshes up to ``_RUN_BOUND``, and of ``_RUN_BOUND`` from
-    then on, so a consumer that stops early leaves the rest of the batch
-    unprobed, and the probe buffers of one run span at most ``_RUN_BOUND``
-    meshes and half the batch.  Every batch of :func:`ssl_closure` is
-    probed this way, whether the closure can stop or runs to its
-    fixpoint."""
+    """The moves of every mesh of a batch, yielded in batch order as it is
+    probed in runs of 1, 2, 4, ... meshes up to ``_RUN_BOUND``, then of
+    ``_RUN_BOUND``: a consumer that stops early leaves the rest unprobed,
+    and no probe buffer spans more than ``_RUN_BOUND`` meshes or half the
+    batch.  A run shorter than ``_SLICED_BATCH_MIN`` is probed a mesh at a
+    time (:func:`_option_vector`), a longer one bit-sliced
+    (:func:`_batch_vectors`).  ``memo`` maps the option vectors seen so far
+    to their moves and the union of the squares those moves add; a mesh
+    that meets that union is an ``AssertionError``."""
+    count = len(_compiled(p))
     start, run = 0, 1
     while start < len(batch):
-        yield from _frontier_moves(p, batch[start : start + run], memo)
-        start += run
-        run = min(2 * run, _RUN_BOUND)
+        meshes = batch[start : start + run]
+        start, run = start + run, min(2 * run, _RUN_BOUND)
+        if len(meshes) < _SLICED_BATCH_MIN:
+            vectors = b"".join(_option_vector(p, mask) for mask in meshes)
+        else:
+            vectors = _batch_vectors(p, meshes)
+        for t, mask in enumerate(meshes):
+            vector = vectors[t * count : (t + 1) * count]
+            entry = memo.get(vector)
+            if entry is None:
+                moves = _moves(p, vector)
+                union = 0
+                for move in moves:
+                    union |= move.added
+                entry = memo[vector] = (moves, union)
+            moves, union = entry
+            if union & mask:
+                raise AssertionError(
+                    f"a shading move adds shaded squares to mesh {mask} over {p}"
+                )
+            yield moves
 
 
 def shadeable_assignments(p: Perm, mask: int) -> list[tuple[Assignment, int]]:
@@ -352,7 +341,7 @@ def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
     singles or pairs; distinct choices adding the same square set collapse
     to one move, since only the union matters downstream.
     """
-    return list(_frontier_moves(pi.perm, (pi.mask,), {})[0])
+    return list(next(_frontier_moves(pi.perm, (pi.mask,), {})))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +529,7 @@ def ssl_closure(
     class carries ``()``; the meshes, the classes and their order,
     ``complete`` and ``expanded`` are the same either way.
 
-    Each batch is probed in runs (:func:`_probed_in_runs`), so no probe
+    Each batch is probed in runs (:func:`_frontier_moves`), so no probe
     buffer spans a whole batch.  The union-find's ``parent`` store is the
     one record of the meshes met.  When the seeds are the ``range`` of
     every mesh of the grid, it is an ``array("H")`` indexed by mesh: no
@@ -639,7 +628,7 @@ def ssl_closure(
         while frontier:
             batch, frontier = frontier, []
             spent += len(batch)
-            for mesh, moves in zip(batch, _probed_in_runs(p, batch, memo)):
+            for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
                 if moves:
                     root = find(mesh)
                     for move in moves:

@@ -269,6 +269,15 @@ class TestRender:
         assert "\\fill[lightgray]" in out
         assert out.rstrip().endswith("\\end{tikzpicture}")
 
+    def test_json_flag_is_refused(self, capsys):
+        # --format json draws the pattern as JSON; --json was accepted and
+        # ignored, and the ascii grid printed with status 0
+        with pytest.raises(SystemExit) as exited:
+            main(["render", "231:(1,0)(3,2)", "--json"])
+        out = capsys.readouterr()
+        assert (exited.value.code, out.out) == (2, "")
+        assert "--json" in out.err
+
     def test_unknown_format_is_a_parse_error(self):
         with pytest.raises(ParseError, match="svg"):
             render(parse_mesh_pattern("231:(1,0)"), "svg")
@@ -326,6 +335,14 @@ class TestPartition:
         lines = [json.loads(l) for l in out.splitlines()]
         assert "summary" in lines[-1]
         assert lines[-1]["summary"]["classes"] == len(lines) - 1
+
+    def test_json_flag_is_refused(self, capsys):
+        # the report is JSON lines already; --json was accepted and ignored
+        with pytest.raises(SystemExit) as exited:
+            main(["partition", "1", "--max-n", "2", "--json"])
+        out = capsys.readouterr()
+        assert (exited.value.code, out.out) == (2, "")
+        assert "--json" in out.err
 
     def test_threads_flag_is_ignored(self, capsys, monkeypatch):
         argv = ("partition", "1", "--max-n", "4")

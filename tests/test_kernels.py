@@ -31,6 +31,7 @@ from meshcide import shading
 from meshcide.shading import ShadeMove, shadeable_pairs, shadeable_singles, ssl_moves
 from meshcide.coincidence import classify_family
 
+from test_shading import probed_meshes, spy_probes
 from oracles import (
     classify_family_brute,
     enclosed_diagonals_brute,
@@ -74,6 +75,54 @@ def test_shadeable_matches_corner_conditions():
         pi = MeshPattern(p, mask)
         assert shadeable_singles(pi) == shadeable_singles_brute(p, mask), pi
         assert shadeable_pairs(pi) == shadeable_pairs_brute(p, mask), pi
+
+
+# One condition group dropped from a spelled-out probe, as an edit of its
+# blocked squares, flanks and lines (b, f, ln).  The east pair's four
+# blocked squares go together: its line conditions imply the others while
+# one candidate square, (i, v) or (i, v-1), stays blocked, so dropping one
+# changes no answer.
+CONDITION_DROPS = {
+    ("NE single", "candidate square"): lambda i, v, b, f, ln: (
+        [s for s in b if s != (i, v)], f, ln
+    ),
+    ("NE single", "opposite square"): lambda i, v, b, f, ln: (
+        [s for s in b if s != (i - 1, v - 1)], f, ln
+    ),
+    ("NE single", "flanks"): lambda i, v, b, f, ln: (b, [], ln),
+    ("NE single", "row line"): lambda i, v, b, f, ln: (b, f, ln[1:]),
+    ("NE single", "column line"): lambda i, v, b, f, ln: (b, f, ln[:1]),
+    ("E pair", "lower line"): lambda i, v, b, f, ln: (b, f, ln[1:]),
+    ("E pair", "upper line"): lambda i, v, b, f, ln: (b, f, (ln[0], ln[2])),
+    ("E pair", "column line"): lambda i, v, b, f, ln: (b, f, ln[:2]),
+    ("E pair", "blocked squares"): lambda i, v, b, f, ln: ([], f, ln),
+}
+
+
+@pytest.mark.parametrize("probe, group", CONDITION_DROPS, ids=map(" ".join, CONDITION_DROPS))
+def test_every_probe_condition_carries_weight(probe, group, monkeypatch):
+    # each group dropped makes the compiled probes disagree with the corner
+    # conditions on some mesh of length at most 2
+    name = "_ne_single_conditions" if probe == "NE single" else "_e_pair_conditions"
+    real, drop = getattr(shading, name), CONDITION_DROPS[probe, group]
+
+    def dropped(k, i, v):
+        candidate, *conditions = real(k, i, v)
+        return (candidate, *drop(i, v, *conditions))
+
+    monkeypatch.setattr(shading, name, dropped)
+    shading._compiled.cache_clear()
+    try:
+        caught = any(
+            shadeable_singles(MeshPattern(p, mask)) != shadeable_singles_brute(p, mask)
+            or shadeable_pairs(MeshPattern(p, mask)) != shadeable_pairs_brute(p, mask)
+            for p in EXHAUSTIVE
+            if len(p) <= 2
+            for mask in range(1 << (len(p) + 1) ** 2)
+        )
+    finally:
+        shading._compiled.cache_clear()
+    assert caught
 
 
 def test_enclosed_diagonals_match_corner_walk():
@@ -221,17 +270,18 @@ def test_batch_order_duplicates_and_singletons():
     batch = masks + masks[::3] + [0, 0]
     rng.shuffle(batch)
     want = [tuple(ssl_moves(MeshPattern(p, mask))) for mask in batch]
-    assert shading._frontier_moves(p, batch, {}) == want
+    assert list(shading._frontier_moves(p, batch, {})) == want
     for mask in batch[:5]:
         assert _batch_split(p, [mask]) == [shading._option_vector(p, mask)]
-        assert shading._frontier_moves(p, [mask], {}) == [
+        assert list(shading._frontier_moves(p, [mask], {})) == [
             shading._moves(p, shading._option_vector(p, mask))
         ]
 
 
 @pytest.mark.parametrize("p", [(2, 3, 1), (3, 1, 4, 2), (4, 2, 5, 1, 3)])
 def test_frontier_moves_equal_on_both_probe_paths(p, monkeypatch):
-    # batches up to twice the crossover, each probed per mesh and bit-sliced
+    # batches up to twice the crossover, each probed per mesh and bit-sliced:
+    # a crossover of 1 slices every run, one of size + 1 slices none
     rng = random.Random(f"paths:{p}")
     nbits = (len(p) + 1) ** 2
     crossover = shading._SLICED_BATCH_MIN
@@ -241,31 +291,38 @@ def test_frontier_moves_equal_on_both_probe_paths(p, monkeypatch):
         want = [shading._moves(p, shading._option_vector(p, mask)) for mask in batch]
         for threshold in (1, size + 1):  # sliced, then per mesh
             monkeypatch.setattr(shading, "_SLICED_BATCH_MIN", threshold)
-            assert shading._frontier_moves(p, batch, {}) == want, (p, size, threshold)
+            assert list(shading._frontier_moves(p, batch, {})) == want, (p, size, threshold)
 
 
 def test_batch_size_picks_the_probe_path(monkeypatch):
+    # batches of 26 and 27 meshes are probed in runs of 1, 2, 4, 8 and then
+    # 11 or 12: only the run of 12, the crossover, is bit-sliced
     p = (2, 4, 1, 3)
-    real = shading._batch_vectors
-    sliced = []
-    monkeypatch.setattr(
-        shading, "_batch_vectors", lambda p, batch: sliced.append(len(batch)) or real(p, batch)
-    )
+    log = spy_probes(monkeypatch)
     crossover = shading._SLICED_BATCH_MIN
-    for size in (1, crossover - 1, crossover, 2 * crossover):
-        shading._frontier_moves(p, [0] * size, {})
-    assert sliced == [crossover, 2 * crossover]
+    assert crossover == 12
+    for size in (26, 27):
+        list(shading._frontier_moves(p, [0] * size, {}))
+    sliced = [len(meshes) for engine, meshes in log if engine == "sliced"]
+    assert sliced == [crossover]
+    assert len(probed_meshes(log)) == 26 + 27
 
 
 @pytest.mark.parametrize("size", [1, 2 * shading._SLICED_BATCH_MIN])
 def test_overlap_error_on_both_probe_paths(size, monkeypatch):
+    # a lone mesh is probed alone; with the crossover at 1 the 24-mesh batch
+    # is bit-sliced in runs of at most 9 meshes, and its first run fails
+    if size > 1:
+        monkeypatch.setattr(shading, "_SLICED_BATCH_MIN", 1)
+    log = spy_probes(monkeypatch)
     real = shading._moves
     # every square of the grid: it overlaps any mesh with a shaded square
     overlap = ShadeMove((), (1 << 9) - 1)
     monkeypatch.setattr(shading, "_moves", lambda p, vector: real(p, vector) + (overlap,))
     batch = [squares_to_mask(2, [(2, 0)])] * size
     with pytest.raises(AssertionError, match="adds shaded squares"):
-        shading._frontier_moves((1, 2), batch, {})
+        list(shading._frontier_moves((1, 2), batch, {}))
+    assert [engine for engine, _ in log] == ["one" if size == 1 else "sliced"]
 
 
 @pytest.mark.parametrize("p", EXHAUSTIVE + [(1, 3, 2), (2, 4, 1, 3), (2, 4, 1, 5, 3)])

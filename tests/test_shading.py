@@ -585,26 +585,28 @@ class TestGoal:
     def test_stop_leaves_the_rest_of_a_batch_unprobed(self, monkeypatch):
         # a closure that can stop probes its batches in runs of doubling
         # length; probing them whole gives the same result
-        frontier_moves = shading._frontier_moves
-        probed = []
+        log = spy_probes(monkeypatch)
 
-        def counted(p, batch, memo):
-            probed.append(len(batch))
-            return frontier_moves(p, batch, memo)
+        def whole_batch(p, batch, memo):
+            # the batch bit-sliced in one run, each vector's moves made afresh
+            count = len(shading._compiled(p))
+            vectors = shading._batch_vectors(p, batch)
+            return [
+                shading._moves(p, vectors[t * count : (t + 1) * count]) for t in range(len(batch))
+            ]
 
-        monkeypatch.setattr(shading, "_frontier_moves", counted)
         fewer = 0
         for p, a, b in goal_pairs():
             seeds = (a, b, a & b)
-            probed.clear()
+            log.clear()
             stopped = ssl_closure(p, seeds, budget=512, goal=(a, b))
-            assert sum(probed) <= stopped.expanded, (p, a, b)
-            fewer += sum(probed) < stopped.expanded
+            assert len(probed_meshes(log)) <= stopped.expanded, (p, a, b)
+            fewer += len(probed_meshes(log)) < stopped.expanded
             with monkeypatch.context() as whole_batches:
-                whole_batches.setattr(shading, "_probed_in_runs", counted)
-                probed.clear()
+                whole_batches.setattr(shading, "_frontier_moves", whole_batch)
+                log.clear()
                 whole = ssl_closure(p, seeds, budget=512, goal=(a, b))
-            assert sum(probed) == whole.expanded, (p, a, b)
+            assert len(probed_meshes(log)) == whole.expanded, (p, a, b)
             assert closure_digest(whole) == closure_digest(stopped), (p, a, b)
         assert fewer >= 10
 
@@ -788,6 +790,28 @@ def assert_nested_in_full(p, seeds, budget):
         assert len({class_of[m] for m in cls.meshes}) == 1, (p, budget)
 
 
+def spy_probes(monkeypatch):
+    """A list logging every probe of the two engines in order: ``("one",
+    mask)`` for a mesh probed alone, ``("sliced", meshes)`` for a
+    bit-sliced run."""
+    log = []
+    one, sliced = shading._option_vector, shading._batch_vectors
+    monkeypatch.setattr(
+        shading, "_option_vector", lambda p, mask: log.append(("one", mask)) or one(p, mask)
+    )
+    monkeypatch.setattr(
+        shading,
+        "_batch_vectors",
+        lambda p, batch: log.append(("sliced", tuple(batch))) or sliced(p, batch),
+    )
+    return log
+
+
+def probed_meshes(log):
+    """The meshes a :func:`spy_probes` log probed, in order."""
+    return [mesh for engine, x in log for mesh in ((x,) if engine == "one" else x)]
+
+
 def record_stores(monkeypatch):
     """A function giving the type name of the union-find parent store of
     each closure run since this call, in order."""
@@ -834,23 +858,24 @@ class TestClosureEngine:
 
     def test_runs_stay_bounded(self, monkeypatch):
         # the whole cube of 123 is one batch of 65,536 meshes, probed in runs
-        # that double up to the bound and then keep it
-        frontier_moves = shading._frontier_moves
-        probed = []
-
-        def counted(p, batch, memo):
-            probed.append(len(batch))
-            return frontier_moves(p, batch, memo)
-
-        monkeypatch.setattr(shading, "_frontier_moves", counted)
+        # that double up to the bound and then keep it: the runs shorter
+        # than the crossover one mesh at a time, the longer ones bit-sliced
+        log = spy_probes(monkeypatch)
         result = whole_cube_closure((1, 2, 3), True)
         bound = shading._RUN_BOUND
         doubling = [1 << i for i in range(bound.bit_length())]
         assert bound == doubling[-1] == 4096
-        assert sum(probed) == result.expanded == 1 << 16
-        assert probed[: len(doubling)] == doubling
-        assert set(probed[len(doubling) : -1]) == {bound}
-        assert max(probed) == bound
+        alone = [run for run in doubling if run < shading._SLICED_BATCH_MIN]
+        assert alone == [1, 2, 4, 8]
+        sliced = [len(meshes) for engine, meshes in log if engine == "sliced"]
+        assert sliced[: len(doubling) - len(alone)] == doubling[len(alone) :]
+        assert set(sliced[len(doubling) - len(alone) :]) == {bound}
+        assert max(sliced) == bound
+        # runs 1, 2, 4 and 8 and the last run, of the one mesh left over
+        singles = [mesh for engine, mesh in log if engine == "one"]
+        assert singles == list(range(sum(alone))) + [(1 << 16) - 1]
+        assert len(singles) + sum(sliced) == result.expanded == 1 << 16
+        assert probed_meshes(log) == list(range(1 << 16))  # each once, in order
 
     @pytest.mark.parametrize("budget", [0, 5, 300])
     def test_budgeted_classes_lie_in_unbudgeted_classes(self, budget):
