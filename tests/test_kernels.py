@@ -4,6 +4,7 @@ bit-sliced fingerprint sweep against their definitions in
 ``tests/oracles.py``: exhaustively for every pattern of length at most 2, on
 seeded samples for every pattern of length 3 and for longer ones."""
 
+import hashlib
 import itertools
 import random
 from math import factorial
@@ -261,6 +262,26 @@ def test_batch_engine_on_seeded_masks(p):
     nbits = (len(p) + 1) ** 2
     masks = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(1000)]
     _cross_check(p, masks, masks[:300])
+
+
+# sha256 of every probe answer on each length-3 cube: the option vectors of
+# all 65,536 meshes, in runs of 4096
+LENGTH_3_VECTOR_DIGESTS = {
+    (1, 2, 3): "dde0a689f5be3026691d1f03001432809a4fcc46ffe24d5727d4de4f9e6edd52",
+    (1, 3, 2): "79cbf34b72b3f94cbe3cdcca74577d4a3733b3d511a190a884befac0218d1d7a",
+    (2, 1, 3): "ef45bd41b89fd986f78bcbb720f4c63e78a08adf8dd6cd906fb4543319e4097e",
+    (2, 3, 1): "de1b923887ac297105d0b94f5e1d64d3c1e0d10d00870836e38f9d97f15918db",
+    (3, 1, 2): "cfd9e158541d340e61a6f36d677cc15bd156eb1a0136409eea1216937b376180",
+    (3, 2, 1): "2d3fb936f9e4f9d30f98dd863f5c5dadf8fca0dd1adac9235c2bbc1508b61a67",
+}
+
+
+@pytest.mark.parametrize("p", LENGTH_3_VECTOR_DIGESTS)
+def test_every_probe_answer_on_the_length_3_cubes(p):
+    h = hashlib.sha256()
+    for lo in range(0, 1 << 16, 4096):
+        h.update(shading._batch_vectors(p, range(lo, lo + 4096)))
+    assert h.hexdigest() == LENGTH_3_VECTOR_DIGESTS[p]
 
 
 def test_batch_order_duplicates_and_singletons():
