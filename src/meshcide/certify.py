@@ -239,12 +239,9 @@ def verify_trace(trace: ProofTrace) -> bool:
                 return False
         elif step.rule == "GAMMA":
             # the partition logs the pair once per orientation, so any of
-            # them is a valid detail
-            pair = {step.before, step.after}
-            if not any(
-                g.detail == step.detail and {g.before, g.after} == pair
-                for g in gamma_steps(p)
-            ):
+            # them is a valid detail, and either mesh may come first
+            swapped = step._replace(before=step.after, after=step.before)
+            if step not in gamma_steps(p) and swapped not in gamma_steps(p):
                 return False
         else:
             return False

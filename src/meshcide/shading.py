@@ -69,13 +69,13 @@ class ShadeMove(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Compiled probes.  A probe is one direction at one graph point.  Its
-# conditions say that some squares are unshaded (``blocked``), that some are
+# conditions say that the squares it adds are unshaded, that some squares are
 # not all shaded (``flanks``), and that every shaded square of a line has its
 # neighbour at one fixed offset shaded.  Square (a, b) sits at bit a(k+1) + b,
 # so a neighbour offset is a shift of the mask, and the lines of all four
-# offsets fit beside the blocked squares in one mask over a five-grid "state":
-# grid 0 is the mesh, and grid g holds the shaded squares whose neighbour at
-# offset _offsets(k)[g - 1] is unshaded.
+# offsets fit beside the probe's own squares in one mask over a five-grid
+# "state": grid 0 is the mesh, and grid g holds the shaded squares whose
+# neighbour at offset _offsets(k)[g - 1] is unshaded.
 
 
 def _offsets(k: int) -> tuple[int, int, int, int]:
@@ -85,30 +85,28 @@ def _offsets(k: int) -> tuple[int, int, int, int]:
 
 def _ne_single_conditions(k: int, i: int, v: int) -> tuple:
     """The northeast single at the point (i, v): its candidate square (i, v),
-    and its conditions square by square: neither the candidate nor the
-    square opposite it is shaded, the two flanks are not both shaded, a
-    shaded square of row v-1 has its upper neighbour shaded, and a shaded
-    square of column i-1 has its right neighbour shaded (outside the four
-    squares around the point)."""
-    blocked = [(i, v), (i - 1, v - 1)]
+    which is clear, and its conditions: the flanks are not both shaded, and a
+    shaded square of row v-1 or column i-1 has its upper or right neighbour
+    shaded (the flanks apart).  The published lemma has the opposite square
+    (i-1, v-1) clear and out of both lines: the same, as the lines hold at a
+    clear one, and a shaded one needs both flanks, (i-1, v) and (i, v-1)."""
     flanks = [(i, v - 1), (i - 1, v)]
-    row = [(x, v - 1) for x in range(k + 1) if x not in (i - 1, i)]
-    column = [(i - 1, y) for y in range(k + 1) if y not in (v - 1, v)]
-    return [(i, v)], blocked, flanks, ((row, (0, 1)), (column, (1, 0)))
+    row = [(x, v - 1) for x in range(k + 1) if x != i]
+    column = [(i - 1, y) for y in range(k + 1) if y != v]
+    return [(i, v)], flanks, ((row, (0, 1)), (column, (1, 0)))
 
 
 def _e_pair_conditions(k: int, i: int, v: int) -> tuple:
     """The east pair at the point (i, v): its candidate squares (i, v) and
-    (i, v-1), and its conditions: no square around the point is shaded,
-    rows v-1 and v agree (a shaded square of either has its neighbour in the
-    other shaded), and a shaded square of column i-1 has its right
-    neighbour shaded."""
-    blocked = [(i, v), (i - 1, v), (i, v - 1), (i - 1, v - 1)]
+    (i, v-1), which are clear, and its conditions: rows v-1 and v agree (a
+    shaded square of either has its neighbour in the other shaded), and a
+    shaded square of column i-1 has its right neighbour shaded, so the
+    squares left of the candidates are clear, as the published lemma says."""
     lower = [(x, v - 1) for x in range(k + 1)]
     upper = [(x, v) for x in range(k + 1)]
     column = [(i - 1, y) for y in range(k + 1)]
     lines = ((lower, (0, 1)), (upper, (0, -1)), (column, (1, 0)))
-    return [(i, v), (i, v - 1)], blocked, [], lines
+    return [(i, v), (i, v - 1)], [], lines
 
 
 def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
@@ -144,10 +142,10 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
     pulled back from the spelled-out direction into ``p``'s own grid.  A
     pair's two squares are listed by row from the top, then by column.
 
-    A probe is ``(assignment, added, forbid, flanks, forbid_at,
-    flanks_at)``: the assignment it licenses and its mask, the state bits
-    that must all be clear, the flanks (0 for a pair, which has none), and
-    the bit indices of ``forbid`` and of ``flanks``, for the batch engine.
+    A probe is ``(assignment, added, forbid, flanks, forbid_at, flanks_at)``:
+    the assignment it licenses and its mask, the state bits that must all be
+    clear (its own squares, ``added``, and its line bits), the flanks (0 for
+    a pair, which has none), and the bit indices of ``forbid`` and ``flanks``.
     """
     k = len(p)
     keyed = []
@@ -162,15 +160,15 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
             pull = lambda squares: [apply_symmetry_square(back, k, s) for s in squares]
             for j, v in enumerate(apply_symmetry_perm(sym, p), 1):
                 point = apply_symmetry_point(back, k, (j, v))
-                candidate, blocked, flanks, lines = conditions(k, j, v)
+                candidate, flanks, lines = conditions(k, j, v)
                 squares = tuple(sorted(pull(candidate), key=lambda s: (-s[1], s[0])))
-                forbid = squares_to_mask(k, pull(blocked))
+                forbid = added = squares_to_mask(k, squares)
                 for line, offset in lines:
                     forbid |= _pull_back(k, back, line, offset)
                 flank_mask = squares_to_mask(k, pull(flanks))
                 indices = (tuple(bit_indices(forbid)), tuple(bit_indices(flank_mask)))
                 assignment = Assignment(point, kind, direction, squares)
-                probe = (assignment, squares_to_mask(k, squares), forbid, flank_mask, *indices)
+                probe = (assignment, added, forbid, flank_mask, *indices)
                 keyed.append(((point, rank, d), probe))
     keyed.sort(key=lambda t: t[0])
     return tuple(probe for _, probe in keyed)
@@ -427,7 +425,7 @@ class ClosureResult:
     perm: Perm
     classes: tuple[ClosureClass, ...]
     complete: bool
-    expanded: int  # meshes whose shading moves were taken
+    expanded: int  # meshes of every batch begun, a stop's unprobed rest included
 
     @property
     def size(self) -> int:
@@ -530,14 +528,15 @@ def ssl_closure(
     ``complete`` and ``expanded`` are the same either way.
 
     Each batch is probed in runs (:func:`_frontier_moves`), so no probe
-    buffer spans a whole batch.  The union-find's ``parent`` store is the
-    one record of the meshes met.  When the seeds are the ``range`` of
-    every mesh of the grid, it is an ``array("H")`` indexed by mesh: no
-    mesh is ever new, the range itself is the first batch, and no seed is
-    listed, checked or entered.  Such seeds over a pattern longer than
-    ``MAX_SIGNATURE_LENGTH``, whose grid no closure could finish, are a
-    ``ValueError`` before any work.  Any other seeds are entered into a
-    dict, and a mesh joins the dict in the merge that meets it.
+    buffer spans a whole batch, and ``expanded`` counts every batch begun,
+    though a stop leaves the rest of its batch unprobed.  The union-find's
+    ``parent`` store is the one record of the meshes met.  When the seeds
+    are the ``range`` of every mesh of the grid, it is an ``array("H")``
+    indexed by mesh: no mesh is ever new, the range itself is the first
+    batch, and no seed is listed, checked or entered.  Such seeds over a
+    pattern longer than ``MAX_SIGNATURE_LENGTH``, whose grid no closure could
+    finish, are a ``ValueError`` before any work.  Any other seeds are
+    entered into a dict, and a mesh joins the dict in the merge that meets it.
     Each sweep sandwiches the groups that some merge has joined since the
     last one, found from a list of each merge's ``before`` mesh, and sorts
     one group at a time.

@@ -175,7 +175,9 @@ def symmetry_mask_brute(name, k, mask):
 
 
 def ne_single_ok_brute(p, mask, i):
-    """Northeast single-square conditions at the graph point (i, p(i))."""
+    """Northeast single-square conditions at the graph point (i, p(i)), as
+    the Shading Lemma states them in print, opposite square included: the
+    reference that ``shading``'s minimal form is checked against."""
     k = len(p)
     v = p[i - 1]
     has = lambda a, b: _has(k, mask, a, b)
@@ -193,7 +195,9 @@ def ne_single_ok_brute(p, mask, i):
 
 
 def e_pair_ok_brute(p, mask, i):
-    """East pair conditions at the graph point (i, p(i))."""
+    """East pair conditions at the graph point (i, p(i)), as the Shading
+    Lemma states them in print, all four squares around the point blocked:
+    the reference that ``shading``'s minimal form is checked against."""
     k = len(p)
     v = p[i - 1]
     has = lambda a, b: _has(k, mask, a, b)

@@ -14,6 +14,7 @@ import pytest
 from meshcide.perm import SYMMETRIES, all_perms, apply_symmetry_perm, lex_rank, lex_unrank
 from meshcide.mesh import (
     MeshPattern,
+    bit_indices,
     fingerprints_many,
     host_region_masks,
     parse_mesh_pattern,
@@ -78,41 +79,54 @@ def test_shadeable_matches_corner_conditions():
         assert shadeable_pairs(pi) == shadeable_pairs_brute(p, mask), pi
 
 
+def _without(line, square):
+    squares, offset = line
+    return [s for s in squares if s != square], offset
+
+
 # One condition group dropped from a spelled-out probe, as an edit of its
-# blocked squares, flanks and lines (b, f, ln).  The east pair's four
-# blocked squares go together: its line conditions imply the others while
-# one candidate square, (i, v) or (i, v-1), stays blocked, so dropping one
-# changes no answer.
+# flanks and lines (f, ln): the northeast single's two line entries at the
+# opposite square (i-1, v-1) are what keep that square clear.  Every probe's
+# own squares are kept clear by _compiled itself, so that drop is a compiled
+# mutant (None here), which takes them out of each probe's forbidden bits.
 CONDITION_DROPS = {
-    ("NE single", "candidate square"): lambda i, v, b, f, ln: (
-        [s for s in b if s != (i, v)], f, ln
+    ("NE single", "flanks"): lambda i, v, f, ln: ([], ln),
+    ("NE single", "row line"): lambda i, v, f, ln: (f, ln[1:]),
+    ("NE single", "column line"): lambda i, v, f, ln: (f, ln[:1]),
+    ("NE single", "row line at the opposite square"): lambda i, v, f, ln: (
+        f, (_without(ln[0], (i - 1, v - 1)), ln[1])
     ),
-    ("NE single", "opposite square"): lambda i, v, b, f, ln: (
-        [s for s in b if s != (i - 1, v - 1)], f, ln
+    ("NE single", "column line at the opposite square"): lambda i, v, f, ln: (
+        f, (ln[0], _without(ln[1], (i - 1, v - 1)))
     ),
-    ("NE single", "flanks"): lambda i, v, b, f, ln: (b, [], ln),
-    ("NE single", "row line"): lambda i, v, b, f, ln: (b, f, ln[1:]),
-    ("NE single", "column line"): lambda i, v, b, f, ln: (b, f, ln[:1]),
-    ("E pair", "lower line"): lambda i, v, b, f, ln: (b, f, ln[1:]),
-    ("E pair", "upper line"): lambda i, v, b, f, ln: (b, f, (ln[0], ln[2])),
-    ("E pair", "column line"): lambda i, v, b, f, ln: (b, f, ln[:2]),
-    ("E pair", "blocked squares"): lambda i, v, b, f, ln: ([], f, ln),
+    ("E pair", "lower line"): lambda i, v, f, ln: (f, ln[1:]),
+    ("E pair", "upper line"): lambda i, v, f, ln: (f, (ln[0], ln[2])),
+    ("E pair", "column line"): lambda i, v, f, ln: (f, ln[:2]),
+    ("compiled", "own squares"): None,
 }
 
 
 @pytest.mark.parametrize("probe, group", CONDITION_DROPS, ids=map(" ".join, CONDITION_DROPS))
 def test_every_probe_condition_carries_weight(probe, group, monkeypatch):
     # each group dropped makes the compiled probes disagree with the corner
-    # conditions on some mesh of length at most 2
-    name = "_ne_single_conditions" if probe == "NE single" else "_e_pair_conditions"
-    real, drop = getattr(shading, name), CONDITION_DROPS[probe, group]
+    # conditions, the lemma as published, on some mesh of length at most 2
+    compiled, drop = shading._compiled, CONDITION_DROPS[probe, group]
+    if drop is None:
+        mutant = lambda p: tuple(
+            (a, added, forbid & ~added, flanks, tuple(bit_indices(forbid & ~added)), *rest)
+            for a, added, forbid, flanks, _, *rest in compiled(p)
+        )
+        monkeypatch.setattr(shading, "_compiled", mutant)
+    else:
+        name = "_ne_single_conditions" if probe == "NE single" else "_e_pair_conditions"
+        real = getattr(shading, name)
 
-    def dropped(k, i, v):
-        candidate, *conditions = real(k, i, v)
-        return (candidate, *drop(i, v, *conditions))
+        def dropped(k, i, v):
+            candidate, *conditions = real(k, i, v)
+            return (candidate, *drop(i, v, *conditions))
 
-    monkeypatch.setattr(shading, name, dropped)
-    shading._compiled.cache_clear()
+        monkeypatch.setattr(shading, name, dropped)
+    compiled.cache_clear()
     try:
         caught = any(
             shadeable_singles(MeshPattern(p, mask)) != shadeable_singles_brute(p, mask)
@@ -122,7 +136,7 @@ def test_every_probe_condition_carries_weight(probe, group, monkeypatch):
             for mask in range(1 << (len(p) + 1) ** 2)
         )
     finally:
-        shading._compiled.cache_clear()
+        compiled.cache_clear()
     assert caught
 
 
