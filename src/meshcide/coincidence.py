@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial
 from pathlib import Path
@@ -286,7 +285,6 @@ def partition_meshes(
 # ---------------------------------------------------------------------------
 # Partition report (JSON lines) and its cache file.
 
-@lru_cache(maxsize=16)
 def _square_text_tables(k: int) -> tuple[tuple[str, ...], ...]:
     """The JSON text of a mask's squares from three byte tables: a mask
     below 0x100 is its low byte alone (0x05 gives ``"[[0, 0], [0, 2]]"`` at
@@ -309,7 +307,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
     the keys ``p``, ``status``, ``size``, ``representative``, ``meshes``,
     ``enc``, ``fingerprint`` and, on CONJECTURED classes, ``blocks``, with
     ``json.dumps`` spacing.  The texts of squares, enclosed diagonals and
-    fingerprint rows 1-3 (the low 9 bits) come from tables built once."""
+    fingerprint rows 1-3 (the low 9 bits) come from tables of the report."""
     p = result.perm
     alone, opened, closed = _square_text_tables(len(p))
     perm = json.dumps(list(p))

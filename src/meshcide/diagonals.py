@@ -41,36 +41,34 @@ def graph_points(p: Perm) -> frozenset[tuple[int, int]]:
 
 @lru_cache(maxsize=64)
 def _diagonal_candidates(p: Perm) -> tuple[tuple[int, int, EnclosedDiagonal], ...]:
-    """Every diagonal a mesh over ``p`` could enclose, in (anchor,
-    orientation) order, as ``(mask, 1 << i, diagonal)`` for the i-th: its
-    square mask, its bit in :func:`_enclosed`'s sets, and the diagonal.
+    """Every diagonal a mesh over ``p`` could enclose, in anchor order, as
+    ``(mask, 1 << i, diagonal)`` for the i-th: its square mask, its bit in
+    :func:`_enclosed`'s sets, and the diagonal.
 
-    Proper runs are found by walking each maximal diagonal run of graph
-    points once, so maximality needs no separate filter.  No square can sit
-    in two candidates: distinct runs claim disjoint squares and a pointless
-    square has no graph corner at all.
+    Each square is visited once, in (a, b) order, and is the anchor of at
+    most one candidate: a pointless square, or the first square of a maximal
+    run, whose corner along the run is a graph point and whose corner behind
+    it is not.  No square can sit in two candidates: distinct runs claim
+    disjoint squares and a pointless square has no graph corner at all.
     """
     k = len(p)
     points = graph_points(p)
     found = []
     for a in range(k + 1):
         for b in range(k + 1):
-            corners = {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)}
-            if not corners & points:
+            if not {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)} & points:
                 found.append(EnclosedDiagonal("PT", (a, b), 1, ((a, b),)))
-    for x, y in sorted(points):
-        for orientation, dy in (("NE", 1), ("SE", -1)):
-            if (x - 1, y - dy) in points:
-                continue  # (x, y) does not start a run
-            c = 1
-            while (x + c, y + dy * c) in points:
-                c += 1
-            # (x, y) is the first square's upper right corner on a rising run,
-            # its lower right corner on a falling one
-            b = y - 1 if dy > 0 else y
-            squares = tuple((x - 1 + t, b + dy * t) for t in range(c + 1))
-            found.append(EnclosedDiagonal(orientation, squares[0], c + 1, squares))
-    found.sort(key=lambda d: (d.anchor, d.orientation))
+            for orientation, dy in (("NE", 1), ("SE", -1)):
+                # a run goes on from the square's upper right corner when it
+                # rises, from its lower right one when it falls
+                y = b + (dy > 0)
+                if (a + 1, y) not in points or (a, y - dy) in points:
+                    continue  # (a, b) is not the first square of a run
+                c = 1
+                while (a + 1 + c, y + dy * c) in points:
+                    c += 1
+                squares = tuple((a + t, b + dy * t) for t in range(c + 1))
+                found.append(EnclosedDiagonal(orientation, (a, b), c + 1, squares))
     return tuple((squares_to_mask(k, d.squares), 1 << i, d) for i, d in enumerate(found))
 
 
@@ -192,14 +190,16 @@ def _insert_between(p: Perm, a: int, b: int) -> Perm:
 
 
 @lru_cache(maxsize=64)
-def _witness_table(p: Perm) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
+def _witness_table(p: Perm) -> tuple[tuple[Perm, int], ...]:
     """For each diagonal candidate of ``p``, in candidate order, its witness
-    host, ``p`` with a new point inside the diagonal's first square, and the
-    region masks of the occurrences of ``p`` in that host
-    (:func:`~meshcide.mesh.host_region_masks`).  A mesh is contained in the
-    host exactly when it misses some region mask."""
+    host, ``p`` with a new point inside the diagonal's first square, and its
+    cover, the OR of the region masks of the occurrences of ``p`` in that
+    host (:func:`~meshcide.mesh.host_region_masks`).  The host has one point
+    outside any occurrence, so each region mask is one square, the distinct
+    ones add up to their OR, and a mesh is contained in the host exactly
+    when it leaves some square of the cover clear."""
     hosts = [_insert_between(p, *d.anchor) for _, _, d in _diagonal_candidates(p)]
-    return tuple((q, host_region_masks(p, q)) for q in hosts)
+    return tuple((q, sum(host_region_masks(p, q))) for q in hosts)
 
 
 def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
@@ -210,9 +210,8 @@ def enc_witness(pi: MeshPattern, pi2: MeshPattern) -> DistinguishingWitness:
     new point inside D's first square.  Every occurrence of p in the result
     omits one letter sitting in a square of D, so the D-owning pattern is
     avoided, while the other mesh misses some square of D and therefore is
-    contained.  The hosts and their occurrences' region masks come from a
-    table per pattern, and the result is verified against those regions
-    before being returned.
+    contained.  The hosts and their covers come from a table per pattern,
+    and the result is verified against the cover before being returned.
     """
     if pi.perm != pi2.perm:
         raise ValueError("patterns have different underlying permutations")
@@ -232,9 +231,8 @@ def _witness(pi: MeshPattern, pi2: MeshPattern, found1: int, found2: int) -> tup
     owner_is_first = owned != 0
     if not owned:
         owned = found2 & ~found1
-    q, regions = _witness_table(pi.perm)[(owned & -owned).bit_length() - 1]
-    c1 = any(not r & pi.mask for r in regions)
-    c2 = any(not r & pi2.mask for r in regions)
+    q, cover = _witness_table(pi.perm)[(owned & -owned).bit_length() - 1]
+    c1, c2 = cover & ~pi.mask != 0, cover & ~pi2.mask != 0
     expected = (False, True) if owner_is_first else (True, False)
     if (c1, c2) != expected:
         raise RuntimeError(

@@ -5,14 +5,14 @@ these.
 Adding a square next to a graph point keeps the avoidance set unchanged when
 the mesh around that point is permissive enough.  Only the northeast single
 square and the east pair are spelled out, candidates and conditions; the
-other directions are obtained by conjugating the pattern with the grid
+other directions are obtained by carrying each graph point with the grid
 symmetry that maps the direction onto the spelled one.  That is both shorter
-and safer than transcribing four tables by hand.  Conjugation happens once
-per pattern, when its probes are compiled: every candidate and every
-condition is pulled back into the pattern's own grid, where they are a few
-masks.  A mesh's moves depend only on which probes pass, so a closure
-memoises them on that vector, and it tests the probes for a whole frontier
-of meshes at once on bit-slices, one big integer per grid square.
+and safer than transcribing four tables by hand.  This happens once per
+pattern, when its probes are compiled: every candidate and every condition
+is pulled back into the pattern's own grid, where they are a few masks.  A
+mesh's moves depend only on which probes pass, so a closure memoises them
+on that vector, and it tests the probes for a whole frontier of meshes at
+once on bit-slices, one big integer per grid square.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .perm import (
     Occurrence,
     Perm,
-    apply_symmetry_perm,
     apply_symmetry_point,
     check_mask,
     inverse_symmetry,
@@ -137,10 +136,11 @@ def _pull_back(k: int, back: str, line: list[Square], offset: Square) -> int:
 
 @lru_cache(maxsize=64)
 def _compiled(p: Perm) -> tuple[tuple, ...]:
-    """Every probe of ``p`` in output order (by graph point; singles, then
-    pairs; by direction), with its candidate squares and its conditions
-    pulled back from the spelled-out direction into ``p``'s own grid.  A
-    pair's two squares are listed by row from the top, then by column.
+    """Every probe of ``p`` in output order: by graph point; singles, then
+    pairs; by direction.  Each graph point is carried to the spelled-out
+    direction's grid by the direction's symmetry, its candidate squares and
+    conditions are spelled out there and pulled back into ``p``'s own grid.
+    A pair's two squares are listed by row from the top, then by column.
 
     A probe is ``(assignment, added, forbid, flanks, forbid_at, flanks_at)``:
     the assignment it licenses and its mask, the state bits that must all be
@@ -148,19 +148,16 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
     a pair, which has none), and the bit indices of ``forbid`` and ``flanks``.
     """
     k = len(p)
-    keyed = []
-    for rank, (kind, to_spelled, conditions) in enumerate(
-        (
+    probes = []
+    for point in enumerate(p, 1):
+        for kind, to_spelled, conditions in (
             ("single", _SINGLE_TO_NE, _ne_single_conditions),
             ("pair", _PAIR_TO_E, _e_pair_conditions),
-        )
-    ):
-        for d, (direction, sym) in enumerate(to_spelled.items()):
-            back = inverse_symmetry(sym)
-            pull = lambda squares: [apply_symmetry_square(back, k, s) for s in squares]
-            for j, v in enumerate(apply_symmetry_perm(sym, p), 1):
-                point = apply_symmetry_point(back, k, (j, v))
-                candidate, flanks, lines = conditions(k, j, v)
+        ):
+            for direction, sym in to_spelled.items():
+                back = inverse_symmetry(sym)
+                pull = lambda squares: [apply_symmetry_square(back, k, s) for s in squares]
+                candidate, flanks, lines = conditions(k, *apply_symmetry_point(sym, k, point))
                 squares = tuple(sorted(pull(candidate), key=lambda s: (-s[1], s[0])))
                 forbid = added = squares_to_mask(k, squares)
                 for line, offset in lines:
@@ -168,10 +165,8 @@ def _compiled(p: Perm) -> tuple[tuple, ...]:
                 flank_mask = squares_to_mask(k, pull(flanks))
                 indices = (tuple(bit_indices(forbid)), tuple(bit_indices(flank_mask)))
                 assignment = Assignment(point, kind, direction, squares)
-                probe = (assignment, added, forbid, flank_mask, *indices)
-                keyed.append(((point, rank, d), probe))
-    keyed.sort(key=lambda t: t[0])
-    return tuple(probe for _, probe in keyed)
+                probes.append((assignment, added, forbid, flank_mask, *indices))
+    return tuple(probes)
 
 
 def _option_vector(p: Perm, mask: int) -> bytes:

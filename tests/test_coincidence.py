@@ -12,6 +12,7 @@ from meshcide import certify, coincidence, shading
 from meshcide.mesh import (
     MAX_DEPTH,
     MeshPattern,
+    bit_indices,
     contains,
     fingerprints_many,
     mask_to_squares,
@@ -1152,6 +1153,81 @@ def test_partition_steps_replay(p, use_gamma):
         rep = cls.meshes[0]
         for member in cls.meshes[1:]:
             assert verify_trace(ProofTrace(p, rep, member, cls.steps)), (p, member)
+
+
+def probe_unions(p, meshes):
+    """Per mesh, in order: the squares its passing single probes add, and
+    the squares its passing pair probes add.  The meshes are probed
+    bit-sliced in runs of 4096, and each option vector is read once."""
+    probes = shading._compiled(p)
+    count = len(probes)
+    out, seen = [], {}
+    for start in range(0, len(meshes), 4096):
+        vectors = shading._batch_vectors(p, meshes[start : start + 4096])
+        for t in range(len(vectors) // count):
+            vector = vectors[t * count : (t + 1) * count]
+            if vector not in seen:
+                added = {"single": 0, "pair": 0}
+                for (assignment, bits, *_), passed in zip(probes, vector):
+                    if passed:
+                        added[assignment.kind] |= bits
+                seen[vector] = added["single"], added["pair"]
+            out.append(seen[vector])
+    return out
+
+
+def one_square_ledger(p, n_max):
+    """Every one-square edge m -> m | {s} over ``p``, counted as licensed (a
+    passing single probe of m adds s), closure (else m and m | {s} share a
+    proven block), tied (else they share a class at depth ``n_max``) or
+    refuted (two classes)."""
+    result = partition_meshes(p, n_max)
+    block_of, class_of = {}, {}
+    for c, cls in enumerate(result.classes):
+        for block in cls.blocks:
+            for m in block:
+                block_of[m], class_of[m] = block, c
+    size = (len(p) + 1) ** 2
+    counts = {"licensed": 0, "closure": 0, "tied": 0, "refuted": 0}
+    for m, (singles, _) in enumerate(probe_unions(p, range(1 << size))):
+        for s in bit_indices(~m & (1 << size) - 1):
+            after = m | 1 << s
+            if singles >> s & 1:
+                counts["licensed"] += 1
+            elif block_of[m] is block_of[after]:
+                counts["closure"] += 1
+            elif class_of[m] == class_of[after]:
+                counts["tied"] += 1
+            else:
+                counts["refuted"] += 1
+    return tuple(counts.values())
+
+
+@pytest.mark.parametrize(
+    "p, counts",
+    [((1,), (12, 0, 0, 20)), ((1, 2), (421, 172, 0, 1711)), ((2, 1), (421, 172, 0, 1711))],
+)
+def test_one_square_ledger_at_depth_7(p, counts):
+    # licensed, closure, tied and refuted edges; at k <= 2 none is tied
+    assert one_square_ledger(p, 7) == counts
+
+
+@pytest.mark.parametrize("p", [(1, 2, 3), (1, 3, 2)])
+def test_single_probes_stay_in_their_block_and_pairs_add_no_new_square(p):
+    # over the whole cube: every licensed edge joins two meshes of one block
+    # of the partition's closure, and no passing pair probe of a mesh adds a
+    # square that none of its passing single probes adds
+    size = 1 << (len(p) + 1) ** 2
+    closure = ssl_closure(p, range(size), given=certify.gamma_steps(p), steps=False)
+    block = [0] * size
+    for b, cls in enumerate(closure.classes):
+        for m in cls.meshes:
+            block[m] = b
+    leaving = extra = 0
+    for m, (singles, pairs) in enumerate(probe_unions(p, range(size))):
+        leaving += sum(block[m | 1 << s] != block[m] for s in bit_indices(singles))
+        extra += pairs & ~singles != 0
+    assert (leaving, extra) == (0, 0)
 
 
 # each record type, built from a mask: equal masks give equal records
