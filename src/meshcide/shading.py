@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perm import (
@@ -437,8 +438,8 @@ def _extremes(members: list[int]) -> list[tuple[int, int]]:
     """Every pair (minimal member, maximal member above it) of a set of
     meshes.  A member is minimal when no earlier member by size lies below
     it, so only the minimal ones found so far need testing; likewise for
-    maximal members in the other direction."""
-    by_size = sorted(members, key=int.bit_count)
+    maximal members in the other direction; ties by size go in mask order."""
+    by_size = sorted(sorted(members), key=int.bit_count)
     minimal: list[int] = []
     for m in by_size:
         for lo in minimal:
@@ -532,9 +533,9 @@ def ssl_closure(
     pattern longer than ``MAX_SIGNATURE_LENGTH``, whose grid no closure could
     finish, are a ``ValueError`` before any work.  Any other seeds are
     entered into a dict, and a mesh joins the dict in the merge that meets it.
-    Each sweep sandwiches the groups that some merge has joined since the
-    last one, found from a list of each merge's ``before`` mesh, and sorts
-    one group at a time.
+    Each sweep sandwiches the groups some merge joined since the last one,
+    found from a list of each merge's ``before`` mesh.  A group that is every
+    mesh from its meet to its join is skipped before its extremes are sought.
 
     The closure runs with the cyclic garbage collector paused, and leaves
     it as the caller had it.  That is safe: the closure builds only acyclic
@@ -634,17 +635,14 @@ def ssl_closure(
     def sandwich(dirty: set[int]) -> None:
         # the groups as they stand before this sweep joins anything: a link
         # only appends to the member list it keeps, so each list's first
-        # len members are its group as it stood, sorted one at a time
+        # len members are its group as it stood.  A group as large as the
+        # interval from its meet to its join (2 ** |join & ~meet|) fills it
         lists = map(uf.members.__getitem__, sorted(dirty))
         for listed, size in [(listed, len(listed)) for listed in lists]:
             group = listed[:size]
-            group.sort()
-            extremes = _extremes(group)
-            if len(extremes) == 1:
-                lo, hi = extremes[0]
-                if len(group) == 1 << (hi & ~lo).bit_count():
-                    continue  # the group is its whole interval already
-            for lo, hi in extremes:
+            if size == 1 << (reduce(or_, group) & ~reduce(and_, group)).bit_count():
+                continue  # nothing lies between two of its meshes outside it
+            for lo, hi in _extremes(group):
                 diff = hi & ~lo
                 sub = diff
                 root = find(lo)

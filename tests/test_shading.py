@@ -939,6 +939,24 @@ class TestClosureEngine:
         listed = peak(lambda: ssl_closure(p, list(range(size)), steps=False))
         assert whole <= 0.75 * listed, (whole, listed)
 
+    def test_sandwich_seeks_extremes_only_for_groups_short_of_their_interval(
+        self, monkeypatch
+    ):
+        # a dirty group that is every mesh from its meet to its join is
+        # skipped, so of the 10,126 groups swept on the whole cube of 123
+        # only the 1,083 short of their interval reach _extremes
+        groups = []
+        real = shading._extremes
+        monkeypatch.setattr(
+            shading, "_extremes", lambda members: groups.append(members) or real(members)
+        )
+        whole_cube_closure((1, 2, 3), True)
+        assert len(groups) == 1083
+        for group in groups:
+            meet = functools.reduce(operator.and_, group)
+            join = functools.reduce(operator.or_, group)
+            assert len(group) < 1 << (join & ~meet).bit_count()
+
     def test_bivincular_family_closure_matches_recorded(self):
         # a family closure at k = 4 whose classes grow mostly by sandwiching
         seeds = bivincular_seeds(4)
