@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise, starmap
 from math import factorial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perm import Perm, lex_unrank, make_perm, perm_text
 from .mesh import (
@@ -185,22 +185,59 @@ class PartitionClass(NamedTuple):
 
 @dataclass(frozen=True)
 class PartitionResult:
+    """A pattern's partition, its classes held in four int arrays: block b
+    is ``meshes[bounds[b]:bounds[b + 1]]``, and class c is the run of blocks
+    numbered ``order[cuts[c]:cuts[c + 1]]``.  ``classes`` builds each class
+    as a :class:`PartitionClass` afresh on every read, and the counts read
+    the arrays alone.  It compares by value but is not hashable, as arrays
+    are not."""
+
     perm: Perm
     n_max: int
     gamma_used: bool
-    classes: tuple[PartitionClass, ...]
     signatures: tuple[int, ...]
+    meshes: array  # every block's meshes, block after block
+    bounds: array  # where each block starts, then where the last one ends
+    order: array  # the block numbers, class after class
+    cuts: array  # where each class's run of blocks starts, then the end
+
+    def _read(self) -> Iterator[tuple[Sequence[int], list[array]]]:
+        # each class as its meshes in order and its blocks, array slices
+        # rather than tuples; a class of one block is that block
+        meshes, bounds, order = self.meshes, self.bounds, self.order
+        for lo, hi in pairwise(self.cuts):
+            if hi - lo == 1:
+                b = order[lo]
+                block = meshes[bounds[b] : bounds[b + 1]]
+                yield block, [block]
+            else:
+                blocks = [meshes[bounds[b] : bounds[b + 1]] for b in order[lo:hi]]
+                yield sorted(chain.from_iterable(blocks)), blocks
+
+    @staticmethod
+    def _class(meshes: Sequence[int], blocks: list[array]) -> PartitionClass:
+        blocks = tuple(map(tuple, blocks))
+        if len(blocks) == 1:
+            return PartitionClass(blocks[0], "PROVEN", blocks)
+        return PartitionClass(tuple(meshes), "CONJECTURED", blocks)
+
+    @property
+    def classes(self) -> tuple[PartitionClass, ...]:
+        return tuple(starmap(self._class, self._read()))
 
     def conjectured(self) -> list[PartitionClass]:
-        return [c for c in self.classes if c.status == "CONJECTURED"]
+        return [self._class(meshes, blocks) for meshes, blocks in self._read() if len(blocks) > 1]
 
     def undecided_pairs(self) -> int:
+        # a class of s meshes in blocks of s_1, s_2, ... meshes leaves
+        # (s^2 - s_1^2 - s_2^2 - ...) / 2 of its pairs unproven
+        bounds, order = self.bounds, self.order
         total = 0
-        for cls in self.conjectured():
-            whole = cls.size * (cls.size - 1) // 2
-            inside = sum(len(b) * (len(b) - 1) // 2 for b in cls.blocks)
-            total += whole - inside
-        return total
+        for lo, hi in pairwise(self.cuts):
+            if hi - lo > 1:
+                sizes = [bounds[b + 1] - bounds[b] for b in order[lo:hi]]
+                total += sum(sizes) ** 2 - sum(s * s for s in sizes)
+        return total // 2
 
 
 @_collector_paused
@@ -228,11 +265,12 @@ def partition_meshes(
     ``MAX_SIGNATURE_LENGTH``, a depth outside ``1..MAX_DEPTH``, a table
     over ``SIGNATURE_BIT_BUDGET``) raises ``ValueError`` before any work.
     The closure runs first and the signature table is built only once the
-    closure's result is gone; in between, the blocks are held in two int
-    arrays, so the table and the closure never sit side by side.
+    closure's result is gone.  From then on the blocks stay in int arrays
+    through to the report: the grouping records each class as a run of
+    block numbers, and no class is built until a reader asks for it.
     Like the closure, it runs with the cyclic garbage collector paused and
-    leaves it as the caller had it: the signature table and the classes
-    are acyclic tuples of ints, which reference counting frees.
+    leaves it as the caller had it: the signature table is an acyclic tuple
+    of ints, which reference counting frees.
     """
     p = make_perm(p)
     if n_max is None:
@@ -240,46 +278,41 @@ def partition_meshes(
     check_signature_request(p, n_max)
     given = gamma_steps(p) if use_gamma else ()
     size = 1 << (len(p) + 1) ** 2
-    closed = ssl_closure(p, range(size), given=given, steps=False).classes
-    # the blocks are the closure's classes, held while the table is built
-    # as their meshes end to end and the offset where each block ends;
-    # array loads here, not with the module, so a process that only
-    # decides does not carry the extension (about 0.2 MB of RSS)
+    # the blocks are the closure's classes, sorted by least member; array
+    # loads here, not with the module, so a process that only decides does
+    # not carry the extension (about 0.2 MB of RSS)
     from array import array
 
-    flat = array("I", chain.from_iterable(cls.meshes for cls in closed))
-    ends = array("I", accumulate(len(cls.meshes) for cls in closed))
+    closed = [cls.meshes for cls in ssl_closure(p, range(size), given=given, steps=False).classes]
+    meshes = array("I", chain.from_iterable(closed))
+    bounds = array("I", accumulate(map(len, closed), initial=0))
     del closed
     sigs = containment_signatures(p, n_max)
 
-    # blocks come sorted by least member, so groups do too; a signature
-    # seen once maps to its block, and to a list once a second block comes
-    groups: dict[int, tuple[int, ...] | list[tuple[int, ...]]] = {}
-    start = 0
-    for end in ends:
-        meshes = tuple(flat[start:end])
-        start = end
-        rep = meshes[0]
-        sig = sigs[rep]
-        if len(meshes) > 1 and not all(map(sig.__eq__, map(sigs.__getitem__, meshes))):
-            mesh = next(m for m in meshes if sigs[m] != sig)
-            raise AssertionError(
-                f"proof edges join meshes {rep} and {mesh} over {perm_text(p)}, "
-                f"whose truncated signatures differ"
-            )
-        blocks = groups.setdefault(sig, meshes)
-        if type(blocks) is list:
-            blocks.append(meshes)
-        elif blocks is not meshes:
-            groups[sig] = [blocks, meshes]
-    classes = []
-    for blocks in groups.values():
-        if type(blocks) is tuple:  # one block, sorted already
-            classes.append(PartitionClass(blocks, "PROVEN", (blocks,)))
-        else:
-            members = tuple(sorted(m for block in blocks for m in block))
-            classes.append(PartitionClass(members, "CONJECTURED", tuple(blocks)))
-    return PartitionResult(p, n_max, use_gamma, tuple(classes), sigs)
+    # each block's signatures, checked on its slice of the array; classes
+    # are numbered in the order of their first blocks, which is the order
+    # of their least members
+    number: dict[int, int] = {}
+    class_of = array("I")
+    for lo, hi in pairwise(bounds):
+        sig = sigs[meshes[lo]]
+        if hi - lo > 1:
+            for mesh in meshes[lo + 1 : hi]:
+                if sigs[mesh] != sig:
+                    raise AssertionError(
+                        f"proof edges join meshes {meshes[lo]} and {mesh} over {perm_text(p)}, "
+                        f"whose truncated signatures differ"
+                    )
+        class_of.append(number.setdefault(sig, len(number)))
+    del number
+    # a counting sort of the block numbers by class keeps each class's
+    # blocks in order
+    cuts = array("I", accumulate(Counter(class_of).values(), initial=0))
+    order, free = array("I", [0]) * len(class_of), cuts[:-1]
+    for b, c in enumerate(class_of):
+        order[free[c]] = b
+        free[c] += 1
+    return PartitionResult(p, n_max, use_gamma, sigs, meshes, bounds, order, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +356,7 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
     def texts(meshes):
         return [alone[m] if m < 0x100 else opened[m & 0xFF] + closed[m >> 8] for m in meshes]
 
-    for cls in result.classes:
-        meshes = cls.meshes
+    for meshes, blocks in result._read():
         rep = meshes[0]
         sig = sigs[rep]
         listed = texts(meshes)
@@ -332,15 +364,15 @@ def partition_records(result: PartitionResult) -> Iterator[str]:
         rows = row_text[sig & 0x1FF]
         for shift, mask in deep:
             rows += '", "' + hex(sig >> shift & mask)
-        blocks = ""
-        if cls.status == "CONJECTURED":
-            inner = "], [".join(map(", ".join, map(texts, cls.blocks)))
-            blocks = f', "blocks": [[{inner}]]'
+        status, listed_blocks = "PROVEN", ""
+        if len(blocks) > 1:
+            inner = "], [".join(map(", ".join, map(texts, blocks)))
+            status, listed_blocks = "CONJECTURED", f', "blocks": [[{inner}]]'
         yield (
-            f'{{"p": {perm}, "status": "{cls.status}", "size": {len(meshes)}, '
+            f'{{"p": {perm}, "status": "{status}", "size": {len(meshes)}, '
             f'"representative": {{"perm": {perm}, "mesh": {listed[0]}}}, '
             f'"meshes": [{", ".join(listed)}], "enc": [{enc}], '
-            f'"fingerprint": ["{rows}"]{blocks}}}'
+            f'"fingerprint": ["{rows}"]{listed_blocks}}}'
         )
 
 
@@ -352,13 +384,15 @@ def _row_cuts(n_max: int) -> list[tuple[int, int]]:
 
 
 def partition_summary(result: PartitionResult) -> dict:
+    classes = len(result.cuts) - 1
+    conjectured = sum(hi - lo > 1 for lo, hi in pairwise(result.cuts))
     return {
         "p": list(result.perm),
         "n_max": result.n_max,
         "gamma": result.gamma_used,
-        "classes": len(result.classes),
-        "proven": sum(1 for c in result.classes if c.status == "PROVEN"),
-        "conjectured": len(result.conjectured()),
+        "classes": classes,
+        "proven": classes - conjectured,
+        "conjectured": conjectured,
         "undecided_pairs": result.undecided_pairs(),
     }
 

@@ -1035,6 +1035,50 @@ class TestPartition:
         assert s["classes"] == s["proven"] + s["conjectured"]
         assert s["undecided_pairs"] == result.undecided_pairs()
 
+    @pytest.mark.parametrize(
+        "p, depth, use_gamma",
+        [
+            ((1,), 4, True),
+            ((1, 2), 5, True),
+            ((1, 2), 5, False),
+            ((2, 1), 4, True),
+            ((1, 3, 2), 4, True),
+        ],
+    )
+    def test_counts_read_off_the_arrays_match_the_classes(self, p, depth, use_gamma):
+        assert_counts_match_the_classes(partition_meshes(p, depth, use_gamma))
+
+
+def assert_counts_match_the_classes(result):
+    """The summary, ``conjectured()`` and ``undecided_pairs()``, which read
+    the result's arrays, against counts rebuilt from its classes' blocks;
+    each read of ``classes`` builds them afresh, equal, and leaves the
+    report as it was."""
+    records = list(partition_records(result))
+    classes = result.classes
+    again = result.classes
+    assert again == classes and again is not classes
+    assert list(partition_records(result)) == records
+    statuses = [c.status for c in classes]
+    assert statuses == ["PROVEN" if len(c.blocks) == 1 else "CONJECTURED" for c in classes]
+    undecided = 0
+    for cls in classes:
+        sizes = [len(block) for block in cls.blocks]
+        assert sum(sizes) == cls.size
+        undecided += cls.size * (cls.size - 1) // 2 - sum(s * (s - 1) // 2 for s in sizes)
+    assert result.conjectured() == [c for c in classes if c.status == "CONJECTURED"]
+    assert result.undecided_pairs() == undecided
+    summary = partition_summary(result)
+    assert summary == {
+        "p": list(result.perm),
+        "n_max": result.n_max,
+        "gamma": result.gamma_used,
+        "classes": len(classes),
+        "proven": statuses.count("PROVEN"),
+        "conjectured": statuses.count("CONJECTURED"),
+        "undecided_pairs": undecided,
+    }
+
 
 def assert_records_match_oracle(result):
     """The text records are, byte for byte, ``json.dumps`` of the oracle's
@@ -1082,6 +1126,14 @@ class TestPartitionLength3:
         for sym in stabilizer:
             for block in blocks:
                 assert frozenset(apply_symmetry_mask(sym, 3, m) for m in block) in blocks
+
+    def test_counts_read_off_the_arrays_match_the_classes(self, partition_123_depth_4):
+        assert_counts_match_the_classes(partition_123_depth_4)
+
+    def test_result_is_not_hashable(self, partition_123_depth_4):
+        # its blocks and classes are int arrays, which do not hash
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(partition_123_depth_4)
 
     def test_blocks_lie_inside_one_signature_group(self, partition_123_depth_4):
         sigs = partition_123_depth_4.signatures

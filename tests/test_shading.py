@@ -939,6 +939,20 @@ class TestClosureEngine:
         listed = peak(lambda: ssl_closure(p, list(range(size)), steps=False))
         assert whole <= 0.75 * listed, (whole, listed)
 
+    def test_whole_cube_partition_holds_its_classes_in_arrays(self):
+        # once it returns, the depth-5 partition of 123 holds its signature
+        # table (about 3.1 MB) and its blocks and classes as int arrays;
+        # with a tuple per class and per block it held about 9.7 MB
+        partition_meshes((1, 2, 3), 5)  # probes compiled, tables cached
+        tracemalloc.start()
+        try:
+            result = partition_meshes((1, 2, 3), 5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 5_000_000, held
+        assert len(result.classes) == 21725
+
     def test_sandwich_seeks_extremes_only_for_groups_short_of_their_interval(
         self, monkeypatch
     ):
