@@ -85,7 +85,9 @@ class UnionFind:
     of the dict before any merge and that holds every item from the start.
     A root whose class has two or more items also keeps their list in
     ``members``; a singleton has none, so it costs nothing until it first
-    merges."""
+    merges.  A member list follows the ``parent`` store: an int array of
+    the same typecode beside an array, so no item is its own object there,
+    and a Python list beside a dict, whose items may be ints of any size."""
 
     def __init__(self) -> None:
         self.parent: dict = {}
@@ -107,15 +109,22 @@ class UnionFind:
         """Merge the classes of two distinct roots; returns the new root."""
         if ry < rx:  # keep the smaller representative, for determinism
             rx, ry = ry, rx
-        self.parent[ry] = rx
         members = self.members
-        kept = members.pop(rx, None) or [rx]
-        merged = members.pop(ry, None) or [ry]
+        kept = members.pop(rx, None) or self._alone(rx)
+        merged = members.pop(ry, None) or self._alone(ry)
+        self.parent[ry] = rx
         if len(kept) < len(merged):
             kept, merged = merged, kept
         kept += merged  # the shorter list moves into the longer
         members[rx] = kept
         return rx
+
+    def _alone(self, root):
+        """The member list of a root's one-item class, of the ``parent``
+        store's kind: a root is its own parent, so an array's one-item slice
+        at the root is that list."""
+        parent = self.parent
+        return [root] if type(parent) is dict else parent[root : root + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -265,9 +265,10 @@ def partition_meshes(
     ``MAX_SIGNATURE_LENGTH``, a depth outside ``1..MAX_DEPTH``, a table
     over ``SIGNATURE_BIT_BUDGET``) raises ``ValueError`` before any work.
     The closure runs first and the signature table is built only once the
-    closure's result is gone.  From then on the blocks stay in int arrays
-    through to the report: the grouping records each class as a run of
-    block numbers, and no class is built until a reader asks for it.
+    closure's result is gone.  The blocks are the closure's own flat store,
+    two int arrays, adopted with no copy and kept through to the report:
+    the grouping records each class as a run of block numbers, and no class
+    is built until a reader asks for it.
     Like the closure, it runs with the cyclic garbage collector paused and
     leaves it as the caller had it: the signature table is an acyclic tuple
     of ints, which reference counting frees.
@@ -278,14 +279,13 @@ def partition_meshes(
     check_signature_request(p, n_max)
     given = gamma_steps(p) if use_gamma else ()
     size = 1 << (len(p) + 1) ** 2
-    # the blocks are the closure's classes, sorted by least member; array
-    # loads here, not with the module, so a process that only decides does
-    # not carry the extension (about 0.2 MB of RSS)
+    # the blocks are the closure's classes, sorted by least member, kept in
+    # its flat store; array loads here, not with the module, so a process
+    # that only decides does not carry the extension (about 0.2 MB of RSS)
     from array import array
 
-    closed = [cls.meshes for cls in ssl_closure(p, range(size), given=given, steps=False).classes]
-    meshes = array("I", chain.from_iterable(closed))
-    bounds = array("I", accumulate(map(len, closed), initial=0))
+    closed = ssl_closure(p, range(size), given=given, steps=False)
+    meshes, bounds = closed.meshes, closed.bounds
     del closed
     sigs = containment_signatures(p, n_max)
 

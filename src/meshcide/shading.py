@@ -18,6 +18,7 @@ once on bit-slices, one big integer per grid square.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from operator import and_, or_
@@ -259,9 +260,15 @@ _SLICED_BATCH_MIN = 12
 _RUN_BOUND = 4096
 
 
+class _MaskMemo(dict):
+    """A move memo that keeps each option vector's added masks alone, in
+    the order of its moves: a closure that logs no steps reads nothing else
+    of a move."""
+
+
 def _frontier_moves(
-    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]]
-) -> Iterator[tuple[ShadeMove, ...]]:
+    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple, int]]
+) -> Iterator[tuple]:
     """The moves of every mesh of a batch, yielded in batch order as it is
     probed in runs of 1, 2, 4, ... meshes up to ``_RUN_BOUND``, then of
     ``_RUN_BOUND``: a consumer that stops early leaves the rest unprobed,
@@ -270,7 +277,9 @@ def _frontier_moves(
     time (:func:`_option_vector`), a longer one bit-sliced
     (:func:`_batch_vectors`).  ``memo`` maps the option vectors seen so far
     to their moves and the union of the squares those moves add; a mesh
-    that meets that union is an ``AssertionError``."""
+    that meets that union is an ``AssertionError``.  Over a plain dict
+    each mesh's moves are :class:`ShadeMove` tuples; over a
+    :class:`_MaskMemo` they are the moves' added masks alone."""
     count = len(_compiled(p))
     start, run = 0, 1
     while start < len(batch):
@@ -288,6 +297,8 @@ def _frontier_moves(
                 union = 0
                 for move in moves:
                     union |= move.added
+                if type(memo) is _MaskMemo:
+                    moves = tuple(move.added for move in moves)
                 entry = memo[vector] = (moves, union)
             moves, union = entry
             if union & mask:
@@ -416,22 +427,50 @@ class ClosureClass(NamedTuple):
     steps: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureResult:
+    """A closure's classes in a flat store: class c is
+    ``meshes[bounds[c]:bounds[c + 1]]``, sorted, the classes in the order
+    of their least members, and ``steps[c]`` is its steps (``steps`` is
+    ``()`` when the closure logged none).  A whole-grid closure holds
+    ``meshes`` as an ``array("H")`` and ``bounds`` as an ``array("I")``;
+    any other holds two lists, as its masks may have any size.
+    ``classes`` builds every :class:`ClosureClass` afresh on each read,
+    ``class_of`` builds only the one it finds.  Results compare by their
+    classes, ``complete`` and ``expanded``, whatever their store, and are
+    not hashable."""
+
     perm: Perm
-    classes: tuple[ClosureClass, ...]
+    meshes: Sequence[int]
+    bounds: Sequence[int]
+    steps: tuple[tuple[TraceStep, ...], ...]
     complete: bool
     expanded: int  # meshes of every batch begun, a stop's unprobed rest included
 
+    def _class(self, c: int) -> ClosureClass:
+        meshes = tuple(self.meshes[self.bounds[c] : self.bounds[c + 1]])
+        return ClosureClass(meshes, self.steps[c] if self.steps else ())
+
+    @property
+    def classes(self) -> tuple[ClosureClass, ...]:
+        return tuple(map(self._class, range(len(self.bounds) - 1)))
+
     @property
     def size(self) -> int:
-        return sum(len(cls.meshes) for cls in self.classes)
+        return len(self.meshes)
 
     def class_of(self, mask: int) -> ClosureClass | None:
-        for cls in self.classes:
-            if mask in cls.meshes:
-                return cls
-        return None
+        try:
+            at = self.meshes.index(mask)
+        except ValueError:
+            return None
+        return self._class(bisect_right(self.bounds, at) - 1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClosureResult):
+            return NotImplemented
+        key = lambda r: (r.perm, r.complete, r.expanded, r.classes)
+        return key(self) == key(other)
 
 
 def _extremes(members: list[int]) -> list[tuple[int, int]]:
@@ -519,9 +558,10 @@ def ssl_closure(
     a goal mesh that is not a seed, is a ``ValueError``.  With ``steps``,
     each class carries the steps that joined its meshes, in the order they
     were taken: a step is kept only when it merges two groups, so a class
-    of n meshes has n - 1 steps.  Without it no step is built and every
-    class carries ``()``; the meshes, the classes and their order,
-    ``complete`` and ``expanded`` are the same either way.
+    of n meshes has n - 1 steps.  Without it no step is built, every
+    class carries ``()`` and the move memo keeps each option vector's added
+    masks alone (a :class:`_MaskMemo`); the meshes, the classes and their
+    order, ``complete`` and ``expanded`` are the same either way.
 
     Each batch is probed in runs (:func:`_frontier_moves`), so no probe
     buffer spans a whole batch, and ``expanded`` counts every batch begun,
@@ -529,10 +569,13 @@ def ssl_closure(
     ``parent`` store is the one record of the meshes met.  When the seeds
     are the ``range`` of every mesh of the grid, it is an ``array("H")``
     indexed by mesh: no mesh is ever new, the range itself is the first
-    batch, and no seed is listed, checked or entered.  Such seeds over a
-    pattern longer than ``MAX_SIGNATURE_LENGTH``, whose grid no closure could
-    finish, are a ``ValueError`` before any work.  Any other seeds are
-    entered into a dict, and a mesh joins the dict in the merge that meets it.
+    batch, and no seed is listed, checked or entered; each group's member
+    list is an ``array("H")`` too, and so is the result's store of meshes.
+    Such seeds over a pattern longer than ``MAX_SIGNATURE_LENGTH``, whose
+    grid no closure could finish, are a ``ValueError`` before any work.
+    Any other seeds are entered into a dict, and a mesh joins the dict in
+    the merge that meets it; member lists and the result's store are then
+    lists, as masks may have any size.
     Each sweep sandwiches the groups some merge joined since the last one,
     found from a list of each merge's ``before`` mesh.  A group that is every
     mesh from its meet to its join is skipped before its extremes are sought.
@@ -613,8 +656,8 @@ def ssl_closure(
 
     spent = 0
     # the moves of each option vector met and their union, for this
-    # closure only
-    memo: dict[bytes, tuple[tuple[ShadeMove, ...], int]] = {}
+    # closure only; without steps only the moves' added masks
+    memo = {} if steps else _MaskMemo()
 
     def expand() -> None:
         # the whole frontier is one batch, so the meshes are expanded and
@@ -627,10 +670,11 @@ def ssl_closure(
                 if moves:
                     root = find(mesh)
                     for move in moves:
-                        after = mesh | move.added
+                        after = mesh | move.added if steps else mesh | move
                         up = look(after)
                         if up != root and look(up) != root:
-                            root = merge(root, "SSL", mesh, after, move.assignments)
+                            detail = move.assignments if steps else ()
+                            root = merge(root, "SSL", mesh, after, detail)
 
     def sandwich(dirty: set[int]) -> None:
         # the groups as they stand before this sweep joins anything: a link
@@ -669,19 +713,21 @@ def ssl_closure(
     except _Stop:
         complete = False
 
-    memo.clear()  # the largest structure left: the classes are not built beside it
+    memo.clear()  # the largest structure left: the store is not built beside it
     grouped: dict[int, list[TraceStep]] = {}  # empty without steps
     for step in log:
         grouped.setdefault(find(step.before), []).append(step)
-    roots = [mesh for mesh, up in (enumerate(parent) if whole else parent.items()) if up == mesh]
-    roots.sort()  # a dict holds its meshes in the order met
-    # popped as each class is made: the lists and classes are never all held
+    meshes, bounds = (array("H"), array("I", [0])) if whole else ([], [0])
+    roots = (mesh for mesh, up in (enumerate(parent) if whole else parent.items()) if up == mesh)
+    class_steps = []  # empty without steps
     members = uf.members
-    classes = tuple(
-        ClosureClass(
-            tuple(sorted(members.pop(root))) if root in members else (root,),
-            tuple(grouped.pop(root, ())),
-        )
-        for root in roots
-    )
-    return ClosureResult(p, classes, complete, spent)
+    # the roots in mesh order (a dict holds its meshes in the order met);
+    # each member list is popped as it is stored, so the lists and the
+    # store are never all held
+    for root in roots if whole else sorted(roots):
+        group = members.pop(root, None)
+        meshes.extend(sorted(group) if group else (root,))
+        bounds.append(len(meshes))
+        if steps:
+            class_steps.append(tuple(grouped.pop(root, ())))
+    return ClosureResult(p, meshes, bounds, tuple(class_steps), complete, spent)

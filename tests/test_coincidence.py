@@ -830,8 +830,10 @@ class TestPartition:
         import meshcide.shading as shading
 
         real = shading._frontier_moves
-        # (2,0) is pointless over 12, so shading it changes the diagonals
-        bogus = ShadeMove((), square_bit(2, 2, 0))
+        # (2,0) is pointless over 12, so shading it changes the diagonals;
+        # the partition's closure logs no steps, so its moves are the masks
+        # they add
+        bogus = square_bit(2, 2, 0)
 
         def with_bogus_move(p, batch, memo):
             return [

@@ -28,6 +28,7 @@ from meshcide.coincidence import decide_coincidence, partition_meshes
 from meshcide.diagonals import apply_symmetry_mesh, apply_symmetry_square
 from meshcide.shading import (
     Assignment,
+    ClosureClass,
     ShadeMove,
     shadeable_pairs,
     shadeable_singles,
@@ -952,6 +953,66 @@ class TestClosureEngine:
             tracemalloc.stop()
         assert held <= 5_000_000, held
         assert len(result.classes) == 21725
+
+    def test_whole_cube_closure_holds_its_classes_in_arrays(self):
+        # once it returns, the whole-cube closure of 123 holds its 65,536
+        # meshes as an array("H") and its 33,619 class bounds as an
+        # array("I"), about 0.45 MB; with a ClosureClass per class it held
+        # about 5.9 MB.  On the way it peaks at about 3.7 MB: member lists
+        # kept as Python lists raised that to about 5.1 MB, and a memo of
+        # ShadeMoves with them to about 6.2 MB
+        p, size = (1, 2, 3), 1 << 16
+        ssl_closure(p, range(size), steps=False)  # probes compiled, array loaded
+        tracemalloc.start()
+        try:
+            result = ssl_closure(p, range(size), steps=False)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1_000_000, held
+        assert peak <= 4_500_000, peak
+        assert (result.meshes.typecode, result.bounds.typecode) == ("H", "I")
+        assert (result.size, len(result.classes)) == (size, 33618)
+
+    @pytest.mark.parametrize("budget", [None, 0, 5, 300])
+    def test_class_reads_match_a_rebuild_from_the_store(self, budget):
+        # the closures of SEEDED_DIGESTS, with and without steps: classes,
+        # class_of and size against the classes rebuilt one at a time from
+        # the flat store, which lists each class sorted, by least member
+        for p, seeds in seeded_closures():
+            for steps in (True, False):
+                result = ssl_closure(p, seeds, budget=budget, steps=steps)
+                assert type(result.meshes) is type(result.bounds) is list
+                bounds = result.bounds
+                rebuilt = [
+                    ClosureClass(
+                        tuple(result.meshes[lo:hi]), result.steps[c] if steps else ()
+                    )
+                    for c, (lo, hi) in enumerate(itertools.pairwise(bounds))
+                ]
+                assert len(result.steps) == (len(rebuilt) if steps else 0)
+                assert all(list(cls.meshes) == sorted(cls.meshes) for cls in rebuilt)
+                least = [cls.meshes[0] for cls in rebuilt]
+                assert least == sorted(least)
+                assert result.classes == tuple(rebuilt)
+                assert result.size == sum(len(cls.meshes) for cls in rebuilt)
+                assert result.size == len(set(result.meshes))
+                for cls in rebuilt:
+                    for mesh in cls.meshes:
+                        assert result.class_of(mesh) == cls
+                outside = next(m for m in itertools.count() if m not in result.meshes)
+                assert result.class_of(outside) is None
+
+    def test_stepless_memo_keeps_masks_alone(self):
+        # over a mask memo each mesh's moves are the added masks of its
+        # ShadeMoves, in the same order, and the memo holds no ShadeMove
+        p = (1, 3, 2)
+        batch = list(range(0, 1 << 16, 97))
+        moves = list(shading._frontier_moves(p, batch, {}))
+        memo = shading._MaskMemo()
+        masks = list(shading._frontier_moves(p, batch, memo))
+        assert masks == [tuple(move.added for move in each) for each in moves]
+        assert all(type(mask) is int for added, _ in memo.values() for mask in added)
 
     def test_sandwich_seeks_extremes_only_for_groups_short_of_their_interval(
         self, monkeypatch
