@@ -224,9 +224,13 @@ def _batch_vectors(p: Perm, batch: Sequence[int]) -> bytes:
     return bytes(passed)
 
 
-def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
+def _moves(
+    p: Perm, vector: bytes
+) -> tuple[tuple[int, ...], tuple[tuple[Assignment, ...], ...]]:
     """The moves of :func:`ssl_moves` for a mesh whose probes pass as
-    ``vector`` says; they depend on nothing else."""
+    ``vector`` says; they depend on nothing else.  Two parallel tuples: the
+    masks the moves add, by bit count then mask, and each mask's first
+    choice of assignments in product order."""
     options: list[list] = [[] for _ in p]
     for (assignment, bits, *_), passed in zip(_compiled(p), vector):
         if passed:
@@ -245,8 +249,8 @@ def _moves(p: Perm, vector: bytes) -> tuple[ShadeMove, ...]:
                     grown[added | bits] = chosen + (assignment,)
         first = grown
     del first[0]
-    moves = (ShadeMove(chosen, added) for added, chosen in first.items())
-    return tuple(sorted(moves, key=lambda m: (m.added.bit_count(), m.added)))
+    masks = tuple(sorted(sorted(first), key=int.bit_count))
+    return masks, tuple(map(first.__getitem__, masks))
 
 
 # Below this many meshes, probing each mesh on its own beats slicing the
@@ -260,26 +264,20 @@ _SLICED_BATCH_MIN = 12
 _RUN_BOUND = 4096
 
 
-class _MaskMemo(dict):
-    """A move memo that keeps each option vector's added masks alone, in
-    the order of its moves: a closure that logs no steps reads nothing else
-    of a move."""
-
-
 def _frontier_moves(
-    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple, int]]
-) -> Iterator[tuple]:
+    p: Perm, batch: Sequence[int], memo: dict[bytes, tuple[tuple, tuple, int]]
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[Assignment, ...], ...]]]:
     """The moves of every mesh of a batch, yielded in batch order as it is
     probed in runs of 1, 2, 4, ... meshes up to ``_RUN_BOUND``, then of
     ``_RUN_BOUND``: a consumer that stops early leaves the rest unprobed,
     and no probe buffer spans more than ``_RUN_BOUND`` meshes or half the
     batch.  A run shorter than ``_SLICED_BATCH_MIN`` is probed a mesh at a
     time (:func:`_option_vector`), a longer one bit-sliced
-    (:func:`_batch_vectors`).  ``memo`` maps the option vectors seen so far
-    to their moves and the union of the squares those moves add; a mesh
-    that meets that union is an ``AssertionError``.  Over a plain dict
-    each mesh's moves are :class:`ShadeMove` tuples; over a
-    :class:`_MaskMemo` they are the moves' added masks alone."""
+    (:func:`_batch_vectors`).  Each mesh's moves are the ``(masks,
+    choices)`` of :func:`_moves`, whatever the caller reads of them.
+    ``memo`` maps the option vectors seen so far to their masks, choices
+    and the union of the masks; a mesh that meets that union is an
+    ``AssertionError``."""
     count = len(_compiled(p))
     start, run = 0, 1
     while start < len(batch):
@@ -293,19 +291,14 @@ def _frontier_moves(
             vector = vectors[t * count : (t + 1) * count]
             entry = memo.get(vector)
             if entry is None:
-                moves = _moves(p, vector)
-                union = 0
-                for move in moves:
-                    union |= move.added
-                if type(memo) is _MaskMemo:
-                    moves = tuple(move.added for move in moves)
-                entry = memo[vector] = (moves, union)
-            moves, union = entry
+                masks, choices = _moves(p, vector)
+                entry = memo[vector] = (masks, choices, reduce(or_, masks, 0))
+            masks, choices, union = entry
             if union & mask:
                 raise AssertionError(
                     f"a shading move adds shaded squares to mesh {mask} over {p}"
                 )
-            yield moves
+            yield masks, choices
 
 
 def shadeable_assignments(p: Perm, mask: int) -> list[tuple[Assignment, int]]:
@@ -346,7 +339,8 @@ def ssl_moves(pi: MeshPattern) -> list[ShadeMove]:
     singles or pairs; distinct choices adding the same square set collapse
     to one move, since only the union matters downstream.
     """
-    return list(next(_frontier_moves(pi.perm, (pi.mask,), {})))
+    masks, choices = next(_frontier_moves(pi.perm, (pi.mask,), {}))
+    return list(map(ShadeMove, choices, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +430,9 @@ class ClosureResult:
     ``meshes`` as an ``array("H")`` and ``bounds`` as an ``array("I")``;
     any other holds two lists, as its masks may have any size.
     ``classes`` builds every :class:`ClosureClass` afresh on each read,
-    ``class_of`` builds only the one it finds.  Results compare by their
+    ``class_of`` builds only the one it finds: a mask the closure never met
+    has ``None``, and anything :func:`check_mask` refuses (``True`` and
+    ``1.0`` included) is a ``ValueError``.  Results compare by their
     classes, ``complete`` and ``expanded``, whatever their store, and are
     not hashable."""
 
@@ -460,6 +456,7 @@ class ClosureResult:
         return len(self.meshes)
 
     def class_of(self, mask: int) -> ClosureClass | None:
+        check_mask(len(self.perm), mask)
         try:
             at = self.meshes.index(mask)
         except ValueError:
@@ -558,10 +555,12 @@ def ssl_closure(
     a goal mesh that is not a seed, is a ``ValueError``.  With ``steps``,
     each class carries the steps that joined its meshes, in the order they
     were taken: a step is kept only when it merges two groups, so a class
-    of n meshes has n - 1 steps.  Without it no step is built, every
-    class carries ``()`` and the move memo keeps each option vector's added
-    masks alone (a :class:`_MaskMemo`); the meshes, the classes and their
-    order, ``complete`` and ``expanded`` are the same either way.
+    of n meshes has n - 1 steps.  Without it no step is built and every
+    class carries ``()``; the meshes, the classes and their order,
+    ``complete`` and ``expanded`` are the same either way.  ``steps``
+    decides only whether a merge logs: the move memo has one shape, each
+    option vector's added masks beside their first choices, and an SSL
+    merge is handed its choice either way.
 
     Each batch is probed in runs (:func:`_frontier_moves`), so no probe
     buffer spans a whole batch, and ``expanded`` counts every batch begun,
@@ -655,9 +654,7 @@ def ssl_closure(
         return root
 
     spent = 0
-    # the moves of each option vector met and their union, for this
-    # closure only; without steps only the moves' added masks
-    memo = {} if steps else _MaskMemo()
+    memo: dict = {}  # each option vector met: its masks, choices and union
 
     def expand() -> None:
         # the whole frontier is one batch, so the meshes are expanded and
@@ -666,15 +663,14 @@ def ssl_closure(
         while frontier:
             batch, frontier = frontier, []
             spent += len(batch)
-            for mesh, moves in zip(batch, _frontier_moves(p, batch, memo)):
-                if moves:
+            for mesh, (masks, choices) in zip(batch, _frontier_moves(p, batch, memo)):
+                if masks:
                     root = find(mesh)
-                    for move in moves:
-                        after = mesh | move.added if steps else mesh | move
+                    for added, chosen in zip(masks, choices):
+                        after = mesh | added
                         up = look(after)
                         if up != root and look(up) != root:
-                            detail = move.assignments if steps else ()
-                            root = merge(root, "SSL", mesh, after, detail)
+                            root = merge(root, "SSL", mesh, after, chosen)
 
     def sandwich(dirty: set[int]) -> None:
         # the groups as they stand before this sweep joins anything: a link

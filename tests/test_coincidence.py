@@ -831,14 +831,13 @@ class TestPartition:
 
         real = shading._frontier_moves
         # (2,0) is pointless over 12, so shading it changes the diagonals;
-        # the partition's closure logs no steps, so its moves are the masks
-        # they add
+        # the bogus move is one more added mask with no choice
         bogus = square_bit(2, 2, 0)
 
         def with_bogus_move(p, batch, memo):
             return [
-                moves + ((bogus,) if mesh == 0 else ())
-                for mesh, moves in zip(batch, real(p, batch, memo))
+                (masks + (bogus,), choices + ((),)) if mesh == 0 else (masks, choices)
+                for mesh, (masks, choices) in zip(batch, real(p, batch, memo))
             ]
 
         monkeypatch.setattr(shading, "_frontier_moves", with_bogus_move)

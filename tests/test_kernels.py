@@ -30,7 +30,7 @@ from meshcide.diagonals import (
     sorted_diagonals,
 )
 from meshcide import shading
-from meshcide.shading import ShadeMove, shadeable_pairs, shadeable_singles, ssl_moves
+from meshcide.shading import shadeable_pairs, shadeable_singles, ssl_moves
 from meshcide.coincidence import classify_family
 
 from test_shading import probed_meshes, spy_probes
@@ -304,7 +304,10 @@ def test_batch_order_duplicates_and_singletons():
     masks = [rng.getrandbits(25) for _ in range(40)]
     batch = masks + masks[::3] + [0, 0]
     rng.shuffle(batch)
-    want = [tuple(ssl_moves(MeshPattern(p, mask))) for mask in batch]
+    want = []  # each mesh's moves as two parallel tuples: masks, choices
+    for mask in batch:
+        moves = ssl_moves(MeshPattern(p, mask))
+        want.append((tuple(m.added for m in moves), tuple(m.assignments for m in moves)))
     assert list(shading._frontier_moves(p, batch, {})) == want
     for mask in batch[:5]:
         assert _batch_split(p, [mask]) == [shading._option_vector(p, mask)]
@@ -351,9 +354,14 @@ def test_overlap_error_on_both_probe_paths(size, monkeypatch):
         monkeypatch.setattr(shading, "_SLICED_BATCH_MIN", 1)
     log = spy_probes(monkeypatch)
     real = shading._moves
-    # every square of the grid: it overlaps any mesh with a shaded square
-    overlap = ShadeMove((), (1 << 9) - 1)
-    monkeypatch.setattr(shading, "_moves", lambda p, vector: real(p, vector) + (overlap,))
+
+    def with_overlap(p, vector):
+        # every square of the grid, with no choice: it overlaps any mesh
+        # with a shaded square
+        masks, choices = real(p, vector)
+        return masks + ((1 << 9) - 1,), choices + ((),)
+
+    monkeypatch.setattr(shading, "_moves", with_overlap)
     batch = [squares_to_mask(2, [(2, 0)])] * size
     with pytest.raises(AssertionError, match="adds shaded squares"):
         list(shading._frontier_moves((1, 2), batch, {}))

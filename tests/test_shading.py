@@ -173,9 +173,14 @@ class TestSslMoves:
 
     def test_overlapping_move_is_a_hard_error(self, monkeypatch):
         real = shading._moves
-        # every square of the grid: it overlaps any mesh with a shaded square
-        overlap = ShadeMove((), (1 << 9) - 1)
-        monkeypatch.setattr(shading, "_moves", lambda p, vector: real(p, vector) + (overlap,))
+
+        def with_overlap(p, vector):
+            # every square of the grid, with no choice: it overlaps any mesh
+            # with a shaded square
+            masks, choices = real(p, vector)
+            return masks + ((1 << 9) - 1,), choices + ((),)
+
+        monkeypatch.setattr(shading, "_moves", with_overlap)
         with pytest.raises(AssertionError, match="adds shaded squares"):
             ssl_moves(MeshPattern.of("12", [(2, 0)]))
         with pytest.raises(AssertionError, match="adds shaded squares"):
@@ -186,7 +191,10 @@ class TestSslMoves:
         script = (
             "import meshcide.shading as s\n"
             "real = s._moves\n"
-            "s._moves = lambda p, v: real(p, v) + (s.ShadeMove((), 511),)\n"
+            "def moves(p, v):\n"
+            "    masks, choices = real(p, v)\n"
+            "    return masks + (511,), choices + ((),)\n"
+            "s._moves = moves\n"
             "try:\n"
             "    s.ssl_closure((1, 2), [1])\n"
             "except AssertionError as e:\n"
@@ -437,6 +445,16 @@ class TestClosure:
         result = ssl_closure((1, 2), [0])
         assert result.complete and result.class_of(0) is not None
         assert result.class_of((1 << 9) - 1) is None
+
+    @pytest.mark.parametrize("seeds", [range(1 << 9), [0, 1]], ids=["whole", "listed"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, -1, 1 << 9, "1", None])
+    def test_class_of_a_value_that_is_no_mask_is_an_error(self, seeds, value):
+        # True == 1 and 0.0 == 0, but no mask is a bool or a float: each
+        # store refuses them, and masks outside the grid, before its lookup
+        result = ssl_closure((1, 2), seeds, steps=False)
+        assert result.class_of(1) is not None
+        with pytest.raises(ValueError, match="out of range"):
+            result.class_of(value)
 
     @pytest.mark.parametrize("perm", [(1.0, 2.0), (True, 2), [1, 2], 12])
     def test_given_step_over_a_perm_that_is_no_int_tuple_is_an_error(self, perm, monkeypatch):
@@ -958,9 +976,11 @@ class TestClosureEngine:
         # once it returns, the whole-cube closure of 123 holds its 65,536
         # meshes as an array("H") and its 33,619 class bounds as an
         # array("I"), about 0.45 MB; with a ClosureClass per class it held
-        # about 5.9 MB.  On the way it peaks at about 3.7 MB: member lists
-        # kept as Python lists raised that to about 5.1 MB, and a memo of
-        # ShadeMoves with them to about 6.2 MB
+        # about 5.9 MB.  On the way it peaks at about 4.2 MB, its memo
+        # keeping each move's first choice beside its mask (3.7 MB with the
+        # masks alone): member lists kept as Python lists raised the
+        # mask-only peak to about 5.1 MB, and a memo of ShadeMoves with
+        # them to about 6.2 MB
         p, size = (1, 2, 3), 1 << 16
         ssl_closure(p, range(size), steps=False)  # probes compiled, array loaded
         tracemalloc.start()
@@ -1003,16 +1023,27 @@ class TestClosureEngine:
                 outside = next(m for m in itertools.count() if m not in result.meshes)
                 assert result.class_of(outside) is None
 
-    def test_stepless_memo_keeps_masks_alone(self):
-        # over a mask memo each mesh's moves are the added masks of its
-        # ShadeMoves, in the same order, and the memo holds no ShadeMove
+    def test_no_closure_builds_a_shade_move(self, monkeypatch):
+        # a closure reads each move as its added mask and first choice,
+        # whether it logs steps or not; only ssl_moves builds ShadeMoves
+        built = []
+        real = shading.ShadeMove
+        monkeypatch.setattr(
+            shading, "ShadeMove", lambda *args: built.append(args) or real(*args)
+        )
+        for p, seeds in seeded_closures():
+            for steps in (True, False):
+                ssl_closure(p, seeds, budget=300, steps=steps)
+        empty = ssl_closure((1, 2, 3, 4, 5, 6), [0], budget=4096, steps=False)
+        assert (empty.complete, empty.size) == (False, 4097)
+        assert built == []
+        # ssl_moves is the moves of a batch of one, a ShadeMove per mask
         p = (1, 3, 2)
         batch = list(range(0, 1 << 16, 97))
-        moves = list(shading._frontier_moves(p, batch, {}))
-        memo = shading._MaskMemo()
-        masks = list(shading._frontier_moves(p, batch, memo))
-        assert masks == [tuple(move.added for move in each) for each in moves]
-        assert all(type(mask) is int for added, _ in memo.values() for mask in added)
+        for mask, (masks, choices) in zip(batch, shading._frontier_moves(p, batch, {})):
+            built.clear()
+            assert ssl_moves(MeshPattern(p, mask)) == list(map(real, choices, masks))
+            assert len(built) == len(masks)
 
     def test_sandwich_seeks_extremes_only_for_groups_short_of_their_interval(
         self, monkeypatch
